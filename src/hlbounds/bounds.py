@@ -17,6 +17,7 @@ reparametrization optimizer uses by default on commuting sets.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ from .operators import (
     spread,
     walsh_hadamard,
 )
+
+logger = logging.getLogger(__name__)
 
 PI2 = math.pi ** 2
 
@@ -195,8 +198,9 @@ class _GaugeSolver:
 
     The minimum is attained on a basic solution supported on p vectors, so
     for small designs all invertible p-subsets are inverted once up front
-    and each query is a batched solve; large designs fall back to a linear
-    program per query.
+    and ``gauges`` solves every queried row (all p rows of A^{-1} at once)
+    against every subset in one batched product; large designs fall back to
+    a linear program per row.
     """
 
     _SUBSET_LIMIT = 3000
@@ -218,10 +222,20 @@ class _GaugeSolver:
             if invs:
                 self._inverses = np.stack(invs)
 
-    def gauge(self, c: np.ndarray) -> float:
+    def gauges(self, rows: np.ndarray) -> np.ndarray:
+        """Gauges of the rows of ``rows`` (shape (r, p)); +inf where infeasible."""
         if self._inverses is not None:
-            coeffs = self._inverses @ c
-            return float(np.min(np.sum(np.abs(coeffs), axis=1)))
+            # One (p, p) @ (p, 1) matvec per (subset, row) pair, rounding as a
+            # single-row query does; ``self._inverses @ rows.T`` rounds
+            # differently and would change the searches' trajectories.
+            coeffs = self._inverses[:, None] @ rows[None, :, :, None]
+            return np.min(np.sum(np.abs(coeffs[..., 0]), axis=2), axis=0)
+        return np.array([self._lp_gauge(c) for c in rows])
+
+    def gauge(self, c: np.ndarray) -> float:
+        return float(self.gauges(c[None])[0])
+
+    def _lp_gauge(self, c: np.ndarray) -> float:
         res = linprog(
             np.ones(2 * self.m),
             A_eq=np.hstack([self.vectors.T, -self.vectors.T]),
@@ -253,6 +267,23 @@ def c_optimal_variance(gens: GeneratorSet, c) -> float:
     return g * g if math.isfinite(g) else math.inf
 
 
+def _last_matrix_memo(compute):
+    """Cache ``compute(a)`` for the most recent ReparamMatrix ``a``.
+
+    An oracle is queried for i = 0..p-1 on one A in turn; the per-row
+    quantities of all p rows are computed once, on the first query.
+    """
+    last_a, last_value = None, None
+
+    def cached(a: ReparamMatrix):
+        nonlocal last_a, last_value
+        if a is not last_a:
+            last_a, last_value = a, compute(a)
+        return last_value
+
+    return cached
+
+
 def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
     """Oracle (A, i) -> 1/lambda'_i^2 (CR) or pi^2/lambda'_i^2 (MM).
 
@@ -261,9 +292,10 @@ def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
     per direction otherwise.
     """
     factor = PI2 if paradigm == "mm" else 1.0
+    spreads = _last_matrix_memo(lambda a: rotated_spreads(gens, a))
 
     def oracle(a: ReparamMatrix, i: int) -> float:
-        lam = rotated_spreads(gens, a)[i]
+        lam = spreads(a)[i]
         if lam < 1e-12:
             return math.inf
         return factor / lam ** 2
@@ -275,10 +307,10 @@ def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
     """Exact nuisance-aware oracle for commuting sets (c-optimal design value)."""
     solver = _GaugeSolver(design_vectors(gens))
     factor = PI2 if paradigm == "mm" else 1.0
+    gauges = _last_matrix_memo(lambda a: solver.gauges(np.linalg.inv(a.entries)))
 
     def oracle(a: ReparamMatrix, i: int) -> float:
-        row = np.linalg.inv(a.entries)[i]
-        g = solver.gauge(row)
+        g = float(gauges(a)[i])
         return factor * g * g if math.isfinite(g) else math.inf
 
     return oracle
@@ -439,7 +471,7 @@ def sep_plus_optimize(
         seeds.append(np.eye(p) + 0.3 * rng.standard_normal((p, p)))
 
     best_a, best_val = None, math.inf
-    for s in seeds:
+    for start, s in enumerate(seeds):
         v0 = objective(np.asarray(s, dtype=float).ravel())
         if v0 < best_val - 1e-15:
             best_a, best_val = np.asarray(s, dtype=float), v0
@@ -450,6 +482,8 @@ def sep_plus_optimize(
             options={"xatol": 1e-10, "fatol": 1e-12,
                      "maxiter": min(600 * p * p, 4000)},
         )
+        logger.debug("sep_plus_optimize start %d: nfev=%d nit=%d success=%s fun=%r",
+                     start, res.nfev, res.nit, res.success, float(res.fun))
         if res.fun < best_val - 1e-15:
             best_a, best_val = res.x.reshape(p, p), float(res.fun)
     if best_a is None:
@@ -482,10 +516,8 @@ def orthogonal_restricted_sep_plus(alpha_beta, angle_grid: int = 180) -> float:
 
     def value(phi):
         c, s = math.cos(phi), math.sin(phi)
-        rows = (np.array([c, s]), np.array([-s, c]))
         total = 0.0
-        for row in rows:
-            g = solver.gauge(row)
+        for g in solver.gauges(np.array([[c, s], [-s, c]])).tolist():
             if not math.isfinite(g):
                 return math.inf
             total += g

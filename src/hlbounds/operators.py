@@ -109,11 +109,12 @@ class GeneratorSet:
 class ReparamMatrix:
     """A real invertible parameter-space transformation theta = A theta'.
 
-    ``orthogonal`` is computed at construction (A^T A = 1 to 1e-10).
+    Invertibility is checked at construction; ``orthogonal`` (A^T A = 1 to
+    1e-10) is computed on access, since the searches build many candidates
+    and never ask.
     """
 
     entries: np.ndarray
-    orthogonal: bool = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -125,9 +126,12 @@ class ReparamMatrix:
             raise InvalidArgumentError("reparametrization matrix is singular")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    @property
+    def orthogonal(self) -> bool:
+        m = self.entries
         gram = m.T @ m
-        ortho = np.max(np.abs(gram - np.eye(m.shape[0]))) <= ORTHOGONALITY_TOL
-        object.__setattr__(self, "orthogonal", bool(ortho))
+        return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= ORTHOGONALITY_TOL)
 
     @property
     def p(self) -> int:
@@ -357,7 +361,7 @@ def max_spread_over_sphere(gens: GeneratorSet):
         candidates.append(v / np.linalg.norm(v))
 
     best_a, best_val = None, -1.0
-    for a0 in candidates:
+    for start, a0 in enumerate(candidates):
         val0 = objective(a0)
         if val0 > best_val + 1e-12:
             best_a, best_val = a0 / np.linalg.norm(a0), val0
@@ -367,6 +371,8 @@ def max_spread_over_sphere(gens: GeneratorSet):
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
         )
+        logger.debug("max_spread_over_sphere start %d: nfev=%d nit=%d success=%s fun=%r",
+                     start, res.nfev, res.nit, res.success, float(res.fun))
         nrm = np.linalg.norm(res.x)
         if nrm > 1e-12 and -res.fun > best_val + 1e-12:
             best_a, best_val = res.x / nrm, float(-res.fun)
@@ -385,10 +391,14 @@ def rotation_bound_value(gens: GeneratorSet, a: ReparamMatrix) -> float:
     return float(np.sum(1.0 / spreads ** 2))
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(p: int):
+    return np.triu_indices(p, k=1)
+
+
 def _skew_to_orthogonal(x: np.ndarray, p: int) -> np.ndarray:
     s = np.zeros((p, p))
-    iu = np.triu_indices(p, k=1)
-    s[iu] = x
+    s[_upper_indices(p)] = x
     s = s - s.T
     # exp of a real skew-symmetric matrix via the Hermitian matrix iS
     w, v = np.linalg.eigh(1j * s)
@@ -423,14 +433,22 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
 
     nvars = p * (p - 1) // 2
     mats = gens.matrices()
+    if all(g.is_diagonal() for g in gens.generators):
+        # a diagonal set stays diagonal under rotation: its spreads are the
+        # ranges of the rotated real diagonals (as in ``spread``)
+        diagonals = np.real(np.diagonal(mats, axis1=1, axis2=2))
+
+        def rotated_ranges(o):
+            rotated = np.tensordot(o.T, diagonals, axes=(1, 0))
+            return np.max(rotated, axis=1) - np.min(rotated, axis=1)
+    else:
+        def rotated_ranges(o):
+            w = np.linalg.eigvalsh(np.tensordot(o.T, mats, axes=(1, 0)))
+            return w[:, -1] - w[:, 0]
 
     def neg_bound(x, base):
-        o = base @ _skew_to_orthogonal(x, p)
-        rotated = np.tensordot(o.T, mats, axes=(1, 0))
         total = 0.0
-        for m in rotated:
-            w = np.linalg.eigvalsh(m)
-            s = w[-1] - w[0]
+        for s in rotated_ranges(base @ _skew_to_orthogonal(x, p)):
             if s < DEGENERATE_SPREAD_TOL:
                 return 1e300
             total += 1.0 / s ** 2
@@ -440,7 +458,7 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     for seed in _SEARCH_SEEDS:
         rng = np.random.default_rng(seed)
         starts.append((0.5 * rng.standard_normal(nvars), np.eye(p)))
-    for x0, base in starts:
+    for start, (x0, base) in enumerate(starts):
         res = minimize(
             neg_bound,
             x0,
@@ -448,6 +466,8 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
             method="Nelder-Mead",
             options={"xatol": 1e-9, "fatol": 1e-11, "maxiter": 400 * max(nvars, 1)},
         )
+        logger.debug("optimize_orthogonal_bound start %d: nfev=%d nit=%d success=%s fun=%r",
+                     start, res.nfev, res.nit, res.success, float(res.fun))
         if -res.fun > best_val + 1e-12:
             candidate = base @ _skew_to_orthogonal(res.x, p)
             val = rotation_bound_value(gens, ReparamMatrix(candidate))

@@ -152,7 +152,10 @@ def bessel_j(nu: float, x: float) -> float:
             f"J_nu(x) is supported up to order {MAX_ORDER} and argument {MAX_ARGUMENT}"
         )
     if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
+        # J_nu(x) ~ (x/2)^nu / Gamma(nu + 1): 1 at nu = 0, 0 above, +inf below
+        if nu == 0:
+            return 1.0
+        return math.inf if nu < 0 else 0.0
     # The terms' magnitudes sum to I_nu(x) <= e^x times J_nu's scale, so
     # x log10(e) digits can cancel; 25 more keep J_nu to double precision.
     s = nu + 1.0

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from hlbounds import (
     spread_variance_oracle,
     weight_to_reparam,
 )
-from hlbounds.bounds import sep_plus_value
+import hlbounds.bounds as bounds_module
+from hlbounds.bounds import _GaugeSolver, design_vectors, sep_plus_value
 
 PI2 = math.pi ** 2
 CR = ResourceBudget("cr", n=1, k=1)
@@ -280,6 +282,73 @@ def test_spread_oracle_vs_elfving_oracle():
     coupled = build_two_sector_generators(1.0, 0.5)
     assert spread_variance_oracle(coupled, "cr")(identity, 0) == pytest.approx(1.0)
     assert elfving_variance_oracle(coupled, "cr")(identity, 0) == pytest.approx(4.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# batched gauge queries and the per-matrix oracle memo
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_fixed_atom_generators(3),
+        lambda: build_fixed_atom_generators(4),
+        lambda: build_free_atom_generators(4),
+        lambda: build_two_sector_generators(1.0, 0.5),
+    ],
+    ids=["fixed-atoms-3", "fixed-atoms-4", "free-atoms-4", "two-sector"],
+)
+def test_batched_gauges_equal_single_row_queries(build):
+    gens = build()
+    solver = _GaugeSolver(design_vectors(gens))
+    assert solver._inverses is not None
+    rows = np.random.default_rng(8).standard_normal((7, gens.p))
+    batched = solver.gauges(rows)
+    assert np.array_equal(batched, [solver.gauge(r) for r in rows])
+    # the single-row matvec form every query used before batching
+    matvec = [float(np.min(np.sum(np.abs(solver._inverses @ r), axis=1))) for r in rows]
+    assert np.array_equal(batched, matvec)
+
+
+def test_lp_gauges_match_c_optimal_variance():
+    # C(16, 5) = 4368 subsets exceed the subset limit, so every row is an LP
+    gens = build_fixed_atom_generators(5)
+    solver = _GaugeSolver(design_vectors(gens))
+    assert solver._inverses is None
+    rows = np.random.default_rng(9).standard_normal((3, 5))
+    squared = [g * g for g in solver.gauges(rows).tolist()]
+    assert squared == [c_optimal_variance(gens, r) for r in rows]
+
+
+@pytest.mark.parametrize("factory", [elfving_variance_oracle, spread_variance_oracle])
+def test_oracle_memo_is_never_stale(factory):
+    gens = build_fixed_atom_generators(3)
+    rng = np.random.default_rng(21)
+    a1 = ReparamMatrix(np.eye(3) + 0.3 * rng.standard_normal((3, 3)))
+    a2 = ReparamMatrix(np.eye(3) + 0.3 * rng.standard_normal((3, 3)))
+    oracle = factory(gens, "mm")
+    for i in range(3):
+        for a in (a1, a2, a1):
+            assert oracle(a, i) == factory(gens, "mm")(a, i)
+
+
+def test_search_logs_every_nelder_mead_run(caplog, monkeypatch):
+    runs = []
+    minimize = bounds_module.minimize
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(bounds_module, "minimize", counting_minimize)
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
+        sep_plus_optimize(build_fixed_atom_generators(2), CR)
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
+    assert len(messages) == len(runs) >= 5
+    for start, (msg, res) in enumerate(zip(messages, runs)):
+        assert msg.startswith(f"sep_plus_optimize start {start}: nfev={res.nfev} ")
+        assert f"success={res.success}" in msg
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,10 @@ def test_walsh_hadamard_small():
     assert o.orthogonal
 
 
+def test_shear_is_not_orthogonal():
+    assert not ReparamMatrix(np.array([[1.0, 0.5], [0.0, 1.0]])).orthogonal
+
+
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_walsh_hadamard_symmetric_involutory(r):
     o = walsh_hadamard(r).entries
@@ -232,6 +236,18 @@ def test_orthogonal_bound_free_atoms():
 def test_orthogonal_bound_pauli_xy():
     _, value = optimize_orthogonal_bound(build_pauli_generators("xy"))
     assert value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_orthogonal_bound_diagonal_path_matches_dense_path():
+    # U Lambda_i U^dagger still commutes but is not diagonal, so its search
+    # takes the eigvalsh path instead of the rotated-diagonal ranges
+    gens = build_fixed_atom_generators(3)
+    u = random_unitary(gens.dim, np.random.default_rng(5))
+    dense = GeneratorSet(tuple(u @ m @ u.conj().T for m in gens.matrices()))
+    assert not any(g.is_diagonal() for g in dense.generators)
+    _, diagonal_value = optimize_orthogonal_bound(gens)
+    _, dense_value = optimize_orthogonal_bound(dense)
+    assert dense_value == pytest.approx(diagonal_value, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ def test_bessel_series_matches_scipy(nu):
         assert bessel_j(nu, float(x)) == pytest.approx(sp.jv(nu, x), abs=1e-12)
 
 
+@pytest.mark.parametrize("nu", [-0.5, -0.25, 0.0, 0.5, 2.0])
+def test_bessel_at_zero_matches_scipy(nu):
+    # J_nu(0) diverges for -1/2 <= nu < 0, is 1 at nu = 0 and 0 above
+    assert bessel_j(nu, 0.0) == sp.jv(nu, 0.0)
+
+
 def test_bessel_first_zeros():
     assert bessel_j_first_zero(-0.5) == pytest.approx(math.pi / 2, abs=1e-10)
     assert bessel_j_first_zero(0.0) == pytest.approx(2.404825557695773, abs=1e-10)
