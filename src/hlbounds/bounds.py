@@ -124,7 +124,7 @@ class AllocationPlan:
     total_constant: float = field(init=False)
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise InvalidArgumentError("c must be a nonempty vector")
         if np.any(c <= 0):

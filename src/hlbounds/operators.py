@@ -36,7 +36,7 @@ DIMENSION_CAP = 2 ** 12
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
+    m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -117,7 +117,7 @@ class ReparamMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
         col_norms = np.linalg.norm(m, axis=0)

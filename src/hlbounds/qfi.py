@@ -34,7 +34,7 @@ class QfiMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
@@ -58,7 +58,7 @@ class SaturabilityReport:
     saturable: bool = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.imag_parts, dtype=float)
+        m = np.array(self.imag_parts, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
         m.flags.writeable = False

@@ -7,11 +7,20 @@ boundary values estimates the joint minimax cost constant via cost = E/N^2.
 Discretization is second-order central differences on a uniform
 vertex-aligned grid; Dirichlet data is enforced by excluding boundary and
 exterior nodes, and the smallest eigenvalue is found by inverse power
-iteration with matrix-free conjugate-gradient inner solves.
+iteration with matrix-free conjugate-gradient inner solves.  The ground
+state is even in every mu_i, so the iteration runs on the orthant
+mu_i >= 0 alone (2^p times fewer unknowns): mirror rows on the coordinate
+planes, node weights w = number of full-grid copies, and the symmetric
+operator W^(1/2) R W^(-1/2), whose norms and residuals are those of the
+full grid.  The eigenvector is unfolded onto the full grid on return (see
+``simplex_ground_energy``).  One DEBUG record per solve on this module's
+logger gives p, M, full-grid nodes, orthant unknowns, outer iterations, E
+and the residual.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +43,8 @@ MAX_POWER_ITERATIONS = 200
 DEFAULT_PDF_GRID = 2 ** 14
 DEFAULT_AIRY_CUTOFF = 14.0
 BALL_P_MAX = 2 * MAX_ORDER + 2  # the Bessel order p/2 - 1 stays <= MAX_ORDER
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,22 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     (spacing h = 1/M).  Exact values: pi^2 for p = 1 and 4 pi^2 for p = 2;
     the discrete eigenvalue approaches the continuum limit from below at
     rate O(h^2).
+
+    The ground state is even under every sign flip mu_d -> -mu_d, so the
+    solve runs on the orthant of grid indices i_d >= ceil(M/2), which holds
+    2^p times fewer unknowns, with mirror rows on the coordinate planes: a
+    neighbour index i folds to max(i, M - i).  For odd M no node lies on
+    mu_d = 0 and the -1 neighbour of the first node (mu_d = h/2) is the node
+    itself.  For even M the -1 neighbour of the node on mu_d = 0 folds onto
+    its +1 neighbour, so the folded operator R is not symmetric.  With w the
+    number of full-grid copies of a node (the product over axes of 1 on
+    mu_d = 0, else 2), inverse iteration runs on the symmetric
+    S = W^(1/2) R W^(-1/2) in z = W^(1/2) u.  Norms, Rayleigh quotients
+    and residuals in z equal those of the symmetric full-grid vector, so E,
+    ``residual`` and the stopping rule are the full grid's.  On return
+    u = z/sqrt(w) is unfolded onto every interior node, in C order of the
+    full grid, so ``nodes`` and the unit-norm ``eigenvector`` cover the
+    whole cross-polytope.
     """
     if p not in (1, 2, 3, 4):
         raise InvalidArgumentError("the simplex solver supports p in {1, 2, 3, 4}")
@@ -103,39 +130,36 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
         raise InvalidArgumentError(f"grid exceeds the {NODE_CAP:.0e}-node cap")
     h = 1.0 / m
     axes, mask = _interior_mask(p, m)
-    flat_mask = mask.ravel()
-    n = int(np.count_nonzero(flat_mask))
-    compact_of_full = -np.ones(flat_mask.size, dtype=np.int64)
-    compact_of_full[flat_mask] = np.arange(n)
+    coords_idx = np.argwhere(mask)  # interior nodes in C order of the full grid
 
-    full_idx = np.flatnonzero(flat_mask)
-    coords_idx = np.array(np.unravel_index(full_idx, mask.shape)).T
-    strides = np.array([(m + 1) ** (p - 1 - d) for d in range(p)], dtype=np.int64)
+    lo = (m + 1) // 2  # first orthant index, ceil(M/2)
+    orthant = mask[(slice(lo, None),) * p]
+    n = int(np.count_nonzero(orthant))
+    compact_of_orthant = np.full(orthant.shape, n, dtype=np.int64)  # n = padded zero slot
+    compact_of_orthant[orthant] = np.arange(n)
 
-    neighbors = np.full((n, 2 * p), n, dtype=np.int64)  # n = padded zero slot
-    for d in range(p):
-        for s_i, step in enumerate((-1, 1)):
-            ok = (coords_idx[:, d] + step >= 0) & (coords_idx[:, d] + step <= m)
-            nb_full = full_idx[ok] + step * strides[d]
-            nb_compact = compact_of_full[nb_full]
-            col = np.full(n, n, dtype=np.int64)
-            valid = nb_compact >= 0
-            rows = np.flatnonzero(ok)[valid]
-            col[rows] = nb_compact[valid]
-            neighbors[:, 2 * d + s_i] = col
+    def fold(idx):
+        """Compact orthant index of full-grid indices ``idx`` (k, p); n outside the domain."""
+        return compact_of_orthant[tuple((np.maximum(idx, m - idx) - lo).T)]
+
+    # interior nodes have 1 <= i_d <= M - 1, so every neighbour is on the grid
+    orthant_idx = np.argwhere(orthant) + lo
+    unit = np.eye(p, dtype=np.int64)
+    neighbors = np.stack([fold(orthant_idx + step * unit[d]) for d in range(p) for step in (-1, 1)],
+                         axis=1)
+    sqrt_w = np.sqrt(np.prod(np.where(2 * orthant_idx == m, 1.0, 2.0), axis=1))
 
     inv_h2 = 1.0 / (h * h)
     diag = 2.0 * p * inv_h2
 
-    def matvec(u):
-        u = np.asarray(u, dtype=float).ravel()
-        padded = np.concatenate([u, [0.0]])
-        return diag * u - inv_h2 * padded[neighbors].sum(axis=1)
+    def matvec(z):
+        z = np.asarray(z, dtype=float).ravel()
+        padded = np.concatenate([z / sqrt_w, [0.0]])
+        return diag * z - inv_h2 * sqrt_w * padded[neighbors].sum(axis=1)
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
 
-    coords = axes[coords_idx]
-    x = 0.5 - np.sum(np.abs(coords), axis=1)  # tent profile start
+    x = (0.5 - np.sum(np.abs(axes[orthant_idx]), axis=1)) * sqrt_w  # tent profile start
     x /= np.linalg.norm(x)
 
     energy = residual = math.inf
@@ -154,22 +178,21 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
             f"inverse iteration did not converge (residual {residual:.3e})",
             residual=residual,
         )
+    logger.debug("simplex_ground_energy p=%d M=%d: nodes=%d unknowns=%d iterations=%d "
+                 "E=%r residual=%.3e", p, m, len(coords_idx), n, iterations, energy, residual)
     return SimplexSpectrum(
         p=p,
         h=h,
         E=energy,
         iterations=iterations,
         residual=residual,
-        nodes=coords,
-        eigenvector=x,
+        nodes=axes[coords_idx],
+        eigenvector=(x / sqrt_w)[fold(coords_idx)],
     )
 
 
 def _cg_solve(op, rhs):
-    try:
-        sol, info = cg(op, rhs, rtol=1e-12, atol=0.0, maxiter=20000)
-    except TypeError:  # scipy < 1.12 spells the relative tolerance 'tol'
-        sol, info = cg(op, rhs, tol=1e-12, atol=0.0, maxiter=20000)
+    sol, info = cg(op, rhs, rtol=1e-12, atol=0.0, maxiter=20000)
     if info < 0:
         raise ConvergenceError(f"conjugate-gradient breakdown (info={info})")
     return sol

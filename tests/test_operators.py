@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from hlbounds import (
+    AllocationPlan,
     GeneratorSet,
     HermitianOperator,
     InvalidArgumentError,
+    QfiMatrix,
     ReparamMatrix,
     ResourceLimitError,
+    SaturabilityReport,
     build_fixed_atom_generators,
     build_free_atom_generators,
     build_pauli_generators,
@@ -335,3 +338,24 @@ def test_linear_independence_enforced():
 def test_reparam_matrix_rejects_singular():
     with pytest.raises(InvalidArgumentError):
         ReparamMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "build, attr, array",
+    [
+        (ReparamMatrix, "entries", np.array([[1.0, 0.5], [0.0, 2.0]])),
+        (HermitianOperator, "entries", np.array([[1.0, 1j], [-1j, -1.0]])),
+        (QfiMatrix, "entries", np.array([[2.0, 0.5], [0.5, 1.0]])),
+        (SaturabilityReport, "imag_parts", np.array([[0.0, 0.25], [-0.25, 0.0]])),
+        (lambda c: AllocationPlan(1, c), "c", np.array([1.0, 4.0])),
+    ],
+    ids=["ReparamMatrix", "HermitianOperator", "QfiMatrix", "SaturabilityReport", "AllocationPlan"],
+)
+def test_constructor_copies_caller_array(build, attr, array):
+    obj = build(array)
+    stored = getattr(obj, attr)
+    frozen = stored.copy()
+    assert array.flags.writeable
+    assert not stored.flags.writeable
+    array.flat[0] = 7.0
+    assert np.array_equal(getattr(obj, attr), frozen)

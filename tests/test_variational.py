@@ -1,8 +1,12 @@
+import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy import special as sp
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from hlbounds import (
@@ -18,7 +22,7 @@ from hlbounds import (
     simplex_ground_energy,
     sin_coefficients,
 )
-from hlbounds.variational import BALL_P_MAX
+from hlbounds.variational import BALL_P_MAX, _interior_mask
 
 PI2 = math.pi ** 2
 
@@ -68,6 +72,54 @@ def test_simplex_p3_in_bound_bracket():
     airy_c = airy_lower_bound().constant
     assert airy_c <= spec.E / 27 <= ball_upper_bound(3) / 27
     assert spec.residual <= 1e-8 * spec.E
+
+
+def _full_grid_ground_state(p, m):
+    """Reference ground state: the 2p-point Laplacian on every interior node."""
+    axes, mask = _interior_mask(p, m)
+    second_difference = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m + 1, m + 1)) * m * m
+    laplacian = sum(
+        sparse.kron(sparse.kron(sparse.identity((m + 1) ** d), second_difference),
+                    sparse.identity((m + 1) ** (p - 1 - d)))
+        for d in range(p)
+    ).tocsr()
+    keep = np.flatnonzero(mask)
+    dense = laplacian[keep][:, keep].toarray()
+    values, vectors = eigh(dense, subset_by_index=[0, 0])
+    nodes = axes[np.array(np.unravel_index(keep, mask.shape)).T]
+    return values[0], nodes, vectors[:, 0], mask
+
+
+@pytest.mark.parametrize(
+    "p, m", [(1, 41), (1, 40), (2, 41), (2, 40), (3, 17), (3, 16), (4, 11), (4, 12)]
+)
+def test_simplex_orthant_fold_matches_full_grid(p, m):
+    # odd M has no node on mu_d = 0; even M has one, with an unsymmetric fold
+    e_ref, nodes_ref, v_ref, mask = _full_grid_ground_state(p, m)
+    spec = simplex_ground_energy(p, m)
+    assert spec.E == pytest.approx(e_ref, rel=1e-10, abs=0)
+    assert np.array_equal(spec.nodes, nodes_ref)
+    v = spec.eigenvector
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(v - np.sign(v @ v_ref) * v_ref)) <= 1e-8
+    grid = np.zeros(mask.shape)
+    grid[mask] = v
+    for d in range(p):
+        assert np.array_equal(np.flip(grid, axis=d), grid)
+    for perm in itertools.permutations(range(p)):
+        assert np.max(np.abs(np.transpose(grid, perm) - grid)) <= 1e-8
+
+
+def test_simplex_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.variational"):
+        spec = simplex_ground_energy(3, 20)
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.variational"]
+    assert len(messages) == 1
+    msg = messages[0]
+    assert msg.startswith(f"simplex_ground_energy p=3 M=20: nodes={spec.nodes.shape[0]} ")
+    _, mask = _interior_mask(3, 20)
+    assert f" unknowns={np.count_nonzero(mask[10:, 10:, 10:])} " in msg  # the orthant i_d >= M/2
+    assert f"iterations={spec.iterations} E={spec.E!r} residual={spec.residual:.3e}" in msg
 
 
 def test_simplex_validation():
