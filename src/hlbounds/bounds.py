@@ -29,6 +29,7 @@ from .operators import (
     GeneratorSet,
     ReparamMatrix,
     eigenvalue_patterns,
+    exact_max_spread,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
     rotated_spreads,
@@ -368,19 +369,43 @@ def sep_plus_lower_bound(gens: GeneratorSet, budget: ResourceBudget) -> CostEsti
     spread of a . Lambda over unit vectors a.
     """
     _, lam_star = max_spread_over_sphere(gens)
-    p = gens.p
-    if budget.paradigm == "cr":
-        constant = p ** 2 / lam_star ** 2
-    else:
-        constant = p ** 3 * PI2 / lam_star ** 2
     return CostEstimate(
         paradigm=budget.paradigm,
         strategy="sep_plus",
-        constant=constant,
+        constant=_spread_floor(gens.p, budget.paradigm, lam_star),
         p_exponent=budget.alpha + 1,
         status="lower_bound",
         provenance="computed: single-vector spread maximization",
     )
+
+
+def _spread_floor(p: int, paradigm: str, lam_star: float) -> float:
+    """p^2/L*^2 (CR) or p^3 pi^2/L*^2 (MM) for the largest combined spread L*."""
+    if paradigm == "cr":
+        return p ** 2 / lam_star ** 2
+    return p ** 3 * PI2 / lam_star ** 2
+
+
+def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
+    """A value no SEP+ search objective can go below, or None.
+
+    Column i of A combines the generators into a . Lambda with spread at most
+    |a_i| L*, so each oracle value v_i is at least factor/(|a_i| L*)^2 and
+    every term [A^T A]_ii v_i of ``sep_plus_value`` at least factor/L*^2: the
+    whole sum is at least the ``sep_plus_lower_bound`` constant.  That needs
+    L* exact (``exact_max_spread``), and for the Elfving oracle, whose design
+    vectors are 2 x pattern, a pattern set symmetric under x -> -x: only then
+    is 2 |x . a| at most the spread of a . Lambda.
+    """
+    if not gens.commuting:
+        return None
+    pts = np.unique(np.round(eigenvalue_patterns(gens), 12), axis=0)
+    if not np.array_equal(pts, np.unique(-pts, axis=0)):
+        return None
+    exact = exact_max_spread(gens)
+    if exact is None:
+        return None
+    return _spread_floor(gens.p, paradigm, exact[1])
 
 
 def jnt_lower_bound(gens: GeneratorSet, budget: ResourceBudget) -> CostEstimate:
@@ -433,23 +458,29 @@ def _pattern_inverse_seed(gens: GeneratorSet) -> np.ndarray | None:
     return np.linalg.inv(b)
 
 
-def sep_plus_optimize(
-    gens: GeneratorSet,
-    budget: ResourceBudget,
-    variance_oracle=None,
-):
+def sep_plus_optimize(gens: GeneratorSet, budget: ResourceBudget):
     """Minimize the reparametrized separate cost over invertible A.
 
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
     two), the inverse-pattern construction for commuting sets, and fixed
-    random starts, each refined by a derivative-free simplex search.
-    Singular candidates are discarded.  Returns ``(A, CostEstimate)`` with
-    status ``upper_bound`` on the true reparametrized-separate optimum.
+    random starts, each refined in turn by a derivative-free simplex search.
+    Every seed is evaluated before the first search.  Singular candidates
+    are discarded.  Returns ``(A, CostEstimate)`` with status
+    ``upper_bound`` on the true reparametrized-separate optimum.
+
+    The searches stop early, before the next start, once the best value is
+    within 1e-12 relative of the ``sep_plus_lower_bound`` constant, which no
+    candidate can beat.  This certificate applies to commuting sets whose
+    largest combined spread is exact and whose eigenvalue patterns are
+    symmetric under sign flip (see ``_certified_search_floor``).  Free
+    atoms reach it at the identity seed, fixed atoms at the Walsh-Hadamard
+    seed when p is a power of two.  The stop is logged at DEBUG with the
+    winning seed or search, its value and the floor.
     """
     p = gens.p
     alpha = budget.alpha
-    if variance_oracle is None:
-        variance_oracle = default_variance_oracle(gens, budget.paradigm)
+    variance_oracle = default_variance_oracle(gens, budget.paradigm)
+    floor = _certified_search_floor(gens, budget.paradigm)
 
     def objective(flat):
         try:
@@ -470,14 +501,21 @@ def sep_plus_optimize(
         rng = np.random.default_rng(seed)
         seeds.append(np.eye(p) + 0.3 * rng.standard_normal((p, p)))
 
-    best_a, best_val = None, math.inf
+    seeds = [np.asarray(s, dtype=float) for s in seeds]
+    best_a, best_val, best_origin = None, math.inf, None
     for start, s in enumerate(seeds):
-        v0 = objective(np.asarray(s, dtype=float).ravel())
+        v0 = objective(s.ravel())
         if v0 < best_val - 1e-15:
-            best_a, best_val = np.asarray(s, dtype=float), v0
+            best_a, best_val, best_origin = s, v0, f"seed {start}"
+    for start, s in enumerate(seeds):
+        if floor is not None and best_val <= floor * (1 + 1e-12):
+            logger.debug("sep_plus_optimize certified by %s: value=%r floor=%r; "
+                         "starts %d-%d skipped",
+                         best_origin, float(best_val), floor, start, len(seeds) - 1)
+            break
         res = minimize(
             objective,
-            np.asarray(s, dtype=float).ravel(),
+            s.ravel(),
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12,
                      "maxiter": min(600 * p * p, 4000)},
@@ -486,6 +524,7 @@ def sep_plus_optimize(
                      start, res.nfev, res.nit, res.success, float(res.fun))
         if res.fun < best_val - 1e-15:
             best_a, best_val = res.x.reshape(p, p), float(res.fun)
+            best_origin = f"the search from start {start}"
     if best_a is None:
         raise InvalidArgumentError("no invertible reparametrization candidate found")
     estimate = CostEstimate(

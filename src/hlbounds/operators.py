@@ -338,21 +338,36 @@ def _diameter_direction(patterns: np.ndarray):
     return direction / nrm
 
 
+def exact_max_spread(gens: GeneratorSet):
+    """``(a, value)`` of the largest spread of a . Lambda over unit vectors a
+    when it is computed exactly, else None.
+
+    Exact means a commuting set with at most 2048 distinct joint eigenvalue
+    patterns, whose diameter is found by comparing every pair.
+    """
+    if not gens.commuting:
+        return None
+    diam = _diameter_direction(eigenvalue_patterns(gens))
+    if diam is None:
+        return None
+    return diam, _sphere_objective(gens)(diam)
+
+
 def max_spread_over_sphere(gens: GeneratorSet):
     """Largest spread of a . Lambda over unit vectors a.
 
     Returns ``(a, value)``.  For commuting sets the maximum equals the
     diameter of the joint eigenvalue-pattern point set, which is computed
-    exactly.  Otherwise structured candidates (coordinate axes, the uniform
-    vector) are evaluated alongside seeded simplex refinements, so the value
-    is a certified lower bound on the true maximum.
+    exactly (``exact_max_spread``).  Otherwise structured candidates
+    (coordinate axes, the uniform vector) are evaluated alongside seeded
+    simplex refinements, so the value is a certified lower bound on the true
+    maximum.
     """
+    exact = exact_max_spread(gens)
+    if exact is not None:
+        return exact
     p = gens.p
     objective = _sphere_objective(gens)
-    if gens.commuting:
-        diam = _diameter_direction(eigenvalue_patterns(gens))
-        if diam is not None:
-            return diam, objective(diam)
     candidates = [np.eye(p)[i] for i in range(p)]
     candidates.append(np.full(p, 1.0 / math.sqrt(p)))
     for seed in _SEARCH_SEEDS:

@@ -25,7 +25,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        v = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if v.size < 1:
             raise InvalidArgumentError("state vector must be nonempty")
         if abs(np.sum(np.abs(v) ** 2) - 1.0) > NORM_TOL:
@@ -48,7 +48,7 @@ class PhaseStateCoefficients:
     def __post_init__(self):
         if self.N < 1:
             raise InvalidArgumentError("N must be >= 1")
-        v = np.asarray(self.c, dtype=complex).reshape(-1)
+        v = np.array(self.c, dtype=complex).reshape(-1)
         if v.size != self.N + 1:
             raise InvalidArgumentError(f"expected {self.N + 1} coefficients, got {v.size}")
         if abs(np.sum(np.abs(v) ** 2) - 1.0) > NORM_TOL:

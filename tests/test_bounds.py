@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hlbounds import (
+    GeneratorSet,
     InvalidArgumentError,
     ReparamMatrix,
     ResourceBudget,
@@ -28,6 +31,7 @@ from hlbounds import (
 )
 import hlbounds.bounds as bounds_module
 from hlbounds.bounds import _GaugeSolver, design_vectors, sep_plus_value
+from hlbounds.operators import exact_max_spread
 
 PI2 = math.pi ** 2
 CR = ResourceBudget("cr", n=1, k=1)
@@ -332,7 +336,9 @@ def test_oracle_memo_is_never_stale(factory):
             assert oracle(a, i) == factory(gens, "mm")(a, i)
 
 
-def test_search_logs_every_nelder_mead_run(caplog, monkeypatch):
+@pytest.fixture
+def minimize_runs(monkeypatch):
+    """Every Nelder-Mead result of ``sep_plus_optimize``, in call order."""
     runs = []
     minimize = bounds_module.minimize
 
@@ -342,13 +348,118 @@ def test_search_logs_every_nelder_mead_run(caplog, monkeypatch):
         return res
 
     monkeypatch.setattr(bounds_module, "minimize", counting_minimize)
+    return runs
+
+
+def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
+    runs = minimize_runs
+    # the two-sector optimum lies above the spread floor, so every start runs
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
-        sep_plus_optimize(build_fixed_atom_generators(2), CR)
+        sep_plus_optimize(build_two_sector_generators(1.0, 0.5), CR)
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     assert len(messages) == len(runs) >= 5
     for start, (msg, res) in enumerate(zip(messages, runs)):
         assert msg.startswith(f"sep_plus_optimize start {start}: nfev={res.nfev} ")
         assert f"success={res.success}" in msg
+
+
+# ---------------------------------------------------------------------------
+# the certified stop of the SEP+ search
+
+
+@pytest.mark.parametrize(
+    "gens,budget,winner,closed_form",
+    [
+        (build_fixed_atom_generators(2), CR, 1, 2.0),
+        (build_fixed_atom_generators(4), MM, 1, 16 * PI2),
+        (build_free_atom_generators(4), MM, 0, 64 * PI2),
+        (build_fixed_atom_generators(8), MM, 1, 64 * PI2),
+    ],
+    ids=["fixed-atoms-2-cr", "fixed-atoms-4-mm", "free-atoms-4-mm", "fixed-atoms-8-mm"],
+)
+def test_search_stops_at_a_seed_on_the_floor(caplog, minimize_runs, gens, budget,
+                                             winner, closed_form):
+    # fixed atoms meet p^2 pi^2 at the Walsh-Hadamard seed (1), free atoms
+    # p^3 pi^2 at the identity (0)
+    floor = sep_plus_lower_bound(gens, budget).constant
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
+        _, est = sep_plus_optimize(gens, budget)
+    assert minimize_runs == []
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
+    assert len(messages) == 1
+    assert messages[0].startswith(
+        f"sep_plus_optimize certified by seed {winner}: "
+        f"value={float(est.constant)!r} floor={floor!r}; starts 0-"
+    )
+    assert est.constant == pytest.approx(closed_form, rel=1e-12, abs=0)
+    assert est.status == "upper_bound"
+
+
+def test_fixed_atoms_p8_search_uses_the_lp_backend():
+    # C(128, 8) subsets exceed the subset limit: the certified seed is an LP
+    assert _GaugeSolver(design_vectors(build_fixed_atom_generators(8)))._inverses is None
+
+
+def test_search_runs_every_start_below_the_floor(minimize_runs):
+    # fixed atoms at p=3: floor 3, optimum about 5.79; identity and 3 random starts
+    gens = build_fixed_atom_generators(3)
+    assert sep_plus_lower_bound(gens, CR).constant == pytest.approx(3.0)
+    sep_plus_optimize(gens, CR)
+    assert len(minimize_runs) == 4
+
+
+def test_no_certificate_for_an_asymmetric_pattern_set():
+    # patterns {1, 2}: the Elfving oracle's design vectors 2 x pattern are not
+    # bounded by the spread, so the spread floor does not hold for it
+    gens = GeneratorSet((np.diag([1.0, 2.0]),))
+    assert exact_max_spread(gens) is not None
+    assert bounds_module._certified_search_floor(gens, "cr") is None
+
+
+EIGHTHS = st.integers(-16, 16).map(lambda n: n / 8)
+
+
+@st.composite
+def diagonal_models(draw):
+    """A commuting diagonal set from k random joint patterns (multiples of
+    1/8, so rounding to 12 digits is exact), optionally with their negatives."""
+    p = draw(st.integers(1, 3))
+    k = draw(st.integers(p, 4))
+    points = np.array(draw(st.lists(st.lists(EIGHTHS, min_size=p, max_size=p),
+                                    min_size=k, max_size=k)))
+    symmetric = draw(st.booleans())
+    patterns = np.vstack([points, -points]) if symmetric else points
+    try:
+        gens = GeneratorSet(tuple(np.diag(col) for col in patterns.T))
+    except InvalidArgumentError:
+        assume(False)
+    return gens, symmetric
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    model=diagonal_models(),
+    entries=st.lists(EIGHTHS, min_size=9, max_size=9),
+    paradigm=st.sampled_from(["cr", "mm"]),
+)
+def test_certified_floor_bounds_both_oracles(model, entries, paradigm):
+    gens, symmetric = model
+    p, alpha = gens.p, 1 if paradigm == "cr" else 2
+    exact = exact_max_spread(gens)
+    assume(exact is not None)
+    a = np.reshape(entries[:p * p], (p, p))
+    # a well-conditioned A keeps the rotated generators linearly independent
+    assume(np.linalg.cond(a) < 1e3)
+    a = ReparamMatrix(a)
+    floor = bounds_module._spread_floor(p, paradigm, exact[1])
+    value = sep_plus_value(a, spread_variance_oracle(gens, paradigm), alpha, p)
+    assert value >= floor * (1 - 1e-12)
+    certified = bounds_module._certified_search_floor(gens, paradigm)
+    if symmetric:
+        assert certified == floor
+    if certified is not None:
+        value = sep_plus_value(a, elfving_variance_oracle(gens, paradigm), alpha, p)
+        assert value >= certified * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

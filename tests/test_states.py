@@ -5,6 +5,7 @@ import pytest
 
 from hlbounds import (
     InvalidArgumentError,
+    PhaseStateCoefficients,
     PureState,
     build_fixed_atom_generators,
     build_pauli_generators,
@@ -104,3 +105,15 @@ def test_superposed_noon_state():
 def test_pure_state_normalization_enforced():
     with pytest.raises(InvalidArgumentError):
         PureState([1.0, 1.0])
+
+
+def test_states_do_not_alias_the_callers_array():
+    a = np.array([1 + 0j, 0])
+    state = PureState(a)
+    a[0] = 5
+    np.testing.assert_array_equal(state.amplitudes, [1, 0])
+    c = np.array([1 + 0j, 0])
+    coeffs = PhaseStateCoefficients(1, c)
+    c[0] = 5
+    np.testing.assert_array_equal(coeffs.c, [1, 0])
+    assert not state.amplitudes.flags.writeable and not coeffs.c.flags.writeable
