@@ -78,7 +78,8 @@ class CostEstimate:
 
     ``constant`` multiplies 1/(k n^2) in the CR paradigm and 1/N^2 in MM
     (or 1/(k n (n+2)) when ``finite_n`` is set, for the finite-n parallel
-    field-sensing results).
+    field-sensing results).  ``variant`` tells apart records of one
+    strategy, such as the bounds of a bracket.
     """
 
     paradigm: str
@@ -88,6 +89,7 @@ class CostEstimate:
     status: str
     provenance: str = ""
     finite_n: bool = False
+    variant: str = ""
 
     _STATUSES = ("exact_asymptotic", "lower_bound", "upper_bound", "cited")
 
@@ -108,6 +110,25 @@ class CostEstimate:
                 return self.constant / (budget.k * budget.n * (budget.n + 2))
             return self.constant / (budget.k * budget.n ** 2)
         return self.constant / budget.N ** 2
+
+    @property
+    def scaling(self) -> str:
+        """The resource scaling that ``constant`` multiplies."""
+        if self.paradigm == "mm":
+            return "1/N^2"
+        return "1/(k n (n+2))" if self.finite_n else "1/(k n^2)"
+
+    def row(self) -> dict:
+        """The record as one output row (the ``bounds`` columns, in order)."""
+        return {
+            "strategy": self.strategy,
+            "variant": self.variant,
+            "constant": self.constant,
+            "p_exponent": self.p_exponent,
+            "scaling": self.scaling,
+            "status": self.status,
+            "provenance": self.provenance,
+        }
 
 
 @dataclass(frozen=True)
@@ -249,10 +270,6 @@ class _GaugeSolver:
         return float(res.fun)
 
 
-def _elfving_gauge(c: np.ndarray, vectors: np.ndarray) -> float:
-    return _GaugeSolver(vectors).gauge(np.asarray(c, dtype=float))
-
-
 def c_optimal_variance(gens: GeneratorSet, c) -> float:
     """Smallest achievable c^T F^{-1} c over input states, commuting sets.
 
@@ -264,7 +281,7 @@ def c_optimal_variance(gens: GeneratorSet, c) -> float:
     c = np.asarray(c, dtype=float)
     if c.shape != (gens.p,):
         raise InvalidArgumentError(f"direction has shape {c.shape}, expected ({gens.p},)")
-    g = _elfving_gauge(c, design_vectors(gens))
+    g = _GaugeSolver(design_vectors(gens)).gauge(c)
     return g * g if math.isfinite(g) else math.inf
 
 
@@ -340,24 +357,21 @@ def sep_cost(
     gens: GeneratorSet,
     budget: ResourceBudget,
     per_param_constants,
-    nuisance_free: bool = True,
 ) -> CostEstimate:
     """Fixed-parametrization separate-strategy cost from per-parameter constants.
 
     ``per_param_constants`` are the single-shot constants (1/lambda_i^2 for
     CR, pi^2/lambda_i^2 for MM); the repetition budget k (CR) or gate budget
-    N (MM) is split optimally.  Status is exact when the per-parameter
-    protocols are unobstructed by nuisance parameters (caller-supplied flag),
-    a lower bound otherwise.
+    N (MM) is split optimally.  The status is exact: the constants are taken
+    to belong to per-parameter protocols unobstructed by nuisance parameters.
     """
     plan = allocate(per_param_constants, budget.alpha)
-    status = "exact_asymptotic" if nuisance_free else "lower_bound"
     return CostEstimate(
         paradigm=budget.paradigm,
         strategy="sep",
         constant=plan.total_constant,
         p_exponent=budget.alpha + 1,
-        status=status,
+        status="exact_asymptotic",
         provenance="computed: optimal resource split of per-parameter protocols",
     )
 

@@ -13,13 +13,14 @@ bibliographic tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .bounds import (
     PI2,
+    CostEstimate,
     ResourceBudget,
     allocate,
     elfving_variance_oracle,
@@ -48,35 +49,34 @@ from .variational import BALL_P_MAX, airy_lower_bound, ball_upper_bound
 class CatalogEntry:
     """One (paradigm, strategy) cost record of a benchmark model.
 
-    The leading constant is ``coefficient * p**p_exponent`` per 1/(k n^2)
-    (CR) or 1/N^2 (MM); ``finite_n`` entries scale as 1/(k n (n+2)) instead.
-    ``recompute`` is the provenance closure of computed entries.
+    ``estimate`` is the record at the reference p ``p_ref``; its leading
+    constant is ``coefficient * p**p_exponent`` per 1/(k n^2) (CR) or 1/N^2
+    (MM), or per 1/(k n (n+2)) for ``finite_n`` records.  ``recompute`` is
+    the provenance closure of computed entries.
     """
 
-    model: str
-    paradigm: str
-    strategy: str
-    coefficient: float
-    p_exponent: int
-    status: str
-    provenance: str
-    variant: str = ""
-    finite_n: bool = False
+    estimate: CostEstimate
+    p_ref: int
     recompute: object = None
+
+    @property
+    def coefficient(self) -> float:
+        """The p-free coefficient of the leading constant."""
+        return self.estimate.constant / self.p_ref ** self.estimate.p_exponent
 
     def value(self, p: int) -> float:
         """Leading constant at p; recomputed from the generating operation
         when one exists."""
         if self.recompute is not None:
             return self.recompute(p)
-        return self.coefficient * p ** self.p_exponent
+        return self.coefficient * p ** self.estimate.p_exponent
 
-    def effective_constant(self, p: int, n: int) -> float:
-        """Constant in 1/(k n^2) (CR) or 1/N^2 (MM) units at finite n."""
+    def at(self, p: int, n: int) -> CostEstimate:
+        """The record at p, in 1/(k n^2) (CR) or 1/N^2 (MM) units at finite n."""
         v = self.value(p)
-        if self.finite_n:
-            return v * n / (n + 2)
-        return v
+        if self.estimate.finite_n:
+            return replace(self.estimate, constant=v * n / (n + 2), finite_n=False)
+        return replace(self.estimate, constant=v)
 
     @property
     def computed(self) -> bool:
@@ -107,32 +107,31 @@ def _bessel_xi() -> float:
     return bessel_j_first_zero(0.0)
 
 
-def _entry(model, paradigm, strategy, p_exponent, status, provenance,
+def _entry(paradigm, strategy, p_exponent, status, provenance,
            recompute=None, coefficient=None, p_ref=4, **kw):
-    """Build an entry; computed entries derive their displayed coefficient
-    from the closure at a reference p instead of a hand-copied number."""
+    """Build an entry; computed entries take their constant from the
+    closure at a reference p instead of a hand-copied number."""
     if recompute is not None:
-        coefficient = recompute(p_ref) / p_ref ** p_exponent
-    return CatalogEntry(
-        model=model,
-        paradigm=paradigm,
-        strategy=strategy,
-        coefficient=float(coefficient),
-        p_exponent=p_exponent,
-        status=status,
-        provenance=provenance,
-        recompute=recompute,
-        **kw,
-    )
+        constant = recompute(p_ref)
+    else:
+        constant = coefficient * p_ref ** p_exponent
+    estimate = CostEstimate(paradigm, strategy, float(constant), p_exponent, status,
+                            provenance, **kw)
+    return CatalogEntry(estimate, p_ref, recompute)
 
 
 # --- provenance closures (cached per p: the registry re-runs operations) ---
 
 
 @lru_cache(maxsize=None)
-def _fixed_cr_sep(p):
-    gens = build_fixed_atom_generators(p)
-    return allocate(per_parameter_spread_constants(gens, "cr"), 1).total_constant
+def _sep(build, paradigm, p):
+    alpha = 1 if paradigm == "cr" else 2
+    return allocate(per_parameter_spread_constants(build(p), paradigm), alpha).total_constant
+
+
+@lru_cache(maxsize=None)
+def _sep_plus_floor(build, budget, p):
+    return sep_plus_lower_bound(build(p), budget).constant
 
 
 @lru_cache(maxsize=None)
@@ -153,31 +152,9 @@ def _fixed_cr_jnt(p):
 
 
 @lru_cache(maxsize=None)
-def _fixed_mm_sep(p):
-    gens = build_fixed_atom_generators(p)
-    return allocate(per_parameter_spread_constants(gens, "mm"), 2).total_constant
-
-
-@lru_cache(maxsize=None)
-def _fixed_mm_sep_plus(p):
-    return sep_plus_lower_bound(build_fixed_atom_generators(p), _MM1).constant
-
-
-@lru_cache(maxsize=None)
 def _fixed_mm_jnt(p):
     gens = build_fixed_atom_generators(p)
     return PI2 * rotation_bound_value(gens, ReparamMatrix(np.eye(p)))
-
-
-@lru_cache(maxsize=None)
-def _free_cr_sep(p):
-    gens = build_free_atom_generators(p)
-    return allocate(per_parameter_spread_constants(gens, "cr"), 1).total_constant
-
-
-@lru_cache(maxsize=None)
-def _free_cr_sep_plus(p):
-    return sep_plus_lower_bound(build_free_atom_generators(p), _CR1).constant
 
 
 @lru_cache(maxsize=None)
@@ -188,26 +165,15 @@ def _free_cr_jnt(p):
 
 
 @lru_cache(maxsize=None)
-def _free_mm_sep(p):
-    gens = build_free_atom_generators(p)
-    return allocate(per_parameter_spread_constants(gens, "mm"), 2).total_constant
-
-
-@lru_cache(maxsize=None)
-def _free_mm_sep_plus(p):
-    return sep_plus_lower_bound(build_free_atom_generators(p), _MM1).constant
-
-
-@lru_cache(maxsize=None)
 def _free_mm_jnt_lower(p):
     return _airy_constant() * p ** 3
 
 
-def _pauli_cr_sep(p):
+def _unit_cr_sep(p):
     return allocate([1.0] * p, 1).total_constant
 
 
-def _pauli_mm_sep(p):
+def _unit_mm_sep(p):
     return allocate([PI2] * p, 2).total_constant
 
 
@@ -217,14 +183,6 @@ def _single_cr(p):
 
 def _single_mm(p):
     return single_param_mm(1.0, 1)
-
-
-def _interf_cr_sep(p):
-    return allocate([1.0] * p, 1).total_constant
-
-
-def _interf_mm_sep(p):
-    return allocate([PI2] * p, 2).total_constant
 
 
 @lru_cache(maxsize=None)
@@ -237,20 +195,20 @@ def _pauli_entries(name, p):
     com = "computed: optimal resource split of per-parameter protocols"
     no_gain = "computed: single-vector spread maximization (no reparametrization gain)"
     return (
-        _entry(name, "cr", "sep", 0, "exact_asymptotic", com,
-               recompute=_pauli_cr_sep, p_ref=p),
-        _entry(name, "cr", "sep_plus", 0, "exact_asymptotic", no_gain,
+        _entry("cr", "sep", 0, "exact_asymptotic", com,
+               recompute=_unit_cr_sep, p_ref=p),
+        _entry("cr", "sep_plus", 0, "exact_asymptotic", no_gain,
                recompute=lambda q, _n=name: _pauli_sep_plus(_n, "cr"), p_ref=p),
-        _entry(name, "cr", "jnt", 0, "cited",
+        _entry("cr", "jnt", 0, "cited",
                "cited: optimal parallel field-sensing scheme, valid n >= 6",
                coefficient=float(p ** 2), variant="parallel", finite_n=True),
-        _entry(name, "cr", "jnt", 0, "cited",
+        _entry("cr", "jnt", 0, "cited",
                "cited: ancilla-assisted adaptive scheme",
                coefficient=float(p), variant="adaptive"),
-        _entry(name, "mm", "sep", 0, "lower_bound",
+        _entry("mm", "sep", 0, "lower_bound",
                "computed: optimal resource split (attainability open)",
-               recompute=_pauli_mm_sep, p_ref=p),
-        _entry(name, "mm", "sep_plus", 0, "lower_bound", no_gain,
+               recompute=_unit_mm_sep, p_ref=p),
+        _entry("mm", "sep_plus", 0, "lower_bound", no_gain,
                recompute=lambda q, _n=name: _pauli_sep_plus(_n, "mm"), p_ref=p),
     )
 
@@ -277,21 +235,21 @@ def table_one() -> tuple:
             "only in the minimax paradigm (advantage grows linearly in p)"
         ),
         entries=(
-            _entry("fixed_atoms", "cr", "sep", 2, "exact_asymptotic", com_split,
-                   recompute=_fixed_cr_sep),
-            _entry("fixed_atoms", "cr", "sep_plus", 1, "exact_asymptotic",
+            _entry("cr", "sep", 2, "exact_asymptotic", com_split,
+                   recompute=partial(_sep, build_fixed_atom_generators, "cr")),
+            _entry("cr", "sep_plus", 1, "exact_asymptotic",
                    "computed: spread-balancing orthogonal reparametrization",
                    recompute=_fixed_cr_sep_plus),
-            _entry("fixed_atoms", "cr", "jnt", 1, "exact_asymptotic",
+            _entry("cr", "jnt", 1, "exact_asymptotic",
                    "computed: trace of inverse information at the product probe",
                    recompute=_fixed_cr_jnt),
-            _entry("fixed_atoms", "mm", "sep", 3, "exact_asymptotic", com_split,
-                   recompute=_fixed_mm_sep),
-            _entry("fixed_atoms", "mm", "sep_plus", 2, "exact_asymptotic",
+            _entry("mm", "sep", 3, "exact_asymptotic", com_split,
+                   recompute=partial(_sep, build_fixed_atom_generators, "mm")),
+            _entry("mm", "sep_plus", 2, "exact_asymptotic",
                    "computed: spread-balancing reparametrization saturates the "
                    "single-vector bound",
-                   recompute=_fixed_mm_sep_plus),
-            _entry("fixed_atoms", "mm", "jnt", 1, "exact_asymptotic",
+                   recompute=partial(_sep_plus_floor, build_fixed_atom_generators, _MM1)),
+            _entry("mm", "jnt", 1, "exact_asymptotic",
                    "computed: rotation bound at the original parametrization, "
                    "saturated by per-parameter sine probes",
                    recompute=_fixed_mm_jnt),
@@ -306,25 +264,25 @@ def table_one() -> tuple:
             "paradigm, constant-factor advantage (up to ~pi^2/0.63) in minimax"
         ),
         entries=(
-            _entry("free_atoms", "cr", "sep", 2, "exact_asymptotic", com_split,
-                   recompute=_free_cr_sep),
-            _entry("free_atoms", "cr", "sep_plus", 2, "exact_asymptotic",
+            _entry("cr", "sep", 2, "exact_asymptotic", com_split,
+                   recompute=partial(_sep, build_free_atom_generators, "cr")),
+            _entry("cr", "sep_plus", 2, "exact_asymptotic",
                    "computed: single-vector spread maximization (no gain: "
                    "orthogonal nonzero eigenspaces)",
-                   recompute=_free_cr_sep_plus),
-            _entry("free_atoms", "cr", "jnt", 2, "exact_asymptotic",
+                   recompute=partial(_sep_plus_floor, build_free_atom_generators, _CR1)),
+            _entry("cr", "jnt", 2, "exact_asymptotic",
                    "computed: trace of inverse information at the superposed "
                    "per-site probe",
                    recompute=_free_cr_jnt),
-            _entry("free_atoms", "mm", "sep", 3, "exact_asymptotic", com_split,
-                   recompute=_free_mm_sep),
-            _entry("free_atoms", "mm", "sep_plus", 3, "exact_asymptotic",
+            _entry("mm", "sep", 3, "exact_asymptotic", com_split,
+                   recompute=partial(_sep, build_free_atom_generators, "mm")),
+            _entry("mm", "sep_plus", 3, "exact_asymptotic",
                    "computed: single-vector spread maximization (no gain)",
-                   recompute=_free_mm_sep_plus),
-            _entry("free_atoms", "mm", "jnt", 3, "lower_bound",
+                   recompute=partial(_sep_plus_floor, build_free_atom_generators, _MM1)),
+            _entry("mm", "jnt", 3, "lower_bound",
                    "computed: symmetrized Airy variational bound",
                    recompute=_free_mm_jnt_lower, variant="lower"),
-            _entry("free_atoms", "mm", "jnt", 3, "upper_bound",
+            _entry("mm", "jnt", 3, "upper_bound",
                    "cited: inscribed-ball trial state, large-p limit",
                    coefficient=1.0, variant="upper"),
         ),
@@ -339,7 +297,7 @@ def table_one() -> tuple:
             "minimax joint optimum 4 pi^2 needs no adaptiveness"
         ),
         entries=_pauli_entries("pauli3", 3) + (
-            _entry("pauli3", "mm", "jnt", 0, "cited",
+            _entry("mm", "jnt", 0, "cited",
                    "cited: covariant rotation-group optimum",
                    coefficient=4.0 * PI2),
         ),
@@ -351,7 +309,7 @@ def table_one() -> tuple:
         notes="two-component field at zero field; minimax joint optimum 4 xi^2 "
               "with xi the first zero of the order-zero Bessel function",
         entries=_pauli_entries("pauli2", 2) + (
-            _entry("pauli2", "mm", "jnt", 0, "cited",
+            _entry("mm", "jnt", 0, "cited",
                    "cited: covariant unit-vector transmission optimum",
                    coefficient=4.0 * xi ** 2),
         ),
@@ -362,22 +320,22 @@ def table_one() -> tuple:
         p_fixed=1,
         notes="single field component: the scalar phase problem",
         entries=(
-            _entry("pauli1", "cr", "sep", 0, "exact_asymptotic",
+            _entry("cr", "sep", 0, "exact_asymptotic",
                    "computed: single-parameter repetition optimum",
                    recompute=_single_cr, p_ref=1),
-            _entry("pauli1", "cr", "sep_plus", 0, "exact_asymptotic",
+            _entry("cr", "sep_plus", 0, "exact_asymptotic",
                    "computed: single-parameter repetition optimum",
                    recompute=_single_cr, p_ref=1),
-            _entry("pauli1", "cr", "jnt", 0, "exact_asymptotic",
+            _entry("cr", "jnt", 0, "exact_asymptotic",
                    "computed: single-parameter repetition optimum",
                    recompute=_single_cr, p_ref=1),
-            _entry("pauli1", "mm", "sep", 0, "exact_asymptotic",
+            _entry("mm", "sep", 0, "exact_asymptotic",
                    "computed: single-parameter minimax optimum",
                    recompute=_single_mm, p_ref=1),
-            _entry("pauli1", "mm", "sep_plus", 0, "exact_asymptotic",
+            _entry("mm", "sep_plus", 0, "exact_asymptotic",
                    "computed: single-parameter minimax optimum",
                    recompute=_single_mm, p_ref=1),
-            _entry("pauli1", "mm", "jnt", 0, "exact_asymptotic",
+            _entry("mm", "jnt", 0, "exact_asymptotic",
                    "computed: single-parameter minimax optimum",
                    recompute=_single_mm, p_ref=1),
         ),
@@ -389,19 +347,19 @@ def table_one() -> tuple:
         notes="p phases against one reference arm; reference rows only "
               "(no generator-level model in this package)",
         entries=(
-            _entry("interferometer_p_arms", "cr", "sep", 2, "exact_asymptotic",
+            _entry("cr", "sep", 2, "exact_asymptotic",
                    "computed: optimal resource split of unit-spread phase protocols",
-                   recompute=_interf_cr_sep),
-            _entry("interferometer_p_arms", "cr", "jnt", 2, "cited",
+                   recompute=_unit_cr_sep),
+            _entry("cr", "jnt", 2, "cited",
                    "cited: multiarm-interferometer joint optimum",
                    coefficient=0.25),
-            _entry("interferometer_p_arms", "mm", "sep", 3, "exact_asymptotic",
+            _entry("mm", "sep", 3, "exact_asymptotic",
                    "computed: optimal resource split of unit-spread phase protocols",
-                   recompute=_interf_mm_sep),
-            _entry("interferometer_p_arms", "mm", "jnt", 3, "cited",
+                   recompute=_unit_mm_sep),
+            _entry("mm", "jnt", 3, "cited",
                    "cited: multiarm-interferometer minimax bracket, lower",
                    coefficient=1.89, variant="lower"),
-            _entry("interferometer_p_arms", "mm", "jnt", 3, "cited",
+            _entry("mm", "jnt", 3, "cited",
                    "cited: multiarm-interferometer minimax bracket, upper",
                    coefficient=2.0, variant="upper"),
         ),
@@ -427,12 +385,12 @@ def ordering_violations(record: ModelRecord, p: int, n: int = 100) -> list:
     p_eval = record.p_fixed if record.p_fixed is not None else p
     problems = []
     for paradigm in ("cr", "mm"):
-        rows = [e for e in record.entries if e.paradigm == paradigm]
+        rows = [e.at(p_eval, n) for e in record.entries if e.estimate.paradigm == paradigm]
         if not rows:
             continue
         by = {}
-        for e in rows:
-            by.setdefault(e.strategy, []).append(e.effective_constant(p_eval, n))
+        for est in rows:
+            by.setdefault(est.strategy, []).append(est.constant)
         sep = min(by.get("sep", [math.inf]))
         sep_plus = min(by.get("sep_plus", [math.inf]))
         jnt = min(by.get("jnt", [math.inf]))

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import catalog
 from . import variational as vr
 from .errors import HlboundsError, InvalidArgumentError
 from .operators import (
+    ReparamMatrix,
     build_fixed_atom_generators,
     build_free_atom_generators,
     build_pauli_generators,
@@ -28,6 +30,7 @@ from .operators import (
 )
 from .qfi import qfi_pure, saturability, trace_inverse
 from .states import (
+    PureState,
     noon_coefficients,
     sin_coefficients,
     superposed_noon_state,
@@ -35,7 +38,6 @@ from .states import (
 )
 
 GENERATOR_MODELS = ("fixed-atoms", "free-atoms", "pauli1", "pauli2", "pauli3", "two-sector")
-_CATALOG_NAMES = {"pauli1": "pauli1", "pauli2": "pauli2", "pauli3": "pauli3"}
 
 
 def _build_model(name, p, alpha, beta):
@@ -55,25 +57,15 @@ def _build_model(name, p, alpha, beta):
 
 
 def _build_state(name, gens, p, n):
-    aliases = {
-        "uniform": "uniform",
-        "plus-product": "uniform",
-        "noon": "uniform",
-        "superposed-noon": "uniform",
-        "basis0": "basis0",
-    }
-    kind = aliases.get(name)
-    if kind is None:
-        raise InvalidArgumentError(f"unknown state {name!r}")
+    if name in ("uniform", "plus-product", "noon"):
+        return uniform_state(gens.dim)
     if name == "superposed-noon":
         return superposed_noon_state(p, n)
-    if kind == "basis0":
+    if name == "basis0":
         amps = np.zeros(gens.dim, dtype=complex)
         amps[0] = 1.0
-        from .states import PureState
-
         return PureState(amps)
-    return uniform_state(gens.dim)
+    raise InvalidArgumentError(f"unknown state {name!r}")
 
 
 def _sanitize(obj):
@@ -147,44 +139,17 @@ def cmd_qfi(args):
 
 
 def _bounds_rows_generator_model(gens, budget, paradigm):
-    rows = []
     constants = bnd.per_parameter_spread_constants(gens, paradigm)
-    sep = bnd.sep_cost(gens, budget, constants, nuisance_free=True)
-    rows.append(_estimate_row(sep))
-    rows.append(_estimate_row(bnd.sep_plus_lower_bound(gens, budget), variant="lower"))
+    sep = bnd.sep_cost(gens, budget, constants)
+    lower = bnd.sep_plus_lower_bound(gens, budget)
     _, upper = bnd.sep_plus_optimize(gens, budget)
-    rows.append(_estimate_row(upper, variant="search"))
     jnt = bnd.jnt_lower_bound(gens, budget)
-    rows.append(_estimate_row(jnt, variant="rotation_bound"))
-    return rows
-
-
-def _estimate_row(est, variant=""):
-    return {
-        "strategy": est.strategy,
-        "variant": variant,
-        "constant": est.constant,
-        "p_exponent": est.p_exponent,
-        "scaling": "1/N^2" if est.paradigm == "mm" else (
-            "1/(k n (n+2))" if est.finite_n else "1/(k n^2)"
-        ),
-        "status": est.status,
-        "provenance": est.provenance,
-    }
-
-
-def _entry_row(entry, p, n):
-    return {
-        "strategy": entry.strategy,
-        "variant": entry.variant,
-        "constant": entry.effective_constant(p, n),
-        "p_exponent": entry.p_exponent,
-        "scaling": "1/N^2" if entry.paradigm == "mm" else (
-            "1/(k n (n+2))" if entry.finite_n else "1/(k n^2)"
-        ),
-        "status": entry.status,
-        "provenance": entry.provenance,
-    }
+    return [
+        sep,
+        replace(lower, variant="lower"),
+        replace(upper, variant="search"),
+        replace(jnt, variant="rotation_bound"),
+    ]
 
 
 def cmd_bounds(args):
@@ -194,99 +159,65 @@ def cmd_bounds(args):
     else:
         budget = bnd.ResourceBudget("mm", N=args.N)
 
-    if args.model in _CATALOG_NAMES:
-        record = catalog.get_model(_CATALOG_NAMES[args.model])
+    if args.model in ("pauli1", "pauli2", "pauli3"):
+        record = catalog.get_model(args.model)
         rows = [
-            _entry_row(e, record.p_fixed, args.n)
+            e.at(record.p_fixed, args.n)
             for e in record.entries
-            if e.paradigm == paradigm
+            if e.estimate.paradigm == paradigm
         ]
     elif args.model == "two-sector":
         if paradigm != "cr":
             raise InvalidArgumentError("the two-sector model is analyzed in the CR paradigm only")
         gens = build_two_sector_generators(args.alpha, args.beta)
         oracle = bnd.elfving_variance_oracle(gens, "cr")
-        from .operators import ReparamMatrix
-
         identity_cost = bnd.sep_plus_value(ReparamMatrix(np.eye(2)), oracle, 1, 2)
         rows = [
-            {
-                "strategy": "sep",
-                "variant": "",
-                "constant": identity_cost,
-                "p_exponent": 0,
-                "scaling": "1/(k n^2)",
-                "status": "exact_asymptotic",
-                "provenance": "computed: per-parameter nuisance-aware constants at identity",
-            }
+            bnd.CostEstimate(
+                "cr", "sep", identity_cost, 0, "exact_asymptotic",
+                "computed: per-parameter nuisance-aware constants at identity",
+            )
         ]
         _, est = bnd.sep_plus_optimize(gens, budget)
-        rows.append(_estimate_row(est, variant="search"))
+        rows.append(replace(est, variant="search"))
         rows.append(
-            {
-                "strategy": "sep_plus",
-                "variant": "orthogonal_restricted",
-                "constant": bnd.orthogonal_restricted_sep_plus(
-                    (args.alpha, args.beta), args.angle_grid
-                ),
-                "p_exponent": 0,
-                "scaling": "1/(k n^2)",
-                "status": "exact_asymptotic",
-                "provenance": "computed: rotation-angle scan with nuisance-aware constants",
-            }
+            bnd.CostEstimate(
+                "cr", "sep_plus",
+                bnd.orthogonal_restricted_sep_plus((args.alpha, args.beta), args.angle_grid),
+                0, "exact_asymptotic",
+                "computed: rotation-angle scan with nuisance-aware constants",
+                variant="orthogonal_restricted",
+            )
         )
         f = qfi_pure(gens, np.zeros(2), uniform_state(4), 1)
         rows.append(
-            {
-                "strategy": "jnt",
-                "variant": "",
-                "constant": trace_inverse(f),
-                "p_exponent": 0,
-                "scaling": "1/(k n^2)",
-                "status": "exact_asymptotic",
-                "provenance": "computed: trace of inverse information at the uniform probe",
-            }
+            bnd.CostEstimate(
+                "cr", "jnt", trace_inverse(f), 0, "exact_asymptotic",
+                "computed: trace of inverse information at the uniform probe",
+            )
         )
     else:
         gens = _build_model(args.model, args.p, args.alpha, args.beta)
         rows = _bounds_rows_generator_model(gens, budget, paradigm)
         if args.model == "free-atoms" and paradigm == "mm":
-            airy = vr.airy_lower_bound()
             p3 = args.p ** 3
-            rows.append(
-                {
-                    "strategy": "jnt",
-                    "variant": "airy_lower",
-                    "constant": airy.constant * p3,
-                    "p_exponent": 3,
-                    "scaling": "1/N^2",
-                    "status": "lower_bound",
-                    "provenance": "computed: symmetrized Airy variational bound",
-                }
-            )
-            rows.append(
-                {
-                    "strategy": "jnt",
-                    "variant": "ball_limit_upper",
-                    "constant": float(p3),
-                    "p_exponent": 3,
-                    "scaling": "1/N^2",
-                    "status": "upper_bound",
-                    "provenance": "cited: inscribed-ball trial state, large-p limit",
-                }
-            )
-            rows.append(
-                {
-                    "strategy": "jnt",
-                    "variant": "rotation_bound_as_published",
-                    "constant": float(args.p ** 2),
-                    "p_exponent": 2,
-                    "scaling": "1/N^2",
-                    "status": "lower_bound",
-                    "provenance": "cited: rotation bound as published (pi^2 bookkeeping dropped)",
-                }
-            )
-    _emit(rows, args, csv_columns=[
+            rows += [
+                bnd.CostEstimate(
+                    "mm", "jnt", vr.airy_lower_bound().constant * p3, 3, "lower_bound",
+                    "computed: symmetrized Airy variational bound", variant="airy_lower",
+                ),
+                bnd.CostEstimate(
+                    "mm", "jnt", float(p3), 3, "upper_bound",
+                    "cited: inscribed-ball trial state, large-p limit",
+                    variant="ball_limit_upper",
+                ),
+                bnd.CostEstimate(
+                    "mm", "jnt", float(args.p ** 2), 2, "lower_bound",
+                    "cited: rotation bound as published (pi^2 bookkeeping dropped)",
+                    variant="rotation_bound_as_published",
+                ),
+            ]
+    _emit([est.row() for est in rows], args, csv_columns=[
         "strategy", "variant", "constant", "p_exponent", "scaling", "status", "provenance",
     ])
     return 0
@@ -348,21 +279,14 @@ def cmd_table(args):
     rows = []
     for record in catalog.table_one():
         for e in record.entries:
-            rows.append(
-                {
-                    "model": e.model,
-                    "paradigm": e.paradigm,
-                    "strategy": e.strategy,
-                    "variant": e.variant,
-                    "coefficient": e.coefficient,
-                    "p_exponent": e.p_exponent,
-                    "scaling": "1/N^2" if e.paradigm == "mm" else (
-                        "1/(k n (n+2))" if e.finite_n else "1/(k n^2)"
-                    ),
-                    "status": e.status,
-                    "provenance": e.provenance,
-                }
-            )
+            # the registry lists the p-free coefficient in the constant's place
+            cells = e.estimate.row()
+            cells["constant"] = e.coefficient
+            rows.append({
+                "model": record.name,
+                "paradigm": e.estimate.paradigm,
+                **{("coefficient" if k == "constant" else k): v for k, v in cells.items()},
+            })
     _emit(rows, args, csv_columns=[
         "model", "paradigm", "strategy", "variant", "coefficient",
         "p_exponent", "scaling", "status", "provenance",
@@ -407,8 +331,6 @@ def _add_common(parser):
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--seed", type=int, default=1234, help="random seed for sampling")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; computations are single-process and deterministic")
 
 
 def build_parser():
@@ -494,7 +416,7 @@ def _apply_config(args, argv):
 
 def _validate(args):
     positive = ("p", "n", "k", "N", "grid", "p_max", "beta_steps", "angle_grid",
-                "pdf_grid", "threads")
+                "pdf_grid")
     for name in positive:
         value = getattr(args, name, None)
         if value is not None and value < 1:

@@ -263,18 +263,26 @@ def walsh_hadamard(r: int) -> ReparamMatrix:
     return ReparamMatrix(h / math.sqrt(p))
 
 
-def rotate_generators(gens: GeneratorSet, a: ReparamMatrix) -> GeneratorSet:
-    """Reparametrized set Lambda'_i = sum_j A[j, i] Lambda_j (i.e. A^T Lambda)."""
+def _rotated_matrices(gens: GeneratorSet, a: ReparamMatrix) -> np.ndarray:
+    """Stacked (p, dim, dim) entries of Lambda'_i = sum_j A[j, i] Lambda_j."""
     if a.p != gens.p:
         raise InvalidArgumentError(f"matrix is {a.p}x{a.p} but the set has p={gens.p}")
-    mats = gens.matrices()
-    rotated = np.tensordot(a.entries.T, mats, axes=(1, 0))
-    return GeneratorSet(tuple(rotated))
+    return np.tensordot(a.entries.T, gens.matrices(), axes=(1, 0))
+
+
+def rotate_generators(gens: GeneratorSet, a: ReparamMatrix) -> GeneratorSet:
+    """Reparametrized set Lambda'_i = sum_j A[j, i] Lambda_j (i.e. A^T Lambda)."""
+    return GeneratorSet(tuple(_rotated_matrices(gens, a)))
 
 
 def rotated_spreads(gens: GeneratorSet, a: ReparamMatrix) -> np.ndarray:
-    """Spreads of every generator of ``rotate_generators(gens, a)``."""
-    return np.array([spread(g) for g in rotate_generators(gens, a).generators])
+    """Spreads of every generator of ``rotate_generators(gens, a)``.
+
+    The rotated set is not built, so its linear-independence check does not
+    run: a badly scaled A that ``ReparamMatrix`` accepts gives a spread near
+    zero instead of an error.
+    """
+    return np.array([spread(HermitianOperator(m)) for m in _rotated_matrices(gens, a)])
 
 
 def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:

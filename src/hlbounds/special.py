@@ -109,24 +109,16 @@ def airy_ai_with_prime(x: float) -> tuple[float, float]:
     return _taylor_step(x0, y, yp, x - x0)
 
 
-def airy_ai(x: float) -> float:
-    return airy_ai_with_prime(x)[0]
-
-
-def airy_ai_prime(x: float) -> float:
-    return airy_ai_with_prime(x)[1]
-
-
 def airy_ai_prime_first_zero() -> float:
     """First (largest) zero of Ai', near -1.019, by bracketing bisection."""
     lo, hi = -2.0, -0.5
-    flo = airy_ai_prime(lo)
-    fhi = airy_ai_prime(hi)
+    flo = airy_ai_with_prime(lo)[1]
+    fhi = airy_ai_with_prime(hi)[1]
     if flo * fhi >= 0:
         raise NumericalError("failed to bracket the first zero of Ai'")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = airy_ai_prime(mid)
+        fmid = airy_ai_with_prime(mid)[1]
         if fmid == 0.0:
             return mid
         if flo * fmid < 0:

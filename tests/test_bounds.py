@@ -21,6 +21,8 @@ from hlbounds import (
     jnt_lower_bound,
     orthogonal_restricted_sep_plus,
     per_parameter_spread_constants,
+    rotated_spreads,
+    rotation_bound_value,
     sep_cost,
     sep_plus_lower_bound,
     sep_plus_optimize,
@@ -286,6 +288,18 @@ def test_spread_oracle_vs_elfving_oracle():
     coupled = build_two_sector_generators(1.0, 0.5)
     assert spread_variance_oracle(coupled, "cr")(identity, 0) == pytest.approx(1.0)
     assert elfving_variance_oracle(coupled, "cr")(identity, 0) == pytest.approx(4.0, abs=1e-9)
+
+
+def test_spread_oracle_scores_a_badly_scaled_matrix():
+    # A's near-zero column makes the rotated pair numerically dependent; the
+    # oracle must score that parameter inf instead of raising
+    gens = GeneratorSet((np.array([[0.0, 1.0], [1.0, 0.0]]) / 8, np.diag([1.0, -1.0]) / 8))
+    a = ReparamMatrix(np.array([[0.0, 1.0], [8.4e-142, 0.0]]))
+    np.testing.assert_allclose(rotated_spreads(gens, a), [2.1e-142, 0.25], rtol=1e-12)
+    oracle = spread_variance_oracle(gens, "cr")
+    assert oracle(a, 0) == math.inf
+    assert oracle(a, 1) == pytest.approx(16.0, rel=1e-12)
+    assert rotation_bound_value(gens, a) == -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ PI2 = math.pi ** 2
 def _find(record, paradigm, strategy, variant=""):
     rows = [
         e for e in record.entries
-        if e.paradigm == paradigm and e.strategy == strategy and e.variant == variant
+        if e.estimate.paradigm == paradigm and e.estimate.strategy == strategy
+        and e.estimate.variant == variant
     ]
     assert len(rows) == 1, (record.name, paradigm, strategy, variant, rows)
     return rows[0]
@@ -41,7 +42,7 @@ def test_fixed_atoms_constants():
     assert _find(record, "cr", "jnt").value(4) == pytest.approx(4.0, abs=1e-9)
     mm_jnt = _find(record, "mm", "jnt")
     assert mm_jnt.coefficient == pytest.approx(PI2, rel=1e-12)
-    assert mm_jnt.p_exponent == 1
+    assert mm_jnt.estimate.p_exponent == 1
     assert _find(record, "mm", "sep_plus").value(4) == pytest.approx(16 * PI2, rel=1e-10)
 
 
@@ -52,25 +53,25 @@ def test_free_atoms_constants():
     lower = _find(record, "mm", "jnt", "lower")
     upper = _find(record, "mm", "jnt", "upper")
     assert lower.coefficient == pytest.approx(0.63, abs=0.01)
-    assert lower.status == "lower_bound" and lower.computed
-    assert upper.coefficient == 1.0 and upper.status == "upper_bound" and not upper.computed
+    assert lower.estimate.status == "lower_bound" and lower.computed
+    assert upper.coefficient == 1.0 and upper.estimate.status == "upper_bound" and not upper.computed
 
 
 def test_pauli_constants():
     p3 = get_model("pauli3")
     assert _find(p3, "cr", "sep").value(3) == pytest.approx(9.0, abs=1e-9)
     adaptive = _find(p3, "cr", "jnt", "adaptive")
-    assert adaptive.coefficient == 3.0 and adaptive.status == "cited"
+    assert adaptive.coefficient == 3.0 and adaptive.estimate.status == "cited"
     parallel = _find(p3, "cr", "jnt", "parallel")
-    assert parallel.finite_n
-    assert parallel.effective_constant(3, 100) == pytest.approx(9 * 100 / 102)
+    assert parallel.estimate.finite_n
+    assert parallel.at(3, 100).constant == pytest.approx(9 * 100 / 102)
     assert _find(p3, "mm", "jnt").coefficient == pytest.approx(4 * PI2, rel=1e-12)
 
     p2 = get_model("pauli2")
     xi = 2.404825557695773
     mm_jnt = _find(p2, "mm", "jnt")
     assert mm_jnt.coefficient == pytest.approx(4 * xi ** 2, abs=1e-6)
-    assert mm_jnt.status == "cited"
+    assert mm_jnt.estimate.status == "cited"
     assert _find(p2, "cr", "jnt", "adaptive").coefficient == 2.0
     assert _find(p2, "mm", "sep").value(2) == pytest.approx(8 * PI2, rel=1e-10)
 
@@ -85,7 +86,7 @@ def test_single_parameter_cr_mm_ratio_exact():
 def test_interferometer_reference_rows():
     record = get_model("interferometer_p_arms")
     assert _find(record, "cr", "jnt").coefficient == 0.25
-    assert _find(record, "cr", "jnt").status == "cited"
+    assert _find(record, "cr", "jnt").estimate.status == "cited"
     assert _find(record, "mm", "jnt", "lower").coefficient == 1.89
     assert _find(record, "mm", "jnt", "upper").coefficient == 2.0
     assert _find(record, "cr", "sep").value(6) == pytest.approx(36.0, abs=1e-9)
@@ -127,7 +128,7 @@ def test_computed_entries_recompute_bit_for_bit():
 
     for record in table_one():
         for entry in record.entries:
-            assert entry.computed == entry.provenance.startswith("computed")
+            assert entry.computed == entry.estimate.provenance.startswith("computed")
 
 
 def test_orderings_hold_across_registry():

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from hlbounds import CostEstimate, ResourceBudget, get_model
 from hlbounds.cli import main
 
 PI2 = math.pi ** 2
@@ -60,6 +61,29 @@ def test_bounds_pauli3_cr(capsys):
     adaptive = by[("jnt", "adaptive")]
     assert adaptive["constant"] == pytest.approx(3.0)
     assert adaptive["status"] == "cited"
+
+
+def test_bounds_pauli3_cr_rows_cost_the_catalog_variance(capsys):
+    # each row's constant times its scaling cell is the registry's variance
+    n, k = 100, 3
+    rows = run_json(capsys, "bounds", "--model", "pauli3", "--paradigm", "cr",
+                    "--n", str(n), "--k", str(k))
+    budget = ResourceBudget("cr", n=n, k=k)
+    entries = {
+        (e.estimate.strategy, e.estimate.variant): e
+        for e in get_model("pauli3").entries
+        if e.estimate.paradigm == "cr"
+    }
+    assert len(rows) == len(entries)
+    for row in rows:
+        assert row["scaling"] in ("1/(k n^2)", "1/(k n (n+2))")
+        est = CostEstimate("cr", row["strategy"], row["constant"], row["p_exponent"],
+                           row["status"], row["provenance"],
+                           finite_n=row["scaling"] == "1/(k n (n+2))",
+                           variant=row["variant"])
+        entry = entries[(row["strategy"], row["variant"])]
+        units = k * n * (n + 2) if entry.estimate.finite_n else k * n ** 2
+        assert est.cost(budget) == pytest.approx(entry.value(3) / units, rel=1e-12)
 
 
 def test_bounds_free_atoms_mm_bracket(capsys):
