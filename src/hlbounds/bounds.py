@@ -32,7 +32,7 @@ from .operators import (
     exact_max_spread,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
-    rotated_spreads,
+    rotated_spread_kernel,
     spread,
     walsh_hadamard,
 )
@@ -254,9 +254,6 @@ class _GaugeSolver:
             return np.min(np.sum(np.abs(coeffs[..., 0]), axis=2), axis=0)
         return np.array([self._lp_gauge(c) for c in rows])
 
-    def gauge(self, c: np.ndarray) -> float:
-        return float(self.gauges(c[None])[0])
-
     def _lp_gauge(self, c: np.ndarray) -> float:
         res = linprog(
             np.ones(2 * self.m),
@@ -281,55 +278,38 @@ def c_optimal_variance(gens: GeneratorSet, c) -> float:
     c = np.asarray(c, dtype=float)
     if c.shape != (gens.p,):
         raise InvalidArgumentError(f"direction has shape {c.shape}, expected ({gens.p},)")
-    g = _GaugeSolver(design_vectors(gens)).gauge(c)
+    g = float(_GaugeSolver(design_vectors(gens)).gauges(c[None])[0])
     return g * g if math.isfinite(g) else math.inf
 
 
-def _last_matrix_memo(compute):
-    """Cache ``compute(a)`` for the most recent ReparamMatrix ``a``.
-
-    An oracle is queried for i = 0..p-1 on one A in turn; the per-row
-    quantities of all p rows are computed once, on the first query.
-    """
-    last_a, last_value = None, None
-
-    def cached(a: ReparamMatrix):
-        nonlocal last_a, last_value
-        if a is not last_a:
-            last_a, last_value = a, compute(a)
-        return last_value
-
-    return cached
-
-
 def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
-    """Oracle (A, i) -> 1/lambda'_i^2 (CR) or pi^2/lambda'_i^2 (MM).
+    """Oracle A -> the p constants 1/lambda'_i^2 (CR) or pi^2/lambda'_i^2 (MM),
+    +inf where lambda'_i < 1e-12.
 
     Ignores nuisance parameters; a valid constant only when parameter i can
     be sensed undisturbed in the A-parametrization, a certified lower bound
     per direction otherwise.
     """
     factor = PI2 if paradigm == "mm" else 1.0
-    spreads = _last_matrix_memo(lambda a: rotated_spreads(gens, a))
+    spreads = rotated_spread_kernel(gens)
 
-    def oracle(a: ReparamMatrix, i: int) -> float:
-        lam = spreads(a)[i]
-        if lam < 1e-12:
-            return math.inf
-        return factor / lam ** 2
+    def oracle(a: ReparamMatrix) -> np.ndarray:
+        # scalar ``lam ** 2`` is pow(), which an array square does not round alike
+        return np.array([factor / lam ** 2 if lam >= 1e-12 else math.inf
+                         for lam in spreads(a.entries)])
 
     return oracle
 
 
 def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
-    """Exact nuisance-aware oracle for commuting sets (c-optimal design value)."""
+    """Exact nuisance-aware oracle for commuting sets (c-optimal design value):
+    A -> the p constants, one per row of A^{-1}, +inf where not estimable."""
     solver = _GaugeSolver(design_vectors(gens))
     factor = PI2 if paradigm == "mm" else 1.0
-    gauges = _last_matrix_memo(lambda a: solver.gauges(np.linalg.inv(a.entries)))
 
-    def oracle(a: ReparamMatrix, i: int) -> float:
-        g = float(gauges(a)[i])
-        return factor * g * g if math.isfinite(g) else math.inf
+    def oracle(a: ReparamMatrix) -> np.ndarray:
+        g = solver.gauges(np.linalg.inv(a.entries))
+        return factor * g * g
 
     return oracle
 
@@ -443,15 +423,17 @@ def jnt_lower_bound(gens: GeneratorSet, budget: ResourceBudget) -> CostEstimate:
     )
 
 
-def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int, p: int) -> float:
-    """Reparametrized separate cost (sum_i ([A^T A]_ii v_i)^(1/(alpha+1)))^(alpha+1)."""
+def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
+    """Reparametrized separate cost (sum_i ([A^T A]_ii v_i)^(1/(alpha+1)))^(alpha+1),
+    summed in index order over the p constants v of one ``variance_oracle(a)``
+    call; +inf if any v_i is."""
     gram_diag = np.sum(a.entries ** 2, axis=0)
+    values = variance_oracle(a)
     total = 0.0
-    for i in range(p):
-        v = variance_oracle(a, i)
-        if not math.isfinite(v):
+    for i in range(a.p):
+        if not math.isfinite(values[i]):
             return math.inf
-        total += (gram_diag[i] * v) ** (1.0 / (alpha + 1))
+        total += (gram_diag[i] * values[i]) ** (1.0 / (alpha + 1))
     return total ** (alpha + 1)
 
 
@@ -501,7 +483,7 @@ def sep_plus_optimize(gens: GeneratorSet, budget: ResourceBudget):
             a = ReparamMatrix(flat.reshape(p, p))
         except InvalidArgumentError:
             return 1e300
-        val = sep_plus_value(a, variance_oracle, alpha, p)
+        val = sep_plus_value(a, variance_oracle, alpha)
         return val if math.isfinite(val) else 1e300
 
     seeds = [np.eye(p)]

@@ -141,7 +141,7 @@ def _fixed_cr_sep_plus(p):
         raise InvalidArgumentError("the spread-balancing transform needs p = 2^r")
     gens = build_fixed_atom_generators(p)
     oracle = elfving_variance_oracle(gens, "cr")
-    return sep_plus_value(walsh_hadamard(r), oracle, 1, p)
+    return sep_plus_value(walsh_hadamard(r), oracle, 1)
 
 
 @lru_cache(maxsize=None)

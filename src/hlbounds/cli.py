@@ -3,13 +3,16 @@
 Subcommands: qfi, bounds, variational, table, figure.  Every command is
 deterministic given its flags (seeds included); JSON output uses flat
 snake_case keys with infinities serialized as the string "inf", CSV output
-uses 17 significant digits with LF line endings.  Diagnostics go to stderr,
-data to stdout or --output.
+uses 17 significant digits with LF line endings, and a cell that holds a
+comma or a quote is quoted.  Diagnostics go to stderr, data to stdout or
+--output.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -92,19 +95,16 @@ def _emit(payload, args, csv_columns=None):
     if fmt == "csv":
         if csv_columns is None:
             raise InvalidArgumentError("this command has no CSV representation")
-        lines = [",".join(csv_columns)]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(csv_columns)
         for row in payload:
-            cells = []
-            for col in csv_columns:
-                v = row.get(col, "")
-                if isinstance(v, float):
-                    cells.append("inf" if math.isinf(v) else f"{v:.17g}")
-                elif v is None:
-                    cells.append("")
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+            # the writer turns None into an empty cell and other values into str()
+            writer.writerow([
+                ("inf" if math.isinf(v) else f"{v:.17g}") if isinstance(v, float) else v
+                for v in (row.get(col, "") for col in csv_columns)
+            ])
+        text = buffer.getvalue()
     else:
         text = json.dumps(_sanitize(payload), indent=2) + "\n"
     if args.output:
@@ -171,7 +171,7 @@ def cmd_bounds(args):
             raise InvalidArgumentError("the two-sector model is analyzed in the CR paradigm only")
         gens = build_two_sector_generators(args.alpha, args.beta)
         oracle = bnd.elfving_variance_oracle(gens, "cr")
-        identity_cost = bnd.sep_plus_value(ReparamMatrix(np.eye(2)), oracle, 1, 2)
+        identity_cost = bnd.sep_plus_value(ReparamMatrix(np.eye(2)), oracle, 1)
         rows = [
             bnd.CostEstimate(
                 "cr", "sep", identity_cost, 0, "exact_asymptotic",
@@ -391,27 +391,37 @@ def build_parser():
     return parser
 
 
-def _apply_config(args, argv):
-    """Config file values fill in anything not given on the command line."""
+def _config_value(action, key, value):
+    """``value`` as the flag ``action`` takes it, if its JSON type and the
+    flag's choices allow it (an integer is a valid float)."""
+    kind = action.type or str
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InvalidArgumentError(f"config key {key!r} must be of type {kind.__name__}")
+    if action.choices and value not in action.choices:
+        raise InvalidArgumentError(f"config key {key!r} must be one of {action.choices}")
+    return kind(value)
+
+
+def _apply_config(parser, args, argv):
+    """Config file values become the defaults of the command's flags, and
+    ``argv`` is parsed again, so flags on the command line override them."""
     if not args.config:
         return args
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InvalidArgumentError("config file must hold a JSON object")
-    known = set(vars(args))
-    explicit = {
-        token[2:].split("=")[0].replace("-", "_")
-        for token in argv
-        if token.startswith("--")
-    }
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices[args.command]
+    flags = {action.dest: action for action in command._actions
+             if action.option_strings and action.dest in vars(args)}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest not in flags:
             raise InvalidArgumentError(f"unknown config key {key!r}")
-        if dest not in explicit:
-            setattr(args, dest, value)
-    return args
+        command.set_defaults(**{dest: _config_value(flags[dest], key, value)})
+    return parser.parse_args(argv)
 
 
 def _validate(args):
@@ -431,7 +441,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         if args.format is None:
             args.format = getattr(args, "default_format", "json")
         _validate(args)

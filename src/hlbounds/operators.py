@@ -70,12 +70,13 @@ class HermitianOperator:
 class GeneratorSet:
     """The vector of generators of a unitary model exp(i theta . Lambda).
 
-    ``commuting`` is computed at construction: true iff every pairwise
-    commutator has max-norm <= 1e-10.  Generators must be linearly
-    independent as vectors in matrix space.
+    ``diagonal`` (every generator diagonal) and ``commuting`` (every pairwise
+    commutator of max-norm <= 1e-10) are computed at construction.
+    Generators must be linearly independent as vectors in matrix space.
     """
 
     generators: tuple
+    diagonal: bool = field(init=False)
     commuting: bool = field(init=False)
 
     def __post_init__(self):
@@ -89,8 +90,10 @@ class GeneratorSet:
         if any(g.dim != dim for g in gens):
             raise InvalidArgumentError("all generators must share one dimension")
         _check_linear_independence(gens)
+        diagonal = all(g.is_diagonal() for g in gens)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "commuting", _all_commuting(gens))
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "commuting", diagonal or _all_commuting(gens))
 
     @property
     def p(self) -> int:
@@ -139,8 +142,6 @@ class ReparamMatrix:
 
 
 def _all_commuting(gens) -> bool:
-    if all(g.is_diagonal() for g in gens):
-        return True
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             a, b = gens[i].entries, gens[j].entries
@@ -263,26 +264,43 @@ def walsh_hadamard(r: int) -> ReparamMatrix:
     return ReparamMatrix(h / math.sqrt(p))
 
 
-def _rotated_matrices(gens: GeneratorSet, a: ReparamMatrix) -> np.ndarray:
-    """Stacked (p, dim, dim) entries of Lambda'_i = sum_j A[j, i] Lambda_j."""
+def _check_size(gens: GeneratorSet, a: ReparamMatrix):
     if a.p != gens.p:
         raise InvalidArgumentError(f"matrix is {a.p}x{a.p} but the set has p={gens.p}")
-    return np.tensordot(a.entries.T, gens.matrices(), axes=(1, 0))
 
 
 def rotate_generators(gens: GeneratorSet, a: ReparamMatrix) -> GeneratorSet:
     """Reparametrized set Lambda'_i = sum_j A[j, i] Lambda_j (i.e. A^T Lambda)."""
-    return GeneratorSet(tuple(_rotated_matrices(gens, a)))
+    _check_size(gens, a)
+    return GeneratorSet(tuple(np.tensordot(a.entries.T, gens.matrices(), axes=(1, 0))))
+
+
+def rotated_spread_kernel(gens: GeneratorSet):
+    """``spreads(a)``: the spreads of the p generators of A^T Lambda for a
+    (p, p) array A, without building the rotated set (so a badly scaled A
+    gives a spread near zero, not an independence error).  A diagonal set
+    stays diagonal: its spreads are the ranges of the rotated real diagonals
+    (as in ``spread``); otherwise one batched ``eigvalsh`` gives them all.
+    """
+    mats = gens.matrices()
+    if gens.diagonal:
+        diagonals = np.real(np.diagonal(mats, axis1=1, axis2=2))
+
+        def spreads(a: np.ndarray) -> np.ndarray:
+            rotated = np.tensordot(a.T, diagonals, axes=(1, 0))
+            return np.max(rotated, axis=1) - np.min(rotated, axis=1)
+    else:
+        def spreads(a: np.ndarray) -> np.ndarray:
+            w = np.linalg.eigvalsh(np.tensordot(a.T, mats, axes=(1, 0)))
+            return w[:, -1] - w[:, 0]
+    return spreads
 
 
 def rotated_spreads(gens: GeneratorSet, a: ReparamMatrix) -> np.ndarray:
-    """Spreads of every generator of ``rotate_generators(gens, a)``.
-
-    The rotated set is not built, so its linear-independence check does not
-    run: a badly scaled A that ``ReparamMatrix`` accepts gives a spread near
-    zero instead of an error.
-    """
-    return np.array([spread(HermitianOperator(m)) for m in _rotated_matrices(gens, a)])
+    """Spreads of every generator of ``rotate_generators(gens, a)``
+    (see ``rotated_spread_kernel``)."""
+    _check_size(gens, a)
+    return rotated_spread_kernel(gens)(a.entries)
 
 
 def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:
@@ -295,7 +313,7 @@ def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:
     if not gens.commuting:
         raise InvalidArgumentError("eigenvalue patterns require a commuting set")
     mats = gens.matrices()
-    if all(g.is_diagonal() for g in gens.generators):
+    if gens.diagonal:
         return np.real(np.diagonal(mats, axis1=1, axis2=2)).T.copy()
     # Generic weights keep distinct joint patterns non-degenerate.
     weights = np.sqrt(np.arange(2, gens.p + 2, dtype=float))
@@ -408,10 +426,17 @@ def rotation_bound_value(gens: GeneratorSet, a: ReparamMatrix) -> float:
     Returns -inf when any rotated spread is degenerate (below 1e-9), so the
     candidate never wins a maximization.
     """
-    spreads = rotated_spreads(gens, a)
-    if np.any(spreads < DEGENERATE_SPREAD_TOL):
-        return -math.inf
-    return float(np.sum(1.0 / spreads ** 2))
+    return _bound_sum(rotated_spreads(gens, a))
+
+
+def _bound_sum(spreads) -> float:
+    """sum_i 1 / s_i^2 in index order, or -inf if any s_i is below 1e-9."""
+    total = 0.0
+    for s in spreads:
+        if s < DEGENERATE_SPREAD_TOL:
+            return -math.inf
+        total += 1.0 / s ** 2
+    return float(total)
 
 
 @lru_cache(maxsize=None)
@@ -445,37 +470,20 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     if 2 ** r == p:
         structured.append(walsh_hadamard(r).entries)
 
+    spreads = rotated_spread_kernel(gens)
     best_o, best_val = None, -math.inf
     for o in structured:
-        val = rotation_bound_value(gens, ReparamMatrix(o))
+        val = _bound_sum(spreads(o))
         if val == -math.inf:
             logger.warning("discarding rotation candidate with degenerate spread")
-            continue
-        if val > best_val + 1e-12:
+        elif val > best_val + 1e-12:
             best_o, best_val = o, val
 
     nvars = p * (p - 1) // 2
-    mats = gens.matrices()
-    if all(g.is_diagonal() for g in gens.generators):
-        # a diagonal set stays diagonal under rotation: its spreads are the
-        # ranges of the rotated real diagonals (as in ``spread``)
-        diagonals = np.real(np.diagonal(mats, axis1=1, axis2=2))
-
-        def rotated_ranges(o):
-            rotated = np.tensordot(o.T, diagonals, axes=(1, 0))
-            return np.max(rotated, axis=1) - np.min(rotated, axis=1)
-    else:
-        def rotated_ranges(o):
-            w = np.linalg.eigvalsh(np.tensordot(o.T, mats, axes=(1, 0)))
-            return w[:, -1] - w[:, 0]
 
     def neg_bound(x, base):
-        total = 0.0
-        for s in rotated_ranges(base @ _skew_to_orthogonal(x, p)):
-            if s < DEGENERATE_SPREAD_TOL:
-                return 1e300
-            total += 1.0 / s ** 2
-        return -total
+        value = _bound_sum(spreads(base @ _skew_to_orthogonal(x, p)))
+        return -value if value > -math.inf else 1e300
 
     starts = [(np.zeros(nvars), base) for base in structured]
     for seed in _SEARCH_SEEDS:
@@ -491,11 +499,9 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
         )
         logger.debug("optimize_orthogonal_bound start %d: nfev=%d nit=%d success=%s fun=%r",
                      start, res.nfev, res.nit, res.success, float(res.fun))
-        if -res.fun > best_val + 1e-12:
-            candidate = base @ _skew_to_orthogonal(res.x, p)
-            val = rotation_bound_value(gens, ReparamMatrix(candidate))
-            if val > best_val + 1e-12:
-                best_o, best_val = candidate, val
+        # res.fun is the bound sum at res.x itself; 1e300 marks a degenerate one
+        if res.fun < 1e300 and -res.fun > best_val + 1e-12:
+            best_o, best_val = base @ _skew_to_orthogonal(res.x, p), float(-res.fun)
     if best_o is None:
         raise InvalidArgumentError("every rotation candidate had a degenerate spread")
     return ReparamMatrix(best_o), best_val

@@ -2,11 +2,12 @@
 
 For commuting generator sets the QFI is evaluated analytically from
 generator covariances (valid for any expansion point); noncommuting models
-are supported only at theta0 = 0, where derivative states are obtained by
-central finite differences of the exact evolution.  The regularized
-trace-of-inverse and per-parameter nuisance variances implement the
-epsilon -> 0+ limit semantics, returning +inf for genuinely singular
-directions.
+are supported only at theta0 = 0.  Every derivative state is exact: for a
+commuting set, or at theta0 = 0 for any set, d/d theta_i exp(i n theta .
+Lambda) |psi> = i n Lambda_i exp(i n theta . Lambda) |psi>, so no finite
+differences are taken.  The regularized trace-of-inverse and per-parameter
+nuisance variances implement the epsilon -> 0+ limit semantics, returning
++inf for genuinely singular directions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-10
 SATURABILITY_TOL = 1e-9
 SINGULARITY_TOL = 1e-10
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -85,37 +85,14 @@ def _validate_inputs(gens: GeneratorSet, theta0, psi_in: PureState):
     return theta0
 
 
-def _orthogonal_derivatives(gens: GeneratorSet, theta0, psi_in: PureState, n: int,
-                            use_fd: bool):
-    """Derivative states |D_i> = |d_i psi> - <psi|d_i psi>|psi> for n uses.
-
-    With ``use_fd`` the derivatives come from central finite differences of
-    the exact evolution with step FD_STEP; otherwise from the exact
-    commuting-set derivative i n Lambda_i |psi>.
-    """
+def _overlap_matrix(gens: GeneratorSet, theta0, psi_in: PureState, n: int):
+    """4 <D_i|D_j> for the derivative states |D_i> = |d_i psi> - <psi|d_i psi>|psi>
+    of n uses, with the exact |d_i psi> = i n Lambda_i |psi>."""
     psi0 = evolve(gens, theta0, psi_in).amplitudes
-    p = gens.p
-    derivs = np.empty((p, gens.dim), dtype=complex)
-    if use_fd:
-        h = FD_STEP
-        for i in range(p):
-            step = np.zeros(p)
-            step[i] = n * h
-            plus = evolve(gens, step, PureState(psi0)).amplitudes
-            minus = evolve(gens, -step, PureState(psi0)).amplitudes
-            derivs[i] = (plus - minus) / (2.0 * h)
-    else:
-        for i, g in enumerate(gens.generators):
-            derivs[i] = 1j * n * (g.entries @ psi0)
-    for i in range(p):
-        derivs[i] = derivs[i] - (psi0.conj() @ derivs[i]) * psi0
-    return derivs
-
-
-def _overlap_matrix(gens, theta0, psi_in, n, use_fd=None):
-    if use_fd is None:
-        use_fd = not gens.commuting
-    d = _orthogonal_derivatives(gens, theta0, psi_in, n, use_fd)
+    d = np.empty((gens.p, gens.dim), dtype=complex)
+    for i, g in enumerate(gens.generators):
+        d[i] = 1j * n * (g.entries @ psi0)
+        d[i] = d[i] - (psi0.conj() @ d[i]) * psi0
     return 4.0 * (d.conj() @ d.T)
 
 
@@ -123,8 +100,8 @@ def qfi_pure(gens: GeneratorSet, theta0, psi_in: PureState, n: int = 1) -> QfiMa
     """QFI matrix for n parallel uses, modeled as generator scaling n Lambda.
 
     Commuting sets: F_ij = 4 n^2 (Re<Lambda_i Lambda_j> - <Lambda_i><Lambda_j>)
-    at the evolved point, for any theta0.  Noncommuting sets: finite-difference
-    derivative overlap formula, theta0 = 0 only.
+    at the evolved point, for any theta0.  Noncommuting sets: the overlap
+    formula 4 Re<D_i|D_j> of the exact derivative states, theta0 = 0 only.
     """
     theta0 = _validate_inputs(gens, theta0, psi_in)
     if n < 1:

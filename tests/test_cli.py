@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import time
@@ -217,3 +219,44 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"quux": 1}))
     code, out, err = run_cli(capsys, "qfi", "--model", "pauli1", "--config", str(cfg))
     assert code == 2 and "unknown config key" in err
+
+
+CSV_COMMANDS = [
+    ["table", "--format", "csv"],
+    ["figure", "ball", "--p-max", "5"],
+    ["figure", "ratio", "--beta-steps", "3", "--angle-grid", "30"],
+    ["bounds", "--model", "two-sector", "--paradigm", "cr", "--angle-grid", "30",
+     "--format", "csv"],
+    ["bounds", "--model", "free-atoms", "--p", "2", "--paradigm", "mm", "--format", "csv"],
+] + [
+    ["bounds", "--model", model, "--paradigm", paradigm, "--format", "csv"]
+    for model in ("pauli1", "pauli2", "pauli3")
+    for paradigm in ("cr", "mm")
+]
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=lambda argv: "-".join(argv[:4]))
+def test_csv_rows_parse_to_the_header_length(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert len(rows) > 1
+    assert all(len(row) == len(rows[0]) for row in rows), argv
+
+
+@pytest.mark.parametrize("value", ["3", 2.5, True, [3]])
+def test_config_rejects_a_wrong_type(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"p": value}))
+    code, out, err = run_cli(capsys, "bounds", "--model", "fixed-atoms", "--paradigm", "cr",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: config key 'p' must be of type int\n"
+
+
+def test_config_accepts_an_integer_for_a_float_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1}))
+    data = run_json(capsys, "qfi", "--model", "two-sector", "--beta", "0.5",
+                    "--config", str(cfg))
+    assert data["trace_inverse"] == pytest.approx(80.0 / 9.0, abs=1e-9)

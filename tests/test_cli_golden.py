@@ -8,6 +8,7 @@ when no name is given) and review the diff of ``golden/cli_outputs.json``.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -109,12 +110,12 @@ def _cell(text):
 
 
 def _assert_csv_equal(got, want, where):
-    got_lines, want_lines = got.split("\n"), want.split("\n")
-    assert got_lines[0] == want_lines[0], where
-    assert len(got_lines) == len(want_lines), where
-    for row, (g, w) in enumerate(zip(got_lines[1:], want_lines[1:]), start=1):
-        g_cells, w_cells = g.split(","), w.split(",")
-        assert len(g_cells) == len(w_cells), (where, row)
+    got_rows = list(csv.reader(io.StringIO(got, newline="")))
+    want_rows = list(csv.reader(io.StringIO(want, newline="")))
+    assert got_rows[:1] == want_rows[:1], where
+    assert len(got_rows) == len(want_rows), where
+    for row, (g_cells, w_cells) in enumerate(zip(got_rows[1:], want_rows[1:]), start=1):
+        assert len(g_cells) == len(w_cells) == len(want_rows[0]), (where, row)
         for g_cell, w_cell in zip(g_cells, w_cells):
             want_value = _cell(w_cell)
             if isinstance(want_value, float):

@@ -311,6 +311,27 @@ def test_orthogonal_bound_at_least_identity_value():
         assert value >= rotation_bound_value(gens, identity) - 1e-10
 
 
+@pytest.mark.parametrize("build", [lambda: build_free_atom_generators(3),
+                                   lambda: build_pauli_generators("xyz")],
+                         ids=["free-atoms-3", "pauli3"])
+def test_orthogonal_bound_value_is_the_bound_sum_of_its_rotation(build):
+    gens = build()
+    o, value = optimize_orthogonal_bound(gens)
+    assert value == rotation_bound_value(gens, o)
+
+
+def test_rotated_spreads_do_not_depend_on_the_basis():
+    # a unitary change of basis leaves every spread as it is but makes the set
+    # non-diagonal, so the eigenvalue branch must agree with the diagonal one
+    diag = build_fixed_atom_generators(2)
+    u = random_unitary(4, np.random.default_rng(3))
+    rotated = GeneratorSet(tuple(u @ g.entries @ u.conj().T for g in diag.generators))
+    assert diag.diagonal and not rotated.diagonal and rotated.commuting
+    a = ReparamMatrix(np.array([[1.0, 0.3], [-0.2, 0.8]]))
+    np.testing.assert_allclose(rotated_spreads(diag, a), [1.2, 1.1], rtol=1e-12)
+    np.testing.assert_allclose(rotated_spreads(rotated, a), [1.2, 1.1], rtol=1e-12)
+
+
 def test_eigenvalue_patterns_match_diagonals():
     gens = build_two_sector_generators(1.0, 0.5)
     pats = eigenvalue_patterns(gens)

@@ -19,7 +19,7 @@ from hlbounds import (
     trace_inverse,
     uniform_state,
 )
-from hlbounds.qfi import _overlap_matrix
+from hlbounds.states import evolve
 
 
 def test_noon_qfi_is_n_squared():
@@ -134,14 +134,37 @@ def test_single_generator_qfi_bounded_by_spread():
             assert f.entries[0, 0] <= n ** 2 * 1.0 + 1e-10
 
 
-def test_finite_difference_matches_analytic_on_commuting_sets():
-    for gens in (build_fixed_atom_generators(2), build_two_sector_generators(1.0, 0.4)):
-        rng = np.random.default_rng(25)
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi = PureState(amps / np.linalg.norm(amps))
-        analytic = qfi_pure(gens, np.zeros(gens.p), psi, 1).entries
-        fd = np.real(_overlap_matrix(gens, np.zeros(gens.p), psi, 1, use_fd=True))
-        np.testing.assert_allclose(fd, analytic, atol=1e-6)
+def _central_difference_overlap(gens, psi, n, h=1e-5):
+    """4 <D_i|D_j> at theta0 = 0 from central differences of the evolution."""
+    derivs = []
+    for i in range(gens.p):
+        step = np.zeros(gens.p)
+        step[i] = n * h
+        d = (evolve(gens, step, psi).amplitudes - evolve(gens, -step, psi).amplitudes) / (2 * h)
+        derivs.append(d - (psi.amplitudes.conj() @ d) * psi.amplitudes)
+    d = np.array(derivs)
+    return 4.0 * (d.conj() @ d.T)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("build", [lambda: build_pauli_generators("xyz"),
+                                   lambda: build_fixed_atom_generators(2)],
+                         ids=["pauli3", "fixed-atoms-2"])
+def test_exact_derivatives_match_central_differences(build, n):
+    gens = build()
+    rng = np.random.default_rng(25)
+    amps = rng.standard_normal(gens.dim) + 1j * rng.standard_normal(gens.dim)
+    psi = PureState(amps / np.linalg.norm(amps))
+    reference = _central_difference_overlap(gens, psi, n)
+    f = qfi_pure(gens, np.zeros(gens.p), psi, n).entries
+    np.testing.assert_allclose(f, np.real(reference), rtol=0, atol=1e-6 * n * n)
+    imag = saturability(gens, np.zeros(gens.p), psi).imag_parts
+    np.testing.assert_allclose(imag, np.imag(reference) / (n * n), rtol=0, atol=1e-6)
+
+
+def test_noncommuting_qfi_is_exact():
+    f = qfi_pure(build_pauli_generators("xyz"), np.zeros(3), uniform_state(2), 4)
+    np.testing.assert_allclose(f.entries, np.diag([0.0, 16.0, 16.0]), rtol=0, atol=1e-14)
 
 
 def test_qfi_matrix_validation():

@@ -1,0 +1,107 @@
+"""Golden Nelder-Mead trajectories of the searches.
+
+Every ``minimize`` call made by the SEP+ search, the orthogonal-rotation
+search and the sphere search is recorded (the calling module, nfev, nit,
+success and fun), together with the search's returned value.  A change that
+alters the objective's arithmetic in any way shows up here as a different
+nfev or fun.  nfev, nit and success must match exactly; fun and the value to
+1e-12 relative.  Regenerate with ``python tests/test_search_golden.py`` and
+review the diff of ``golden/search_runs.json``.
+"""
+
+import contextlib
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+import hlbounds.bounds as bounds_module
+import hlbounds.operators as operators_module
+from hlbounds import (
+    ResourceBudget,
+    build_fixed_atom_generators,
+    build_free_atom_generators,
+    build_pauli_generators,
+    build_two_sector_generators,
+    max_spread_over_sphere,
+    optimize_orthogonal_bound,
+    sep_plus_optimize,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "search_runs.json"
+
+CR = ResourceBudget("cr", n=1, k=1)
+MM = ResourceBudget("mm", N=1)
+
+CASES = {
+    "sep_plus_fixed_atoms_3_cr": lambda: sep_plus_optimize(build_fixed_atom_generators(3), CR),
+    "sep_plus_two_sector_cr": lambda: sep_plus_optimize(build_two_sector_generators(1.0, 0.5),
+                                                        CR),
+    "sep_plus_pauli2_cr": lambda: sep_plus_optimize(build_pauli_generators("xy"), CR),
+    "sep_plus_pauli3_mm": lambda: sep_plus_optimize(build_pauli_generators("xyz"), MM),
+    "rotation_free_atoms_3": lambda: optimize_orthogonal_bound(build_free_atom_generators(3)),
+    "rotation_pauli3": lambda: optimize_orthogonal_bound(build_pauli_generators("xyz")),
+    "sphere_pauli3": lambda: max_spread_over_sphere(build_pauli_generators("xyz")),
+}
+
+
+@contextlib.contextmanager
+def recorded_minimize(runs):
+    """Record every ``minimize`` result of the bounds and operators modules."""
+    originals = {mod: mod.minimize for mod in (bounds_module, operators_module)}
+
+    def recording(mod, minimize):
+        def wrapper(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            runs.append({"module": mod.__name__.rsplit(".", 1)[1], "nfev": int(res.nfev),
+                         "nit": int(res.nit), "success": bool(res.success),
+                         "fun": float(res.fun)})
+            return res
+
+        return wrapper
+
+    try:
+        for mod, minimize in originals.items():
+            mod.minimize = recording(mod, minimize)
+        yield runs
+    finally:
+        for mod, minimize in originals.items():
+            mod.minimize = minimize
+
+
+def capture(name):
+    with recorded_minimize([]) as runs:
+        _, result = CASES[name]()
+    value = result.constant if isinstance(result, bounds_module.CostEstimate) else result
+    return {"runs": runs, "value": float(value)}
+
+
+def _same_number(a, b):
+    return a == b or math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert list(golden) == list(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_search_trajectory_matches_golden(golden, name):
+    want, got = golden[name], capture(name)
+    assert len(got["runs"]) == len(want["runs"]), name
+    for i, (g, w) in enumerate(zip(got["runs"], want["runs"])):
+        for key in ("module", "nfev", "nit", "success"):
+            assert g[key] == w[key], (name, i, key, g[key], w[key])
+        assert _same_number(g["fun"], w["fun"]), (name, i, g["fun"], w["fun"])
+    assert _same_number(got["value"], want["value"]), (name, got["value"], want["value"])
+
+
+if __name__ == "__main__":
+    data = {name: capture(name) for name in CASES}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
