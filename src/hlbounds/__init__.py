@@ -58,6 +58,7 @@ from .operators import (
     optimize_orthogonal_bound,
     rotate_generators,
     rotated_spreads,
+    rotation_bound_ceiling,
     rotation_bound_value,
     spread,
     walsh_hadamard,

@@ -28,6 +28,7 @@ from .errors import InvalidArgumentError
 from .operators import (
     GeneratorSet,
     ReparamMatrix,
+    distinct_patterns,
     eigenvalue_patterns,
     exact_max_spread,
     max_spread_over_sphere,
@@ -393,7 +394,7 @@ def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
     """
     if not gens.commuting:
         return None
-    pts = np.unique(np.round(eigenvalue_patterns(gens), 12), axis=0)
+    pts = distinct_patterns(gens)
     if not np.array_equal(pts, np.unique(-pts, axis=0)):
         return None
     exact = exact_max_spread(gens)

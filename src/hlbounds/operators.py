@@ -5,7 +5,9 @@ spreads, parameter-space reparametrizations (including the Walsh-Hadamard
 transform), and the two searches used by the cost bounds: the largest
 combined spread over unit coefficient vectors and the orthogonal-rotation
 bound sum.  All search results are certified lower bounds: every reported
-value was attained by an explicitly evaluated candidate.
+value was attained by an explicitly evaluated candidate.  A rotation bound
+that meets the ceiling p/r^2 of a commuting set (``rotation_bound_ceiling``)
+is moreover the certified optimum.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -33,6 +36,13 @@ DEGENERATE_SPREAD_TOL = 1e-9
 _SEARCH_SEEDS = (11, 23, 47)
 
 DIMENSION_CAP = 2 ** 12
+
+# The rotation-bound ceiling takes one convex hull of the distinct pattern
+# differences, only for at most this many of them and this many parameters:
+# qhull's output grows with the dimension (2^p facets on the free-atom
+# cross-polytope).
+_HULL_LIMIT = 1000
+_HULL_MAX_P = 8
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -329,6 +339,12 @@ def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:
     return patterns
 
 
+def distinct_patterns(gens: GeneratorSet) -> np.ndarray:
+    """The distinct joint eigenvalue patterns of a commuting set, rounded to
+    12 decimals, in lexicographic order."""
+    return np.unique(np.round(eigenvalue_patterns(gens), 12), axis=0)
+
+
 # ---------------------------------------------------------------------------
 # searches
 
@@ -347,10 +363,9 @@ def _sphere_objective(gens):
     return value
 
 
-def _diameter_direction(patterns: np.ndarray):
+def _diameter_direction(pts: np.ndarray):
     """Unit vector maximizing spread for a commuting set, via the diameter
-    of the eigenvalue-pattern point set (exact for commuting models)."""
-    pts = np.unique(np.round(patterns, 12), axis=0)
+    of its distinct eigenvalue patterns (exact for commuting models)."""
     d = pts.shape[0]
     if d > 2048:
         return None  # pairwise diameter too large; other candidates still apply
@@ -373,7 +388,7 @@ def exact_max_spread(gens: GeneratorSet):
     """
     if not gens.commuting:
         return None
-    diam = _diameter_direction(eigenvalue_patterns(gens))
+    diam = _diameter_direction(distinct_patterns(gens))
     if diam is None:
         return None
     return diam, _sphere_objective(gens)(diam)
@@ -429,6 +444,38 @@ def rotation_bound_value(gens: GeneratorSet, a: ReparamMatrix) -> float:
     return _bound_sum(rotated_spreads(gens, a))
 
 
+def rotation_bound_ceiling(gens: GeneratorSet) -> float | None:
+    """p / r^2, a value no rotation's bound sum exceeds, or None.
+
+    For a commuting set the spread of u . Lambda is max_{s,t} (x_s - x_t) . u,
+    the support function of the difference body D = conv{x_s - x_t} of the
+    joint eigenvalue patterns.  Over unit vectors u it is at least r, the
+    smallest facet offset (inradius) of D, so each of the p terms of the
+    bound sum is at most 1/r^2.  None for a non-commuting set, p < 2 or
+    p > 8, more than 1000 distinct differences, or a D that is not
+    full-dimensional (then some u has spread 0 and the sum is unbounded).
+    """
+    p = gens.p
+    if not gens.commuting or not 2 <= p <= _HULL_MAX_P:
+        return None
+    pts = distinct_patterns(gens)
+    # d points spanning R^p have at least (p + 1) d - p (p + 1) / 2 distinct
+    # differences (Freiman, Heppes and Uhrin 1989); points that do not span
+    # it have a flat D and no ceiling either
+    if (p + 1) * len(pts) - p * (p + 1) // 2 > _HULL_LIMIT:
+        return None
+    diffs = np.unique(np.round((pts[:, None] - pts[None]).reshape(-1, p), 12), axis=0)
+    if len(diffs) > _HULL_LIMIT:
+        return None
+    try:
+        hull = ConvexHull(diffs)
+    except QhullError:
+        return None
+    # facets are n . x + c <= 0 with unit outward n; D contains the origin
+    r = float(np.min(-hull.equations[:, -1]))
+    return p / r ** 2
+
+
 def _bound_sum(spreads) -> float:
     """sum_i 1 / s_i^2 in index order, or -inf if any s_i is below 1e-9."""
     total = 0.0
@@ -461,6 +508,13 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     over O = O_seed exp(skew) refine from fixed seeds.  The value is a
     certified lower bound on the supremum.  Rotations producing a degenerate
     spread are discarded with a warning.
+
+    The searches stop early, before the next start, once the best value is
+    within 1e-12 relative of ``rotation_bound_ceiling``, which no rotation
+    can exceed; the value is then the certified optimum.  Fixed atoms meet
+    the ceiling p at the identity, free atoms the ceiling p^2 at the
+    Walsh-Hadamard seed when p is a power of two.  The stop is logged at
+    DEBUG with the winning seed or search, its value and the ceiling.
     """
     p = gens.p
     if p < 2:
@@ -470,14 +524,15 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     if 2 ** r == p:
         structured.append(walsh_hadamard(r).entries)
 
+    ceiling = rotation_bound_ceiling(gens)
     spreads = rotated_spread_kernel(gens)
-    best_o, best_val = None, -math.inf
-    for o in structured:
+    best_o, best_val, best_origin = None, -math.inf, None
+    for start, o in enumerate(structured):
         val = _bound_sum(spreads(o))
         if val == -math.inf:
             logger.warning("discarding rotation candidate with degenerate spread")
         elif val > best_val + 1e-12:
-            best_o, best_val = o, val
+            best_o, best_val, best_origin = o, val, f"seed {start}"
 
     nvars = p * (p - 1) // 2
 
@@ -490,6 +545,11 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
         rng = np.random.default_rng(seed)
         starts.append((0.5 * rng.standard_normal(nvars), np.eye(p)))
     for start, (x0, base) in enumerate(starts):
+        if ceiling is not None and best_val >= ceiling * (1 - 1e-12):
+            logger.debug("optimize_orthogonal_bound certified by %s: value=%r ceiling=%r; "
+                         "starts %d-%d skipped",
+                         best_origin, best_val, ceiling, start, len(starts) - 1)
+            break
         res = minimize(
             neg_bound,
             x0,
@@ -502,6 +562,7 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
         # res.fun is the bound sum at res.x itself; 1e300 marks a degenerate one
         if res.fun < 1e300 and -res.fun > best_val + 1e-12:
             best_o, best_val = base @ _skew_to_orthogonal(res.x, p), float(-res.fun)
+            best_origin = f"the search from start {start}"
     if best_o is None:
         raise InvalidArgumentError("every rotation candidate had a degenerate spread")
     return ReparamMatrix(best_o), best_val

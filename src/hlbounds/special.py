@@ -171,14 +171,17 @@ def bessel_j(nu: float, x: float) -> float:
         return float(total * half ** order / gamma)
 
 
-def bessel_j_first_zero(nu: float) -> float:
+def bessel_j_first_zero(nu: float, lower: float | None = None) -> float:
     """First positive zero of J_nu, -1/2 <= nu <= MAX_ORDER.
 
     J_nu > 0 on (0, j_{nu,1}) and j_{nu,2} - j_{nu,1} > pi, so a scan with
     unit steps from max(nu, 10^-3) < j_{nu,1} finds the first sign change;
     it ends by nu_eff + 3 + 2 nu_eff^(1/3) (nu_eff = max(nu, 0)), which lies
     beyond j_{nu,1} ~ nu + 1.8558 nu^(1/3).  Illinois regula falsi then
-    refines the bracket to 1e-14 relative.
+    refines the bracket to 1e-14 relative.  ``lower``, a point known to lie
+    below j_{nu,1} (such as the first zero of a smaller order: the zeros
+    increase with the order), lets the scan start at the last of its steps
+    at or below ``lower``; the bracket, and so the result, stay the same.
     """
     if nu < -0.5:
         raise InvalidArgumentError("orders below -1/2 are not supported")
@@ -187,7 +190,11 @@ def bessel_j_first_zero(nu: float) -> float:
     nu_eff = max(nu, 0.0)
     hi = nu_eff + 3.0 + 2.0 * nu_eff ** (1.0 / 3.0)
     a = max(nu, 1e-3)
+    if lower is not None and lower > a:
+        a += math.floor(lower - a)
     fa = bessel_j(nu, a)
+    if a >= hi or fa <= 0.0:
+        raise InvalidArgumentError(f"the scan start {a} is not below the first zero of J_{nu}")
     while True:
         b = min(a + 1.0, hi)
         fb = bessel_j(nu, b)

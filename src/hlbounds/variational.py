@@ -237,7 +237,7 @@ def airy_lower_bound(tail_cutoff: float = DEFAULT_AIRY_CUTOFF) -> AiryBoundResul
     )
 
 
-def ball_upper_bound(p: int) -> float:
+def ball_upper_bound(p: int, lower: float | None = None) -> float:
     """Ground energy of the largest ball inscribed in the cross-polytope.
 
     The radius is 1/(2 sqrt(p)), so E = p (2 j_{p/2-1,1})^2 with j the first
@@ -247,12 +247,14 @@ def ball_upper_bound(p: int) -> float:
     E/p^3 -> 1 for large p, but only at rate p^(-2/3): E(40)/40^3 = 1.4809,
     and E/p^3 first lies within 0.15 of 1 at p = 226.  Supported for
     1 <= p <= BALL_P_MAX (1000); larger p raises ResourceLimitError.
+    ``lower``, if given, is a point below j_{p/2-1,1} that lets the zero
+    search skip its scan steps below it (see ``bessel_j_first_zero``).
     """
     if p < 1:
         raise InvalidArgumentError("p must be >= 1")
     if p > BALL_P_MAX:
         raise ResourceLimitError(f"p must be <= {BALL_P_MAX} for the ball bound")
-    j = bessel_j_first_zero(p / 2.0 - 1.0)
+    j = bessel_j_first_zero(p / 2.0 - 1.0, lower)
     return p * (2.0 * j) ** 2
 
 

@@ -6,13 +6,15 @@ from scipy import special as sp
 
 from hlbounds import (
     ResourceLimitError,
+    build_fixed_atom_generators,
     figure_ball_data,
     figure_ratio_data,
     get_model,
     ordering_violations,
+    rotation_bound_ceiling,
     table_one,
 )
-from hlbounds.catalog import _fixed_cr_jnt, _free_cr_jnt
+from hlbounds.catalog import _fixed_cr_jnt, _fixed_mm_jnt, _free_cr_jnt
 from hlbounds.variational import BALL_P_MAX
 
 PI2 = math.pi ** 2
@@ -129,6 +131,14 @@ def test_computed_entries_recompute_bit_for_bit():
     for record in table_one():
         for entry in record.entries:
             assert entry.computed == entry.estimate.provenance.startswith("computed")
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_fixed_mm_jnt_meets_the_rotation_ceiling(p):
+    # the registry reports the identity rotation as exact: no rotation of
+    # fixed atoms has a bound sum above the ceiling p
+    ceiling = rotation_bound_ceiling(build_fixed_atom_generators(p))
+    assert _fixed_mm_jnt(p) == pytest.approx(PI2 * ceiling, rel=1e-12, abs=0)
 
 
 def test_orderings_hold_across_registry():

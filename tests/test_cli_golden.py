@@ -48,6 +48,8 @@ COMMANDS = {
     "bounds_fixed_cr": ["bounds", "--model", "fixed-atoms", "--p", "3", "--paradigm", "cr"],
     "bounds_free_cr": ["bounds", "--model", "free-atoms", "--p", "3", "--paradigm", "cr"],
     "bounds_free_mm": ["bounds", "--model", "free-atoms", "--p", "4", "--paradigm", "mm"],
+    "bounds_free_p5_mm": ["bounds", "--model", "free-atoms", "--p", "5", "--paradigm", "mm"],
+    "bounds_free_p8_mm": ["bounds", "--model", "free-atoms", "--p", "8", "--paradigm", "mm"],
     "bounds_two_sector_cr": ["bounds", "--model", "two-sector", "--paradigm", "cr",
                              "--alpha", "1.0", "--beta", "0.5"],
     "table_json": ["table"],

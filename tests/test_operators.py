@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hlbounds import (
     AllocationPlan,
@@ -22,10 +25,12 @@ from hlbounds import (
     optimize_orthogonal_bound,
     rotate_generators,
     rotated_spreads,
+    rotation_bound_ceiling,
     rotation_bound_value,
     spread,
     walsh_hadamard,
 )
+import hlbounds.operators as operators_module
 
 SQ2 = math.sqrt(2.0)
 
@@ -243,8 +248,9 @@ def test_orthogonal_bound_pauli_xy():
 
 def test_orthogonal_bound_diagonal_path_matches_dense_path():
     # U Lambda_i U^dagger still commutes but is not diagonal, so its search
-    # takes the eigvalsh path instead of the rotated-diagonal ranges
-    gens = build_fixed_atom_generators(3)
+    # takes the eigvalsh path instead of the rotated-diagonal ranges; free
+    # atoms at p=3 stay below their ceiling, so both searches run
+    gens = build_free_atom_generators(3)
     u = random_unitary(gens.dim, np.random.default_rng(5))
     dense = GeneratorSet(tuple(u @ m @ u.conj().T for m in gens.matrices()))
     assert not any(g.is_diagonal() for g in dense.generators)
@@ -312,12 +318,120 @@ def test_orthogonal_bound_at_least_identity_value():
 
 
 @pytest.mark.parametrize("build", [lambda: build_free_atom_generators(3),
-                                   lambda: build_pauli_generators("xyz")],
-                         ids=["free-atoms-3", "pauli3"])
+                                   lambda: build_pauli_generators("xyz"),
+                                   lambda: build_fixed_atom_generators(4),
+                                   lambda: build_free_atom_generators(8)],
+                         ids=["free-atoms-3", "pauli3", "fixed-atoms-4", "free-atoms-8"])
 def test_orthogonal_bound_value_is_the_bound_sum_of_its_rotation(build):
     gens = build()
     o, value = optimize_orthogonal_bound(gens)
     assert value == rotation_bound_value(gens, o)
+
+
+# ---------------------------------------------------------------------------
+# the certified stop of the rotation-bound search
+
+
+@pytest.fixture
+def minimize_runs(monkeypatch):
+    """Every Nelder-Mead result of the ``operators`` searches, in call order."""
+    runs = []
+    minimize = operators_module.minimize
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(operators_module, "minimize", counting_minimize)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "gens,winner,closed_form",
+    [(build_fixed_atom_generators(p), 0, p) for p in range(2, 7)]
+    + [(build_free_atom_generators(p), 1, p * p) for p in (2, 4, 8)],
+    ids=[f"fixed-atoms-{p}" for p in range(2, 7)] + [f"free-atoms-{p}" for p in (2, 4, 8)],
+)
+def test_rotation_search_stops_at_a_seed_on_the_ceiling(caplog, minimize_runs, gens,
+                                                         winner, closed_form):
+    # fixed atoms meet the ceiling p at the identity (seed 0), free atoms p^2
+    # at the Walsh-Hadamard seed (1)
+    ceiling = rotation_bound_ceiling(gens)
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
+        _, value = optimize_orthogonal_bound(gens)
+    assert minimize_runs == []
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.operators"]
+    last = 4 if 2 ** round(math.log2(gens.p)) == gens.p else 3
+    assert messages == [
+        f"optimize_orthogonal_bound certified by seed {winner}: "
+        f"value={value!r} ceiling={ceiling!r}; starts 0-{last} skipped"
+    ]
+    assert value == pytest.approx(closed_form, rel=1e-12, abs=0)
+    assert ceiling == pytest.approx(closed_form, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("build", [lambda: build_free_atom_generators(3),
+                                   lambda: build_pauli_generators("xyz")],
+                         ids=["free-atoms-3", "pauli3"])
+def test_rotation_search_runs_every_start_below_the_ceiling(caplog, minimize_runs, build):
+    # free atoms at p=3: ceiling 9, optimum about 6.48 (no Hadamard matrix of
+    # order 3); pauli3 does not commute and has no ceiling.  Both run the
+    # identity and 3 random starts.
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
+        optimize_orthogonal_bound(build())
+    assert len(minimize_runs) == 4
+    assert not any("certified" in r.getMessage() for r in caplog.records)
+
+
+EIGHTHS = st.integers(-16, 16).map(lambda n: n / 8)
+
+
+@st.composite
+def commuting_diagonal_sets(draw):
+    """A diagonal set of p = 2 or 3 generators from k random joint patterns
+    (multiples of 1/8 times a drawn scale), symmetric under x -> -x or not."""
+    p = draw(st.integers(2, 3))
+    k = draw(st.integers(p, 5))
+    points = np.array(draw(st.lists(st.lists(EIGHTHS, min_size=p, max_size=p),
+                                    min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        points = np.vstack([points, -points])
+    points = points * draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    try:
+        return GeneratorSet(tuple(np.diag(col) for col in points.T))
+    except InvalidArgumentError:
+        assume(False)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(gens=commuting_diagonal_sets(), seed=st.integers(0, 2 ** 32 - 1))
+def test_no_rotation_exceeds_the_ceiling(gens, seed):
+    p = gens.p
+    ceiling = rotation_bound_ceiling(gens)
+    pts = eigenvalue_patterns(gens)
+    flat = np.linalg.matrix_rank(pts - pts[0], tol=1e-9) < p
+    # a flat difference body has a direction of zero spread: no ceiling
+    assert (ceiling is None) == flat
+    if flat:
+        return
+    # the size gate counts on this many distinct differences (Freiman, Heppes
+    # and Uhrin) for points that span R^p
+    d = len(np.unique(pts, axis=0))
+    differences = np.unique((pts[:, None] - pts[None]).reshape(-1, p), axis=0)
+    assert len(differences) >= (p + 1) * d - p * (p + 1) // 2
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        o = ReparamMatrix(np.linalg.qr(rng.standard_normal((p, p)))[0])
+        assert rotation_bound_value(gens, o) <= ceiling * (1 + 1e-12)
+
+
+def test_flat_difference_body_gets_no_ceiling():
+    # patterns (1, 0) and (0, 1): every difference lies on the line x1 + x2 = 0,
+    # and O with first column (1, 1)/sqrt(2) has a zero spread
+    gens = GeneratorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    assert rotation_bound_ceiling(gens) is None
+    assert rotation_bound_value(gens, walsh_hadamard(1)) == -math.inf
 
 
 def test_rotated_spreads_do_not_depend_on_the_basis():

@@ -79,6 +79,18 @@ def test_bessel_first_zero_matches_scipy(nu):
     assert bessel_j_first_zero(float(nu)) == pytest.approx(sp.jn_zeros(nu, 1)[0], rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("nu", [0, 7, 130, MAX_ORDER])
+def test_bessel_first_zero_from_the_previous_order(nu):
+    # the zeros increase with the order, so j_{nu-1/2,1} is a valid scan
+    # start; it skips scan steps but leaves the bracket and the zero as they are
+    lower = bessel_j_first_zero(nu - 0.5)
+    zero = bessel_j_first_zero(float(nu), lower)
+    assert zero == bessel_j_first_zero(float(nu))
+    assert zero == pytest.approx(sp.jn_zeros(nu, 1)[0], rel=1e-13, abs=0)
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_first_zero(float(nu), zero + 1.5)
+
+
 def test_bessel_resource_ceiling():
     with pytest.raises(ResourceLimitError):
         bessel_j_first_zero(MAX_ORDER + 0.5)
