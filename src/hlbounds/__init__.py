@@ -18,6 +18,7 @@ from .bounds import (
     elfving_variance_oracle,
     jnt_lower_bound,
     orthogonal_restricted_sep_plus,
+    paradigm_constants,
     per_parameter_spread_constants,
     sep_cost,
     sep_plus_lower_bound,

@@ -4,7 +4,9 @@ Resource bookkeeping is leading-order only: a CR (many-repetition) cost
 estimate with constant C means a total variance C/(k n^2); a minimax (MM)
 estimate means C/N^2.  Separate strategies split the repetition budget k
 (alpha = 1) or the total gate budget N (alpha = 2) optimally across
-parameters via the power-mean allocation rule.
+parameters via the power-mean allocation rule.  A constant depends on the
+paradigm only through alpha and the single-shot factor (1 for CR, pi^2 for
+MM), and ``paradigm_constants`` is the one place that picks them.
 
 Per-parameter variance constants for individual estimation come from one of
 two oracles: the spread oracle 1/lambda'^2 (pi^2/lambda'^2 for MM), which
@@ -26,6 +28,7 @@ from scipy.optimize import linprog, minimize
 
 from .errors import InvalidArgumentError
 from .operators import (
+    DET_TOL,
     GeneratorSet,
     ReparamMatrix,
     distinct_patterns,
@@ -45,6 +48,17 @@ PI2 = math.pi ** 2
 _SEARCH_SEEDS = (5, 17, 29)
 
 
+def paradigm_constants(paradigm: str) -> tuple[int, float]:
+    """``(alpha, factor)`` of a paradigm: the exponent of the divisible
+    resource (the repetitions k in CR, the gates N in MM) and the factor of
+    the single-shot constant 1/lambda^2.  Raises on an unknown paradigm."""
+    if paradigm == "cr":
+        return 1, 1.0
+    if paradigm == "mm":
+        return 2, PI2
+    raise InvalidArgumentError("paradigm must be 'cr' or 'mm'")
+
+
 @dataclass(frozen=True)
 class ResourceBudget:
     """Resource accounting: CR carries (n gates/trial, k trials); MM carries N.
@@ -58,19 +72,13 @@ class ResourceBudget:
     N: int | None = None
 
     def __post_init__(self):
-        if self.paradigm not in ("cr", "mm"):
-            raise InvalidArgumentError("paradigm must be 'cr' or 'mm'")
+        paradigm_constants(self.paradigm)
         if self.paradigm == "cr":
             if not (self.n and self.k) or self.n < 1 or self.k < 1:
                 raise InvalidArgumentError("a CR budget needs positive n and k")
         else:
             if not self.N or self.N < 1:
                 raise InvalidArgumentError("an MM budget needs positive N")
-
-    @property
-    def alpha(self) -> int:
-        """Scaling exponent of the divisible resource (k for CR, N for MM)."""
-        return 1 if self.paradigm == "cr" else 2
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,7 @@ class CostEstimate:
     _STATUSES = ("exact_asymptotic", "lower_bound", "upper_bound", "cited")
 
     def __post_init__(self):
-        if self.paradigm not in ("cr", "mm"):
-            raise InvalidArgumentError("paradigm must be 'cr' or 'mm'")
+        paradigm_constants(self.paradigm)
         if self.status not in self._STATUSES:
             raise InvalidArgumentError(f"unknown status {self.status!r}")
         if not self.constant > 0:
@@ -232,15 +239,14 @@ class _GaugeSolver:
         self.vectors = np.asarray(vectors, dtype=float)
         self.m, self.p = self.vectors.shape
         self._inverses = None
-        if self.m == self.p:
-            self._inverses = np.linalg.inv(self.vectors.T)[None, :, :]
-        elif math.comb(self.m, self.p) <= self._SUBSET_LIMIT:
+        if math.comb(self.m, self.p) <= self._SUBSET_LIMIT:
             from itertools import combinations
 
             invs = []
             for subset in combinations(range(self.m), self.p):
                 sub = self.vectors[list(subset)].T
-                if abs(np.linalg.det(sub)) > 1e-12:
+                # scale-free: |det| is at most the product of the column norms
+                if abs(np.linalg.det(sub)) > DET_TOL * np.prod(np.linalg.norm(sub, axis=0)):
                     invs.append(np.linalg.inv(sub))
             if invs:
                 self._inverses = np.stack(invs)
@@ -291,7 +297,7 @@ def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
     be sensed undisturbed in the A-parametrization, a certified lower bound
     per direction otherwise.
     """
-    factor = PI2 if paradigm == "mm" else 1.0
+    _, factor = paradigm_constants(paradigm)
     spreads = rotated_spread_kernel(gens)
 
     def oracle(a: ReparamMatrix) -> np.ndarray:
@@ -305,8 +311,8 @@ def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
 def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
     """Exact nuisance-aware oracle for commuting sets (c-optimal design value):
     A -> the p constants, one per row of A^{-1}, +inf where not estimable."""
+    _, factor = paradigm_constants(paradigm)
     solver = _GaugeSolver(design_vectors(gens))
-    factor = PI2 if paradigm == "mm" else 1.0
 
     def oracle(a: ReparamMatrix) -> np.ndarray:
         g = solver.gauges(np.linalg.inv(a.entries))
@@ -323,7 +329,7 @@ def default_variance_oracle(gens: GeneratorSet, paradigm: str):
 
 def per_parameter_spread_constants(gens: GeneratorSet, paradigm: str) -> np.ndarray:
     """Single-shot constants 1/lambda_i^2 (CR) or pi^2/lambda_i^2 (MM)."""
-    factor = PI2 if paradigm == "mm" else 1.0
+    _, factor = paradigm_constants(paradigm)
     lams = np.array([spread(g) for g in gens.generators])
     if np.any(lams < 1e-12):
         raise InvalidArgumentError("a generator has degenerate spectrum")
@@ -334,11 +340,7 @@ def per_parameter_spread_constants(gens: GeneratorSet, paradigm: str) -> np.ndar
 # strategy costs
 
 
-def sep_cost(
-    gens: GeneratorSet,
-    budget: ResourceBudget,
-    per_param_constants,
-) -> CostEstimate:
+def sep_cost(per_param_constants, paradigm: str) -> CostEstimate:
     """Fixed-parametrization separate-strategy cost from per-parameter constants.
 
     ``per_param_constants`` are the single-shot constants (1/lambda_i^2 for
@@ -346,29 +348,31 @@ def sep_cost(
     N (MM) is split optimally.  The status is exact: the constants are taken
     to belong to per-parameter protocols unobstructed by nuisance parameters.
     """
-    plan = allocate(per_param_constants, budget.alpha)
+    alpha, _ = paradigm_constants(paradigm)
+    plan = allocate(per_param_constants, alpha)
     return CostEstimate(
-        paradigm=budget.paradigm,
+        paradigm=paradigm,
         strategy="sep",
         constant=plan.total_constant,
-        p_exponent=budget.alpha + 1,
+        p_exponent=alpha + 1,
         status="exact_asymptotic",
         provenance="computed: optimal resource split of per-parameter protocols",
     )
 
 
-def sep_plus_lower_bound(gens: GeneratorSet, budget: ResourceBudget) -> CostEstimate:
+def sep_plus_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
     """Reparametrized separate-strategy lower bound from the best combined spread.
 
     CR: p^2/(k n^2 L*^2); MM: p^3 pi^2/(N^2 L*^2), where L* is the maximal
     spread of a . Lambda over unit vectors a.
     """
+    alpha, _ = paradigm_constants(paradigm)
     _, lam_star = max_spread_over_sphere(gens)
     return CostEstimate(
-        paradigm=budget.paradigm,
+        paradigm=paradigm,
         strategy="sep_plus",
-        constant=_spread_floor(gens.p, budget.paradigm, lam_star),
-        p_exponent=budget.alpha + 1,
+        constant=_spread_floor(gens.p, paradigm, lam_star),
+        p_exponent=alpha + 1,
         status="lower_bound",
         provenance="computed: single-vector spread maximization",
     )
@@ -376,9 +380,8 @@ def sep_plus_lower_bound(gens: GeneratorSet, budget: ResourceBudget) -> CostEsti
 
 def _spread_floor(p: int, paradigm: str, lam_star: float) -> float:
     """p^2/L*^2 (CR) or p^3 pi^2/L*^2 (MM) for the largest combined spread L*."""
-    if paradigm == "cr":
-        return p ** 2 / lam_star ** 2
-    return p ** 3 * PI2 / lam_star ** 2
+    alpha, factor = paradigm_constants(paradigm)
+    return factor * p ** (alpha + 1) / lam_star ** 2
 
 
 def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
@@ -403,19 +406,19 @@ def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
     return _spread_floor(gens.p, paradigm, exact[1])
 
 
-def jnt_lower_bound(gens: GeneratorSet, budget: ResourceBudget) -> CostEstimate:
+def jnt_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
     """Joint-strategy lower bound from the orthogonal-rotation bound sum.
 
     The constant is max_O sum_i 1/lambda^2([O^T Lambda]_i), multiplied by
     pi^2 in the MM paradigm.
     """
+    _, factor = paradigm_constants(paradigm)
     if gens.p == 1:
         value = 1.0 / spread(gens.generators[0]) ** 2
     else:
         _, value = optimize_orthogonal_bound(gens)
-    factor = PI2 if budget.paradigm == "mm" else 1.0
     return CostEstimate(
-        paradigm=budget.paradigm,
+        paradigm=paradigm,
         strategy="jnt",
         constant=factor * value,
         p_exponent=1,
@@ -455,7 +458,7 @@ def _pattern_inverse_seed(gens: GeneratorSet) -> np.ndarray | None:
     return np.linalg.inv(b)
 
 
-def sep_plus_optimize(gens: GeneratorSet, budget: ResourceBudget):
+def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     """Minimize the reparametrized separate cost over invertible A.
 
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
@@ -475,9 +478,9 @@ def sep_plus_optimize(gens: GeneratorSet, budget: ResourceBudget):
     winning seed or search, its value and the floor.
     """
     p = gens.p
-    alpha = budget.alpha
-    variance_oracle = default_variance_oracle(gens, budget.paradigm)
-    floor = _certified_search_floor(gens, budget.paradigm)
+    alpha, _ = paradigm_constants(paradigm)
+    variance_oracle = default_variance_oracle(gens, paradigm)
+    floor = _certified_search_floor(gens, paradigm)
 
     def objective(flat):
         try:
@@ -525,7 +528,7 @@ def sep_plus_optimize(gens: GeneratorSet, budget: ResourceBudget):
     if best_a is None:
         raise InvalidArgumentError("no invertible reparametrization candidate found")
     estimate = CostEstimate(
-        paradigm=budget.paradigm,
+        paradigm=paradigm,
         strategy="sep_plus",
         constant=best_val,
         p_exponent=alpha + 1,

@@ -21,11 +21,12 @@ import numpy as np
 from .bounds import (
     PI2,
     CostEstimate,
-    ResourceBudget,
     allocate,
     elfving_variance_oracle,
     orthogonal_restricted_sep_plus,
+    paradigm_constants,
     per_parameter_spread_constants,
+    sep_cost,
     sep_plus_lower_bound,
     sep_plus_value,
     single_param_cr,
@@ -93,10 +94,6 @@ class ModelRecord:
     notes: str
 
 
-_CR1 = ResourceBudget("cr", n=1, k=1)
-_MM1 = ResourceBudget("mm", N=1)
-
-
 @lru_cache(maxsize=None)
 def _airy_constant() -> float:
     return airy_lower_bound().constant
@@ -125,13 +122,12 @@ def _entry(paradigm, strategy, p_exponent, status, provenance,
 
 @lru_cache(maxsize=None)
 def _sep(build, paradigm, p):
-    alpha = 1 if paradigm == "cr" else 2
-    return allocate(per_parameter_spread_constants(build(p), paradigm), alpha).total_constant
+    return sep_cost(per_parameter_spread_constants(build(p), paradigm), paradigm).constant
 
 
 @lru_cache(maxsize=None)
-def _sep_plus_floor(build, budget, p):
-    return sep_plus_lower_bound(build(p), budget).constant
+def _sep_plus_floor(build, paradigm, p):
+    return sep_plus_lower_bound(build(p), paradigm).constant
 
 
 @lru_cache(maxsize=None)
@@ -169,12 +165,9 @@ def _free_mm_jnt_lower(p):
     return _airy_constant() * p ** 3
 
 
-def _unit_cr_sep(p):
-    return allocate([1.0] * p, 1).total_constant
-
-
-def _unit_mm_sep(p):
-    return allocate([PI2] * p, 2).total_constant
+def _unit_sep(paradigm, p):
+    alpha, factor = paradigm_constants(paradigm)
+    return allocate([factor] * p, alpha).total_constant
 
 
 def _single_cr(p):
@@ -185,20 +178,14 @@ def _single_mm(p):
     return single_param_mm(1.0, 1)
 
 
-@lru_cache(maxsize=None)
-def _pauli_sep_plus(name, paradigm):
-    budget = _CR1 if paradigm == "cr" else _MM1
-    return sep_plus_lower_bound(_pauli_gens(name), budget).constant
-
-
-def _pauli_entries(name, p):
+def _pauli_entries(p):
     com = "computed: optimal resource split of per-parameter protocols"
     no_gain = "computed: single-vector spread maximization (no reparametrization gain)"
     return (
         _entry("cr", "sep", 0, "exact_asymptotic", com,
-               recompute=_unit_cr_sep, p_ref=p),
+               recompute=partial(_unit_sep, "cr"), p_ref=p),
         _entry("cr", "sep_plus", 0, "exact_asymptotic", no_gain,
-               recompute=lambda q, _n=name: _pauli_sep_plus(_n, "cr"), p_ref=p),
+               recompute=partial(_sep_plus_floor, _pauli_gens, "cr"), p_ref=p),
         _entry("cr", "jnt", 0, "cited",
                "cited: optimal parallel field-sensing scheme, valid n >= 6",
                coefficient=float(p ** 2), variant="parallel", finite_n=True),
@@ -207,18 +194,17 @@ def _pauli_entries(name, p):
                coefficient=float(p), variant="adaptive"),
         _entry("mm", "sep", 0, "lower_bound",
                "computed: optimal resource split (attainability open)",
-               recompute=_unit_mm_sep, p_ref=p),
+               recompute=partial(_unit_sep, "mm"), p_ref=p),
         _entry("mm", "sep_plus", 0, "lower_bound", no_gain,
-               recompute=lambda q, _n=name: _pauli_sep_plus(_n, "mm"), p_ref=p),
+               recompute=partial(_sep_plus_floor, _pauli_gens, "mm"), p_ref=p),
     )
 
 
 @lru_cache(maxsize=None)
-def _pauli_gens(name):
+def _pauli_gens(p):
     from .operators import build_pauli_generators
 
-    comps = {"pauli3": "xyz", "pauli2": "xy", "pauli1": "z"}[name]
-    return build_pauli_generators(comps)
+    return build_pauli_generators({3: "xyz", 2: "xy"}[p])
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +234,7 @@ def table_one() -> tuple:
             _entry("mm", "sep_plus", 2, "exact_asymptotic",
                    "computed: spread-balancing reparametrization saturates the "
                    "single-vector bound",
-                   recompute=partial(_sep_plus_floor, build_fixed_atom_generators, _MM1)),
+                   recompute=partial(_sep_plus_floor, build_fixed_atom_generators, "mm")),
             _entry("mm", "jnt", 1, "exact_asymptotic",
                    "computed: rotation bound at the original parametrization, "
                    "saturated by per-parameter sine probes",
@@ -269,7 +255,7 @@ def table_one() -> tuple:
             _entry("cr", "sep_plus", 2, "exact_asymptotic",
                    "computed: single-vector spread maximization (no gain: "
                    "orthogonal nonzero eigenspaces)",
-                   recompute=partial(_sep_plus_floor, build_free_atom_generators, _CR1)),
+                   recompute=partial(_sep_plus_floor, build_free_atom_generators, "cr")),
             _entry("cr", "jnt", 2, "exact_asymptotic",
                    "computed: trace of inverse information at the superposed "
                    "per-site probe",
@@ -278,7 +264,7 @@ def table_one() -> tuple:
                    recompute=partial(_sep, build_free_atom_generators, "mm")),
             _entry("mm", "sep_plus", 3, "exact_asymptotic",
                    "computed: single-vector spread maximization (no gain)",
-                   recompute=partial(_sep_plus_floor, build_free_atom_generators, _MM1)),
+                   recompute=partial(_sep_plus_floor, build_free_atom_generators, "mm")),
             _entry("mm", "jnt", 3, "lower_bound",
                    "computed: symmetrized Airy variational bound",
                    recompute=_free_mm_jnt_lower, variant="lower"),
@@ -296,7 +282,7 @@ def table_one() -> tuple:
             "CR gain vanishes as n grows, adaptive scheme reaches 3/(k n^2); "
             "minimax joint optimum 4 pi^2 needs no adaptiveness"
         ),
-        entries=_pauli_entries("pauli3", 3) + (
+        entries=_pauli_entries(3) + (
             _entry("mm", "jnt", 0, "cited",
                    "cited: covariant rotation-group optimum",
                    coefficient=4.0 * PI2),
@@ -308,7 +294,7 @@ def table_one() -> tuple:
         p_fixed=2,
         notes="two-component field at zero field; minimax joint optimum 4 xi^2 "
               "with xi the first zero of the order-zero Bessel function",
-        entries=_pauli_entries("pauli2", 2) + (
+        entries=_pauli_entries(2) + (
             _entry("mm", "jnt", 0, "cited",
                    "cited: covariant unit-vector transmission optimum",
                    coefficient=4.0 * xi ** 2),
@@ -349,13 +335,13 @@ def table_one() -> tuple:
         entries=(
             _entry("cr", "sep", 2, "exact_asymptotic",
                    "computed: optimal resource split of unit-spread phase protocols",
-                   recompute=_unit_cr_sep),
+                   recompute=partial(_unit_sep, "cr")),
             _entry("cr", "jnt", 2, "cited",
                    "cited: multiarm-interferometer joint optimum",
                    coefficient=0.25),
             _entry("mm", "sep", 3, "exact_asymptotic",
                    "computed: optimal resource split of unit-spread phase protocols",
-                   recompute=_unit_mm_sep),
+                   recompute=partial(_unit_sep, "mm")),
             _entry("mm", "jnt", 3, "cited",
                    "cited: multiarm-interferometer minimax bracket, lower",
                    coefficient=1.89, variant="lower"),
@@ -394,7 +380,7 @@ def ordering_violations(record: ModelRecord, p: int, n: int = 100) -> list:
         sep = min(by.get("sep", [math.inf]))
         sep_plus = min(by.get("sep_plus", [math.inf]))
         jnt = min(by.get("jnt", [math.inf]))
-        alpha = 1 if paradigm == "cr" else 2
+        alpha, _ = paradigm_constants(paradigm)
         if "sep_plus" in by and sep_plus > sep * (1 + tol):
             problems.append(f"{record.name}/{paradigm}: SEP+ {sep_plus} > SEP {sep}")
         if "sep_plus" in by and jnt > sep_plus * (1 + tol):

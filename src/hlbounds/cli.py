@@ -138,12 +138,12 @@ def cmd_qfi(args):
     return 0
 
 
-def _bounds_rows_generator_model(gens, budget, paradigm):
+def _bounds_rows_generator_model(gens, paradigm):
     constants = bnd.per_parameter_spread_constants(gens, paradigm)
-    sep = bnd.sep_cost(gens, budget, constants)
-    lower = bnd.sep_plus_lower_bound(gens, budget)
-    _, upper = bnd.sep_plus_optimize(gens, budget)
-    jnt = bnd.jnt_lower_bound(gens, budget)
+    sep = bnd.sep_cost(constants, paradigm)
+    lower = bnd.sep_plus_lower_bound(gens, paradigm)
+    _, upper = bnd.sep_plus_optimize(gens, paradigm)
+    jnt = bnd.jnt_lower_bound(gens, paradigm)
     return [
         sep,
         replace(lower, variant="lower"),
@@ -154,11 +154,6 @@ def _bounds_rows_generator_model(gens, budget, paradigm):
 
 def cmd_bounds(args):
     paradigm = args.paradigm
-    if paradigm == "cr":
-        budget = bnd.ResourceBudget("cr", n=args.n, k=args.k)
-    else:
-        budget = bnd.ResourceBudget("mm", N=args.N)
-
     if args.model in ("pauli1", "pauli2", "pauli3"):
         record = catalog.get_model(args.model)
         rows = [
@@ -178,7 +173,7 @@ def cmd_bounds(args):
                 "computed: per-parameter nuisance-aware constants at identity",
             )
         ]
-        _, est = bnd.sep_plus_optimize(gens, budget)
+        _, est = bnd.sep_plus_optimize(gens, "cr")
         rows.append(replace(est, variant="search"))
         rows.append(
             bnd.CostEstimate(
@@ -198,7 +193,7 @@ def cmd_bounds(args):
         )
     else:
         gens = _build_model(args.model, args.p, args.alpha, args.beta)
-        rows = _bounds_rows_generator_model(gens, budget, paradigm)
+        rows = _bounds_rows_generator_model(gens, paradigm)
         if args.model == "free-atoms" and paradigm == "mm":
             p3 = args.p ** 3
             rows += [
@@ -330,7 +325,6 @@ def _add_common(parser):
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--seed", type=int, default=1234, help="random seed for sampling")
 
 
 def build_parser():
@@ -354,9 +348,7 @@ def build_parser():
     b.add_argument("--model", required=True, choices=GENERATOR_MODELS)
     b.add_argument("--p", type=int, default=2)
     b.add_argument("--paradigm", required=True, choices=("cr", "mm"))
-    b.add_argument("--n", type=int, default=100)
-    b.add_argument("--k", type=int, default=1)
-    b.add_argument("--N", type=int, default=100)
+    b.add_argument("--n", type=int, default=100, help="n of the finite-n rows")
     b.add_argument("--alpha", type=float, default=1.0)
     b.add_argument("--beta", type=float, default=0.5)
     b.add_argument("--angle-grid", type=int, default=180)
@@ -372,6 +364,7 @@ def build_parser():
     v.add_argument("--N", type=int, default=20)
     v.add_argument("--mc-samples", type=int, default=0)
     v.add_argument("--pdf-grid", type=int, default=2 ** 14)
+    v.add_argument("--seed", type=int, default=1234, help="Monte-Carlo seed of phase")
     _add_common(v)
     v.set_defaults(func=cmd_variational, default_format="json")
 
@@ -425,7 +418,7 @@ def _apply_config(parser, args, argv):
 
 
 def _validate(args):
-    positive = ("p", "n", "k", "N", "grid", "p_max", "beta_steps", "angle_grid",
+    positive = ("p", "n", "N", "grid", "p_max", "beta_steps", "angle_grid",
                 "pdf_grid")
     for name in positive:
         value = getattr(args, name, None)

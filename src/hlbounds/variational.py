@@ -64,8 +64,10 @@ class SimplexSpectrum:
             raise InvalidArgumentError("ground energy must be positive")
         if self.residual > 1e-8 * self.E:
             raise InvalidArgumentError("eigen-residual exceeds 1e-8 * E")
-        self.nodes.flags.writeable = False
-        self.eigenvector.flags.writeable = False
+        for name in ("nodes", "eigenvector"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)

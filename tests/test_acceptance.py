@@ -78,8 +78,7 @@ def test_criterion_04_two_sector_reproduction():
     trace = hl.trace_inverse(f)
     ok_trace = abs(trace - expected) <= 1e-9
 
-    budget = hl.ResourceBudget("cr", n=1, k=1)
-    _, est = hl.sep_plus_optimize(gens, budget)
+    _, est = hl.sep_plus_optimize(gens, "cr")
     ok_search = abs(est.constant - expected) <= 1e-6
 
     ortho = hl.orthogonal_restricted_sep_plus((alpha, beta), 180)

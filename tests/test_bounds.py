@@ -20,6 +20,7 @@ from hlbounds import (
     elfving_variance_oracle,
     jnt_lower_bound,
     orthogonal_restricted_sep_plus,
+    paradigm_constants,
     per_parameter_spread_constants,
     rotated_spreads,
     rotation_bound_value,
@@ -32,12 +33,11 @@ from hlbounds import (
     weight_to_reparam,
 )
 import hlbounds.bounds as bounds_module
+import hlbounds.operators as operators_module
 from hlbounds.bounds import _GaugeSolver, design_vectors, sep_plus_value
 from hlbounds.operators import exact_max_spread
 
 PI2 = math.pi ** 2
-CR = ResourceBudget("cr", n=1, k=1)
-MM = ResourceBudget("mm", N=1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +159,16 @@ def test_weight_to_reparam_rejects_rank_deficient():
 def test_sep_cost_fixed_atoms():
     for p in (2, 3, 5):
         gens = build_fixed_atom_generators(p)
-        cr = sep_cost(gens, CR, per_parameter_spread_constants(gens, "cr"))
+        cr = sep_cost(per_parameter_spread_constants(gens, "cr"), "cr")
         assert cr.constant == pytest.approx(p ** 2, abs=1e-9)
         assert cr.status == "exact_asymptotic"
-        mm = sep_cost(gens, MM, per_parameter_spread_constants(gens, "mm"))
+        mm = sep_cost(per_parameter_spread_constants(gens, "mm"), "mm")
         assert mm.constant == pytest.approx(PI2 * p ** 3, rel=1e-12)
 
 
 def test_sep_cost_pauli3():
     gens = build_pauli_generators("xyz")
-    cr = sep_cost(gens, ResourceBudget("cr", n=100, k=600),
-                  per_parameter_spread_constants(gens, "cr"))
+    cr = sep_cost(per_parameter_spread_constants(gens, "cr"), "cr")
     assert cr.constant == pytest.approx(9.0, abs=1e-9)
     assert cr.cost(ResourceBudget("cr", n=100, k=600)) == pytest.approx(
         9.0 / (600 * 100 ** 2)
@@ -177,25 +176,25 @@ def test_sep_cost_pauli3():
 
 
 def test_sep_plus_lower_bound_examples():
-    mm4 = sep_plus_lower_bound(build_fixed_atom_generators(4), MM)
+    mm4 = sep_plus_lower_bound(build_fixed_atom_generators(4), "mm")
     assert mm4.constant == pytest.approx(PI2 * 16, rel=1e-10)
     assert mm4.status == "lower_bound"
     for p in (2, 3):
-        mmf = sep_plus_lower_bound(build_free_atom_generators(p), MM)
+        mmf = sep_plus_lower_bound(build_free_atom_generators(p), "mm")
         assert mmf.constant == pytest.approx(PI2 * p ** 3, rel=1e-10)
-    cr3 = sep_plus_lower_bound(build_pauli_generators("xyz"), CR)
+    cr3 = sep_plus_lower_bound(build_pauli_generators("xyz"), "cr")
     assert cr3.constant == pytest.approx(9.0, rel=1e-7)
 
 
 def test_jnt_lower_bound_examples():
     for p in (2, 3):
-        mm = jnt_lower_bound(build_fixed_atom_generators(p), MM)
+        mm = jnt_lower_bound(build_fixed_atom_generators(p), "mm")
         assert mm.constant == pytest.approx(PI2 * p, rel=1e-9)
-    mm_free = jnt_lower_bound(build_free_atom_generators(2), MM)
+    mm_free = jnt_lower_bound(build_free_atom_generators(2), "mm")
     assert mm_free.constant == pytest.approx(PI2 * 4, rel=1e-9)
-    mm_pauli = jnt_lower_bound(build_pauli_generators("xyz"), MM)
+    mm_pauli = jnt_lower_bound(build_pauli_generators("xyz"), "mm")
     assert mm_pauli.constant == pytest.approx(3 * PI2, rel=1e-9)
-    cr_pauli = jnt_lower_bound(build_pauli_generators("xyz"), CR)
+    cr_pauli = jnt_lower_bound(build_pauli_generators("xyz"), "cr")
     assert cr_pauli.constant == pytest.approx(3.0, rel=1e-9)
 
 
@@ -238,9 +237,24 @@ def test_c_optimal_variance_against_design_scan():
         assert value == pytest.approx(best, rel=5e-3)
 
 
+def test_scaled_design_keeps_its_subset_inverses(monkeypatch):
+    # the subset test is relative to the column norms: a design scaled by
+    # 1e-5 is solved by the same subset inverses, not by one LP per query
+    calls = []
+    linprog = bounds_module.linprog
+    monkeypatch.setattr(bounds_module, "linprog",
+                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    gens = build_fixed_atom_generators(3)
+    scaled = GeneratorSet(tuple(1e-5 * g.entries for g in gens.generators))
+    for c in ([1.0, 0.0, 0.0], [1.0, 2.0, -0.5], [0.3, -1.0, 0.7]):
+        assert c_optimal_variance(scaled, c) == pytest.approx(
+            1e10 * c_optimal_variance(gens, c), rel=1e-12)
+    assert calls == []
+
+
 def test_sep_plus_optimize_two_sector():
     gens = build_two_sector_generators(1.0, 0.5)
-    a, est = sep_plus_optimize(gens, CR)
+    a, est = sep_plus_optimize(gens, "cr")
     expected = 2 / 0.25 + 2 / 2.25
     assert est.constant == pytest.approx(expected, abs=1e-7)
     assert est.status == "upper_bound"
@@ -252,14 +266,14 @@ def test_sep_plus_optimize_two_sector():
 
 
 def test_sep_plus_optimize_fixed_atoms_p2():
-    _, est = sep_plus_optimize(build_fixed_atom_generators(2), CR)
+    _, est = sep_plus_optimize(build_fixed_atom_generators(2), "cr")
     assert est.constant == pytest.approx(2.0, abs=1e-7)
 
 
 def test_sep_plus_optimize_free_atoms_matches_sep():
     gens = build_free_atom_generators(3)
-    _, est = sep_plus_optimize(gens, CR)
-    sep = sep_cost(gens, CR, per_parameter_spread_constants(gens, "cr"))
+    _, est = sep_plus_optimize(gens, "cr")
+    sep = sep_cost(per_parameter_spread_constants(gens, "cr"), "cr")
     assert est.constant == pytest.approx(sep.constant, rel=1e-9)
 
 
@@ -270,9 +284,8 @@ def test_sep_plus_optimize_never_exceeds_sep_cost():
         (build_fixed_atom_generators(2), "mm"),
         (build_free_atom_generators(2), "cr"),
     ):
-        budget = MM if paradigm == "mm" else CR
-        sep = sep_cost(gens, budget, per_parameter_spread_constants(gens, paradigm))
-        _, est = sep_plus_optimize(gens, budget)
+        sep = sep_cost(per_parameter_spread_constants(gens, paradigm), paradigm)
+        _, est = sep_plus_optimize(gens, paradigm)
         assert est.constant <= sep.constant * (1 + 1e-9)
 
 
@@ -368,7 +381,7 @@ def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
     runs = minimize_runs
     # the two-sector optimum lies above the spread floor, so every start runs
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
-        sep_plus_optimize(build_two_sector_generators(1.0, 0.5), CR)
+        sep_plus_optimize(build_two_sector_generators(1.0, 0.5), "cr")
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     assert len(messages) == len(runs) >= 5
     for start, (msg, res) in enumerate(zip(messages, runs)):
@@ -381,22 +394,22 @@ def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
 
 
 @pytest.mark.parametrize(
-    "gens,budget,winner,closed_form",
+    "gens,paradigm,winner,closed_form",
     [
-        (build_fixed_atom_generators(2), CR, 1, 2.0),
-        (build_fixed_atom_generators(4), MM, 1, 16 * PI2),
-        (build_free_atom_generators(4), MM, 0, 64 * PI2),
-        (build_fixed_atom_generators(8), MM, 1, 64 * PI2),
+        (build_fixed_atom_generators(2), "cr", 1, 2.0),
+        (build_fixed_atom_generators(4), "mm", 1, 16 * PI2),
+        (build_free_atom_generators(4), "mm", 0, 64 * PI2),
+        (build_fixed_atom_generators(8), "mm", 1, 64 * PI2),
     ],
     ids=["fixed-atoms-2-cr", "fixed-atoms-4-mm", "free-atoms-4-mm", "fixed-atoms-8-mm"],
 )
-def test_search_stops_at_a_seed_on_the_floor(caplog, minimize_runs, gens, budget,
+def test_search_stops_at_a_seed_on_the_floor(caplog, minimize_runs, gens, paradigm,
                                              winner, closed_form):
     # fixed atoms meet p^2 pi^2 at the Walsh-Hadamard seed (1), free atoms
     # p^3 pi^2 at the identity (0)
-    floor = sep_plus_lower_bound(gens, budget).constant
+    floor = sep_plus_lower_bound(gens, paradigm).constant
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
-        _, est = sep_plus_optimize(gens, budget)
+        _, est = sep_plus_optimize(gens, paradigm)
     assert minimize_runs == []
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     assert len(messages) == 1
@@ -416,8 +429,8 @@ def test_fixed_atoms_p8_search_uses_the_lp_backend():
 def test_search_runs_every_start_below_the_floor(minimize_runs):
     # fixed atoms at p=3: floor 3, optimum about 5.79; identity and 3 random starts
     gens = build_fixed_atom_generators(3)
-    assert sep_plus_lower_bound(gens, CR).constant == pytest.approx(3.0)
-    sep_plus_optimize(gens, CR)
+    assert sep_plus_lower_bound(gens, "cr").constant == pytest.approx(3.0)
+    sep_plus_optimize(gens, "cr")
     assert len(minimize_runs) == 4
 
 
@@ -512,13 +525,34 @@ def test_orthogonal_restricted_grid_refinement_stable():
 )
 def test_strategy_ordering_chain(maker, p):
     gens = maker(p)
-    for budget, paradigm, alpha in ((CR, "cr", 1), (MM, "mm", 2)):
-        sep = sep_cost(gens, budget, per_parameter_spread_constants(gens, paradigm))
-        sp = sep_plus_lower_bound(gens, budget)
-        jnt = jnt_lower_bound(gens, budget)
+    for paradigm, alpha in (("cr", 1), ("mm", 2)):
+        sep = sep_cost(per_parameter_spread_constants(gens, paradigm), paradigm)
+        sp = sep_plus_lower_bound(gens, paradigm)
+        jnt = jnt_lower_bound(gens, paradigm)
         assert jnt.constant <= sp.constant * (1 + 1e-12)
         assert sp.constant <= sep.constant * (1 + 1e-12)
         assert sep.constant <= p ** alpha * jnt.constant * (1 + 1e-12)
+
+
+def test_paradigm_constants():
+    assert paradigm_constants("cr") == (1, 1.0)
+    assert paradigm_constants("mm") == (2, PI2)
+    with pytest.raises(InvalidArgumentError):
+        paradigm_constants("bayes")
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [lambda gens, paradigm: sep_cost(np.ones(gens.p), paradigm),
+     sep_plus_lower_bound, jnt_lower_bound, sep_plus_optimize],
+    ids=["sep_cost", "sep_plus_lower_bound", "jnt_lower_bound", "sep_plus_optimize"],
+)
+def test_unknown_paradigm_fails_before_any_search(monkeypatch, minimize_runs, bound):
+    operator_runs = []
+    monkeypatch.setattr(operators_module, "minimize", lambda *a, **k: operator_runs.append(a))
+    with pytest.raises(InvalidArgumentError, match="paradigm"):
+        bound(build_pauli_generators("xyz"), "bayes")
+    assert minimize_runs == [] and operator_runs == []
 
 
 def test_budget_validation():

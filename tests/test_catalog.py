@@ -99,7 +99,6 @@ def test_computed_entries_recompute_bit_for_bit():
     # must equal direct calls of the generating operations exactly
     from hlbounds import (
         ReparamMatrix,
-        ResourceBudget,
         allocate,
         build_fixed_atom_generators,
         build_free_atom_generators,
@@ -122,7 +121,7 @@ def test_computed_entries_recompute_bit_for_bit():
     free = get_model("free_atoms")
     assert _find(free, "cr", "jnt").value(6) == _free_cr_jnt(6)
     assert _find(free, "mm", "sep_plus").value(3) == sep_plus_lower_bound(
-        build_free_atom_generators(3), ResourceBudget("mm", N=1)
+        build_free_atom_generators(3), "mm"
     ).constant
 
     p3 = get_model("pauli3")

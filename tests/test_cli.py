@@ -68,8 +68,7 @@ def test_bounds_pauli3_cr(capsys):
 def test_bounds_pauli3_cr_rows_cost_the_catalog_variance(capsys):
     # each row's constant times its scaling cell is the registry's variance
     n, k = 100, 3
-    rows = run_json(capsys, "bounds", "--model", "pauli3", "--paradigm", "cr",
-                    "--n", str(n), "--k", str(k))
+    rows = run_json(capsys, "bounds", "--model", "pauli3", "--paradigm", "cr", "--n", str(n))
     budget = ResourceBudget("cr", n=n, k=k)
     entries = {
         (e.estimate.strategy, e.estimate.variant): e
@@ -86,6 +85,18 @@ def test_bounds_pauli3_cr_rows_cost_the_catalog_variance(capsys):
         entry = entries[(row["strategy"], row["variant"])]
         units = k * n * (n + 2) if entry.estimate.finite_n else k * n ** 2
         assert est.cost(budget) == pytest.approx(entry.value(3) / units, rel=1e-12)
+
+
+def test_bounds_two_sector_at_a_small_scale(capsys):
+    # an absolute determinant test would send this design's gauges to an LP
+    # that returns 0 at this scale (error: cost constant must be positive)
+    a, b = 1e-6, 5e-7
+    rows = run_json(capsys, "bounds", "--model", "two-sector", "--paradigm", "cr",
+                    "--alpha", repr(a), "--beta", repr(b))
+    by = {(r["strategy"], r["variant"]): r["constant"] for r in rows}
+    assert by[("sep", "")] == pytest.approx(4 / (a - b) ** 2, rel=1e-9)
+    assert by[("sep_plus", "search")] == pytest.approx(
+        2 / (a - b) ** 2 + 2 / (a + b) ** 2, rel=1e-9)
 
 
 def test_bounds_free_atoms_mm_bracket(capsys):
@@ -219,6 +230,31 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"quux": 1}))
     code, out, err = run_cli(capsys, "qfi", "--model", "pauli1", "--config", str(cfg))
     assert code == 2 and "unknown config key" in err
+
+
+# flags that reached no output: bounds --k/--N, and --seed outside variational
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--model", "pauli3", "--paradigm", "cr", "--k", "3"],
+    ["bounds", "--model", "pauli3", "--paradigm", "mm", "--N", "5"],
+    ["table", "--seed", "1"],
+], ids=["bounds-k", "bounds-N", "table-seed"])
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["bounds", "--model", "pauli3", "--paradigm", "cr"], "k", 3),
+    (["table"], "seed", 1),
+], ids=["bounds-k", "table-seed"])
+def test_config_rejects_removed_flags(tmp_path, capsys, argv, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: unknown config key {key!r}\n"
 
 
 CSV_COMMANDS = [

@@ -43,7 +43,7 @@ COMMANDS = {
     "bounds_pauli2_cr": ["bounds", "--model", "pauli2", "--paradigm", "cr", "--n", "7"],
     "bounds_pauli2_mm": ["bounds", "--model", "pauli2", "--paradigm", "mm"],
     "bounds_pauli3_cr_csv": ["bounds", "--model", "pauli3", "--paradigm", "cr", "--n", "10",
-                             "--k", "3", "--format", "csv"],
+                             "--format", "csv"],
     "bounds_pauli3_mm": ["bounds", "--model", "pauli3", "--paradigm", "mm"],
     "bounds_fixed_cr": ["bounds", "--model", "fixed-atoms", "--p", "3", "--paradigm", "cr"],
     "bounds_free_cr": ["bounds", "--model", "free-atoms", "--p", "3", "--paradigm", "cr"],

@@ -15,6 +15,7 @@ from hlbounds import (
     ReparamMatrix,
     ResourceLimitError,
     SaturabilityReport,
+    SimplexSpectrum,
     build_fixed_atom_generators,
     build_free_atom_generators,
     build_pauli_generators,
@@ -434,6 +435,22 @@ def test_flat_difference_body_gets_no_ceiling():
     assert rotation_bound_value(gens, walsh_hadamard(1)) == -math.inf
 
 
+@pytest.mark.parametrize("p, at_least, distinct", [(8, 2268, None), (7, 996, 2187)],
+                         ids=["fixed-atoms-8", "fixed-atoms-7"])
+def test_size_gates_give_no_ceiling(monkeypatch, p, at_least, distinct):
+    # p=8 fails the Freiman-Heppes-Uhrin count (9 * 256 - 36 > 1000) before
+    # any difference is formed; p=7 passes it (8 * 128 - 28 = 996) but has
+    # 3^7 distinct differences.  Neither builds a hull.
+    monkeypatch.setattr(operators_module, "ConvexHull", None)
+    gens = build_fixed_atom_generators(p)
+    pts = eigenvalue_patterns(gens)
+    assert (p + 1) * len(pts) - p * (p + 1) // 2 == at_least
+    if distinct is not None:
+        differences = np.unique((pts[:, None] - pts[None]).reshape(-1, p), axis=0)
+        assert len(differences) == distinct
+    assert rotation_bound_ceiling(gens) is None
+
+
 def test_rotated_spreads_do_not_depend_on_the_basis():
     # a unitary change of basis leaves every spread as it is but makes the set
     # non-diagonal, so the eigenvalue branch must agree with the diagonal one
@@ -483,8 +500,13 @@ def test_reparam_matrix_rejects_singular():
         (QfiMatrix, "entries", np.array([[2.0, 0.5], [0.5, 1.0]])),
         (SaturabilityReport, "imag_parts", np.array([[0.0, 0.25], [-0.25, 0.0]])),
         (lambda c: AllocationPlan(1, c), "c", np.array([1.0, 4.0])),
+        (lambda x: SimplexSpectrum(2, 0.5, 1.0, 1, 0.0, x, np.ones(2)), "nodes",
+         np.array([[0.0, 0.5], [0.5, 0.0]])),
+        (lambda y: SimplexSpectrum(2, 0.5, 1.0, 1, 0.0, np.zeros((2, 2)), y), "eigenvector",
+         np.array([1.0, 2.0])),
     ],
-    ids=["ReparamMatrix", "HermitianOperator", "QfiMatrix", "SaturabilityReport", "AllocationPlan"],
+    ids=["ReparamMatrix", "HermitianOperator", "QfiMatrix", "SaturabilityReport", "AllocationPlan",
+         "SimplexSpectrum.nodes", "SimplexSpectrum.eigenvector"],
 )
 def test_constructor_copies_caller_array(build, attr, array):
     obj = build(array)

@@ -19,7 +19,6 @@ import pytest
 import hlbounds.bounds as bounds_module
 import hlbounds.operators as operators_module
 from hlbounds import (
-    ResourceBudget,
     build_fixed_atom_generators,
     build_free_atom_generators,
     build_pauli_generators,
@@ -31,15 +30,12 @@ from hlbounds import (
 
 GOLDEN = Path(__file__).parent / "golden" / "search_runs.json"
 
-CR = ResourceBudget("cr", n=1, k=1)
-MM = ResourceBudget("mm", N=1)
-
 CASES = {
-    "sep_plus_fixed_atoms_3_cr": lambda: sep_plus_optimize(build_fixed_atom_generators(3), CR),
+    "sep_plus_fixed_atoms_3_cr": lambda: sep_plus_optimize(build_fixed_atom_generators(3), "cr"),
     "sep_plus_two_sector_cr": lambda: sep_plus_optimize(build_two_sector_generators(1.0, 0.5),
-                                                        CR),
-    "sep_plus_pauli2_cr": lambda: sep_plus_optimize(build_pauli_generators("xy"), CR),
-    "sep_plus_pauli3_mm": lambda: sep_plus_optimize(build_pauli_generators("xyz"), MM),
+                                                        "cr"),
+    "sep_plus_pauli2_cr": lambda: sep_plus_optimize(build_pauli_generators("xy"), "cr"),
+    "sep_plus_pauli3_mm": lambda: sep_plus_optimize(build_pauli_generators("xyz"), "mm"),
     "rotation_free_atoms_3": lambda: optimize_orthogonal_bound(build_free_atom_generators(3)),
     "rotation_pauli3": lambda: optimize_orthogonal_bound(build_pauli_generators("xyz")),
     "sphere_pauli3": lambda: max_spread_over_sphere(build_pauli_generators("xyz")),
