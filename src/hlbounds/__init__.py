@@ -11,7 +11,6 @@ ball, covariant phase costs) behind the joint minimax constants.
 from .bounds import (
     AllocationPlan,
     CostEstimate,
-    ResourceBudget,
     allocate,
     c_optimal_variance,
     default_variance_oracle,
@@ -23,8 +22,6 @@ from .bounds import (
     sep_cost,
     sep_plus_lower_bound,
     sep_plus_optimize,
-    single_param_cr,
-    single_param_mm,
     spread_variance_oracle,
     weight_to_reparam,
 )

@@ -29,6 +29,7 @@ from scipy.optimize import linprog, minimize
 from .errors import InvalidArgumentError
 from .operators import (
     DET_TOL,
+    SEARCH_SEEDS,
     GeneratorSet,
     ReparamMatrix,
     distinct_patterns,
@@ -45,8 +46,6 @@ logger = logging.getLogger(__name__)
 
 PI2 = math.pi ** 2
 
-_SEARCH_SEEDS = (5, 17, 29)
-
 
 def paradigm_constants(paradigm: str) -> tuple[int, float]:
     """``(alpha, factor)`` of a paradigm: the exponent of the divisible
@@ -57,28 +56,6 @@ def paradigm_constants(paradigm: str) -> tuple[int, float]:
     if paradigm == "mm":
         return 2, PI2
     raise InvalidArgumentError("paradigm must be 'cr' or 'mm'")
-
-
-@dataclass(frozen=True)
-class ResourceBudget:
-    """Resource accounting: CR carries (n gates/trial, k trials); MM carries N.
-
-    The relation N = n * k is documented, not enforced.
-    """
-
-    paradigm: str
-    n: int | None = None
-    k: int | None = None
-    N: int | None = None
-
-    def __post_init__(self):
-        paradigm_constants(self.paradigm)
-        if self.paradigm == "cr":
-            if not (self.n and self.k) or self.n < 1 or self.k < 1:
-                raise InvalidArgumentError("a CR budget needs positive n and k")
-        else:
-            if not self.N or self.N < 1:
-                raise InvalidArgumentError("an MM budget needs positive N")
 
 
 @dataclass(frozen=True)
@@ -108,16 +85,6 @@ class CostEstimate:
             raise InvalidArgumentError(f"unknown status {self.status!r}")
         if not self.constant > 0:
             raise InvalidArgumentError("cost constant must be positive")
-
-    def cost(self, budget: ResourceBudget) -> float:
-        """Evaluate the leading-order cost under ``budget``."""
-        if budget.paradigm != self.paradigm:
-            raise InvalidArgumentError("budget paradigm does not match the estimate")
-        if self.paradigm == "cr":
-            if self.finite_n:
-                return self.constant / (budget.k * budget.n * (budget.n + 2))
-            return self.constant / (budget.k * budget.n ** 2)
-        return self.constant / budget.N ** 2
 
     @property
     def scaling(self) -> str:
@@ -174,20 +141,6 @@ class AllocationPlan:
 def allocate(c, alpha: int) -> AllocationPlan:
     """Lagrange-optimal resource split for variances c_i / x_i^alpha, sum x_i = 1."""
     return AllocationPlan(alpha, np.asarray(c, dtype=float))
-
-
-def single_param_cr(lam: float, n: int, k: int) -> float:
-    """Minimal single-parameter cost 1/(k n^2 lambda^2) with k repetitions."""
-    if lam <= 0:
-        raise InvalidArgumentError("lambda must be positive")
-    return 1.0 / (k * n ** 2 * lam ** 2)
-
-
-def single_param_mm(lam: float, N: int) -> float:
-    """Minimal single-parameter minimax cost pi^2/(N^2 lambda^2) for N gates."""
-    if lam <= 0:
-        raise InvalidArgumentError("lambda must be positive")
-    return PI2 / (N ** 2 * lam ** 2)
 
 
 def weight_to_reparam(w) -> ReparamMatrix:
@@ -497,7 +450,7 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     pattern_seed = _pattern_inverse_seed(gens)
     if pattern_seed is not None:
         seeds.append(pattern_seed)
-    for seed in _SEARCH_SEEDS:
+    for seed in SEARCH_SEEDS:
         rng = np.random.default_rng(seed)
         seeds.append(np.eye(p) + 0.3 * rng.standard_normal((p, p)))
 

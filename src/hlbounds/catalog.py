@@ -29,8 +29,6 @@ from .bounds import (
     sep_cost,
     sep_plus_lower_bound,
     sep_plus_value,
-    single_param_cr,
-    single_param_mm,
 )
 from .errors import InvalidArgumentError, ResourceLimitError
 from .operators import (
@@ -170,12 +168,8 @@ def _unit_sep(paradigm, p):
     return allocate([factor] * p, alpha).total_constant
 
 
-def _single_cr(p):
-    return single_param_cr(1.0, 1, 1)
-
-
-def _single_mm(p):
-    return single_param_mm(1.0, 1)
+def _single(paradigm, p):
+    return paradigm_constants(paradigm)[1]
 
 
 def _pauli_entries(p):
@@ -308,22 +302,22 @@ def table_one() -> tuple:
         entries=(
             _entry("cr", "sep", 0, "exact_asymptotic",
                    "computed: single-parameter repetition optimum",
-                   recompute=_single_cr, p_ref=1),
+                   recompute=partial(_single, "cr"), p_ref=1),
             _entry("cr", "sep_plus", 0, "exact_asymptotic",
                    "computed: single-parameter repetition optimum",
-                   recompute=_single_cr, p_ref=1),
+                   recompute=partial(_single, "cr"), p_ref=1),
             _entry("cr", "jnt", 0, "exact_asymptotic",
                    "computed: single-parameter repetition optimum",
-                   recompute=_single_cr, p_ref=1),
+                   recompute=partial(_single, "cr"), p_ref=1),
             _entry("mm", "sep", 0, "exact_asymptotic",
                    "computed: single-parameter minimax optimum",
-                   recompute=_single_mm, p_ref=1),
+                   recompute=partial(_single, "mm"), p_ref=1),
             _entry("mm", "sep_plus", 0, "exact_asymptotic",
                    "computed: single-parameter minimax optimum",
-                   recompute=_single_mm, p_ref=1),
+                   recompute=partial(_single, "mm"), p_ref=1),
             _entry("mm", "jnt", 0, "exact_asymptotic",
                    "computed: single-parameter minimax optimum",
-                   recompute=_single_mm, p_ref=1),
+                   recompute=partial(_single, "mm"), p_ref=1),
         ),
     )
 

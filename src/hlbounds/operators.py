@@ -32,8 +32,8 @@ ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-12
 DEGENERATE_SPREAD_TOL = 1e-9
 
-# Fixed seeds for the multi-start searches; results are deterministic.
-_SEARCH_SEEDS = (11, 23, 47)
+# Fixed seeds of every multi-start search (sphere, rotation, SEP+).
+SEARCH_SEEDS = (5, 17, 29)
 
 DIMENSION_CAP = 2 ** 12
 
@@ -411,7 +411,7 @@ def max_spread_over_sphere(gens: GeneratorSet):
     objective = _sphere_objective(gens)
     candidates = [np.eye(p)[i] for i in range(p)]
     candidates.append(np.full(p, 1.0 / math.sqrt(p)))
-    for seed in _SEARCH_SEEDS:
+    for seed in SEARCH_SEEDS:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(p)
         candidates.append(v / np.linalg.norm(v))
@@ -541,7 +541,7 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
         return -value if value > -math.inf else 1e300
 
     starts = [(np.zeros(nvars), base) for base in structured]
-    for seed in _SEARCH_SEEDS:
+    for seed in SEARCH_SEEDS:
         rng = np.random.default_rng(seed)
         starts.append((0.5 * rng.standard_normal(nvars), np.eye(p)))
     for start, (x0, base) in enumerate(starts):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedConfigurationError
-from .operators import GeneratorSet
+from .operators import GeneratorSet, spread
 from .states import PureState, evolve
 
 SYMMETRY_TOL = 1e-10
@@ -29,9 +29,11 @@ SINGULARITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QfiMatrix:
-    """A p x p quantum Fisher information matrix (symmetric PSD)."""
+    """A p x p quantum Fisher information matrix (symmetric PSD).  An eigenvalue
+    <= SINGULARITY_TOL * max(scale, largest eigenvalue) counts as zero."""
 
     entries: np.ndarray
+    scale: float = 1.0
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -39,6 +41,8 @@ class QfiMatrix:
             raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise InvalidArgumentError("QFI matrix is not symmetric to 1e-10")
+        if not self.scale > 0:
+            raise InvalidArgumentError("QFI scale must be positive")
         w = np.linalg.eigvalsh(m)
         if w[0] < -PSD_TOL * max(w[-1], 1.0):
             raise InvalidArgumentError("QFI matrix is not positive semidefinite")
@@ -102,19 +106,21 @@ def qfi_pure(gens: GeneratorSet, theta0, psi_in: PureState, n: int = 1) -> QfiMa
     Commuting sets: F_ij = 4 n^2 (Re<Lambda_i Lambda_j> - <Lambda_i><Lambda_j>)
     at the evolved point, for any theta0.  Noncommuting sets: the overlap
     formula 4 Re<D_i|D_j> of the exact derivative states, theta0 = 0 only.
+    ``scale`` is n^2 max_i spread(Lambda_i)^2, the largest F_ii (1 if that is 0).
     """
     theta0 = _validate_inputs(gens, theta0, psi_in)
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
+    scale = n * n * max(spread(g) for g in gens.generators) ** 2 or 1.0
     if gens.commuting:
         psi0 = evolve(gens, theta0, psi_in).amplitudes
         vs = np.stack([g.entries @ psi0 for g in gens.generators])
         second = np.real(vs.conj() @ vs.T)
         means = np.real(vs @ psi0.conj())
         base = 4.0 * (second - np.outer(means, means))
-        return QfiMatrix((n * n) * base)
+        return QfiMatrix((n * n) * base, scale)
     overlap = _overlap_matrix(gens, theta0, psi_in, n)
-    return QfiMatrix(np.real(overlap))
+    return QfiMatrix(np.real(overlap), scale)
 
 
 def saturability(gens: GeneratorSet, theta0, psi_in: PureState) -> SaturabilityReport:
@@ -132,7 +138,7 @@ def saturability(gens: GeneratorSet, theta0, psi_in: PureState) -> SaturabilityR
 def trace_inverse(f: QfiMatrix) -> float:
     """lim_{eps->0+} tr((F + eps)^{-1}); +inf when F is singular."""
     w = np.linalg.eigvalsh(f.entries)
-    tol = SINGULARITY_TOL * max(1.0, float(w[-1]))
+    tol = SINGULARITY_TOL * max(f.scale, float(w[-1]))
     if w[0] <= tol:
         return math.inf
     return float(np.sum(1.0 / w))
@@ -147,7 +153,7 @@ def nuisance_variance(f: QfiMatrix, i: int) -> float:
     if not 0 <= i < f.p:
         raise InvalidArgumentError(f"index {i} out of range for p={f.p}")
     w, v = np.linalg.eigh(f.entries)
-    tol = SINGULARITY_TOL * max(1.0, float(w[-1]))
+    tol = SINGULARITY_TOL * max(f.scale, float(w[-1]))
     comp2 = v[i, :] ** 2
     null = w <= tol
     if np.any(comp2[null] > 1e-12):

@@ -10,7 +10,6 @@ from hlbounds import (
     GeneratorSet,
     InvalidArgumentError,
     ReparamMatrix,
-    ResourceBudget,
     allocate,
     build_fixed_atom_generators,
     build_free_atom_generators,
@@ -27,8 +26,6 @@ from hlbounds import (
     sep_cost,
     sep_plus_lower_bound,
     sep_plus_optimize,
-    single_param_cr,
-    single_param_mm,
     spread_variance_oracle,
     weight_to_reparam,
 )
@@ -44,23 +41,23 @@ PI2 = math.pi ** 2
 # single-parameter limits and allocation
 
 
-def test_single_param_cr_examples():
-    assert single_param_cr(1.0, 10, 100) == pytest.approx(1e-4)
-    assert single_param_cr(2.0, 1, 1) == pytest.approx(0.25)
-    assert single_param_cr(1.0, 1, 1) == 1.0
-    with pytest.raises(InvalidArgumentError):
-        single_param_cr(0.0, 1, 1)
-
-
-def test_single_param_mm_examples():
-    assert single_param_mm(1.0, 100) == pytest.approx(PI2 * 1e-4)
-    assert single_param_mm(2.0, 10) == pytest.approx(PI2 / 400)
+def test_per_parameter_spread_constants_single_generator():
+    # diag(0, lam) has spread lam: the single-parameter constants 1/lam^2 (CR)
+    # and pi^2/lam^2 (MM)
+    for lam in (1.0, 2.0, 0.1):
+        gens = GeneratorSet((np.diag([0.0, lam]),))
+        assert per_parameter_spread_constants(gens, "cr")[0] == pytest.approx(1 / lam ** 2)
+        assert per_parameter_spread_constants(gens, "mm")[0] == pytest.approx(PI2 / lam ** 2)
+    with pytest.raises(InvalidArgumentError, match="degenerate spectrum"):
+        per_parameter_spread_constants(GeneratorSet((np.diag([1.0, 1.0]),)), "cr")
 
 
 def test_mm_to_cr_ratio_is_pi_squared():
-    # at N = n k with k = 1 the minimax constant is exactly pi^2 larger
+    # the minimax constant is exactly pi^2 times the many-repetition one
     for lam in (1.0, 0.5, 3.0):
-        ratio = single_param_mm(lam, 7) / single_param_cr(lam, 7, 1)
+        gens = GeneratorSet((np.diag([0.0, lam]),))
+        ratio = (per_parameter_spread_constants(gens, "mm")[0]
+                 / per_parameter_spread_constants(gens, "cr")[0])
         assert ratio == pytest.approx(PI2, rel=1e-14)
 
 
@@ -170,9 +167,6 @@ def test_sep_cost_pauli3():
     gens = build_pauli_generators("xyz")
     cr = sep_cost(per_parameter_spread_constants(gens, "cr"), "cr")
     assert cr.constant == pytest.approx(9.0, abs=1e-9)
-    assert cr.cost(ResourceBudget("cr", n=100, k=600)) == pytest.approx(
-        9.0 / (600 * 100 ** 2)
-    )
 
 
 def test_sep_plus_lower_bound_examples():
@@ -196,6 +190,15 @@ def test_jnt_lower_bound_examples():
     assert mm_pauli.constant == pytest.approx(3 * PI2, rel=1e-9)
     cr_pauli = jnt_lower_bound(build_pauli_generators("xyz"), "cr")
     assert cr_pauli.constant == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("build", [build_fixed_atom_generators, build_free_atom_generators],
+                         ids=["fixed-atoms", "free-atoms"])
+def test_jnt_lower_bound_single_parameter(build):
+    # one unit-spread generator: the single-parameter constants (the rotation
+    # search needs p >= 2)
+    assert jnt_lower_bound(build(1), "cr").constant == 1.0
+    assert jnt_lower_bound(build(1), "mm").constant == PI2
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +556,6 @@ def test_unknown_paradigm_fails_before_any_search(monkeypatch, minimize_runs, bo
     with pytest.raises(InvalidArgumentError, match="paradigm"):
         bound(build_pauli_generators("xyz"), "bayes")
     assert minimize_runs == [] and operator_runs == []
-
-
-def test_budget_validation():
-    with pytest.raises(InvalidArgumentError):
-        ResourceBudget("cr", n=5)
-    with pytest.raises(InvalidArgumentError):
-        ResourceBudget("mm")
-    with pytest.raises(InvalidArgumentError):
-        ResourceBudget("bayes", N=10)
 
 
 def test_sep_plus_value_scale_invariance():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from hlbounds import CostEstimate, ResourceBudget, get_model
+from hlbounds import get_model
 from hlbounds.cli import main
 
 PI2 = math.pi ** 2
@@ -66,10 +66,11 @@ def test_bounds_pauli3_cr(capsys):
 
 
 def test_bounds_pauli3_cr_rows_cost_the_catalog_variance(capsys):
-    # each row's constant times its scaling cell is the registry's variance
+    # each row's constant divided by the units its scaling cell names is the
+    # registry's variance
     n, k = 100, 3
     rows = run_json(capsys, "bounds", "--model", "pauli3", "--paradigm", "cr", "--n", str(n))
-    budget = ResourceBudget("cr", n=n, k=k)
+    units = {"1/(k n^2)": k * n ** 2, "1/(k n (n+2))": k * n * (n + 2)}
     entries = {
         (e.estimate.strategy, e.estimate.variant): e
         for e in get_model("pauli3").entries
@@ -77,14 +78,10 @@ def test_bounds_pauli3_cr_rows_cost_the_catalog_variance(capsys):
     }
     assert len(rows) == len(entries)
     for row in rows:
-        assert row["scaling"] in ("1/(k n^2)", "1/(k n (n+2))")
-        est = CostEstimate("cr", row["strategy"], row["constant"], row["p_exponent"],
-                           row["status"], row["provenance"],
-                           finite_n=row["scaling"] == "1/(k n (n+2))",
-                           variant=row["variant"])
         entry = entries[(row["strategy"], row["variant"])]
-        units = k * n * (n + 2) if entry.estimate.finite_n else k * n ** 2
-        assert est.cost(budget) == pytest.approx(entry.value(3) / units, rel=1e-12)
+        want_units = k * n * (n + 2) if entry.estimate.finite_n else k * n ** 2
+        assert row["constant"] / units[row["scaling"]] == pytest.approx(
+            entry.value(3) / want_units, rel=1e-12)
 
 
 def test_bounds_two_sector_at_a_small_scale(capsys):
@@ -95,8 +92,16 @@ def test_bounds_two_sector_at_a_small_scale(capsys):
                     "--alpha", repr(a), "--beta", repr(b))
     by = {(r["strategy"], r["variant"]): r["constant"] for r in rows}
     assert by[("sep", "")] == pytest.approx(4 / (a - b) ** 2, rel=1e-9)
-    assert by[("sep_plus", "search")] == pytest.approx(
-        2 / (a - b) ** 2 + 2 / (a + b) ** 2, rel=1e-9)
+    exact = 2 / (a - b) ** 2 + 2 / (a + b) ** 2
+    assert by[("sep_plus", "search")] == pytest.approx(exact, rel=1e-9)
+    # F has eigenvalues 1.25e-13 and 1.125e-12: invertible at this scale
+    assert by[("jnt", "")] == pytest.approx(exact, rel=1e-9)
+
+
+def test_bounds_free_atoms_single_parameter(capsys):
+    rows = run_json(capsys, "bounds", "--model", "free-atoms", "--p", "1", "--paradigm", "mm")
+    by = {(r["strategy"], r["variant"]): r["constant"] for r in rows}
+    assert by[("jnt", "rotation_bound")] == PI2
 
 
 def test_bounds_free_atoms_mm_bracket(capsys):

@@ -376,13 +376,25 @@ def test_rotation_search_stops_at_a_seed_on_the_ceiling(caplog, minimize_runs, g
                                    lambda: build_pauli_generators("xyz")],
                          ids=["free-atoms-3", "pauli3"])
 def test_rotation_search_runs_every_start_below_the_ceiling(caplog, minimize_runs, build):
-    # free atoms at p=3: ceiling 9, optimum about 6.48 (no Hadamard matrix of
-    # order 3); pauli3 does not commute and has no ceiling.  Both run the
+    # free atoms at p=3: ceiling 9, best value found 6.75 (no Hadamard matrix
+    # of order 3); pauli3 does not commute and has no ceiling.  Both run the
     # identity and 3 random starts.
     with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
         optimize_orthogonal_bound(build())
     assert len(minimize_runs) == 4
     assert not any("certified" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("p,earlier", [(3, 6.479630695273974), (5, 14.640581777254123),
+                                       (6, 22.16419024470768)])
+def test_free_atom_rotation_search_below_the_ceiling(p, earlier):
+    # orders with no Hadamard matrix: the search value is a certified lower
+    # bound, at least the local maximum the earlier seeds (11, 23, 47) found
+    # and at most the ceiling p^2
+    gens = build_free_atom_generators(p)
+    _, value = optimize_orthogonal_bound(gens)
+    assert earlier <= value <= rotation_bound_ceiling(gens) * (1 + 1e-12)
+    assert rotation_bound_ceiling(gens) == pytest.approx(p * p, rel=1e-12)
 
 
 EIGHTHS = st.integers(-16, 16).map(lambda n: n / 8)

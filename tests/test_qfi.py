@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hlbounds import (
+    GeneratorSet,
     InvalidArgumentError,
     PureState,
     QfiMatrix,
@@ -45,6 +46,30 @@ def test_two_sector_qfi_matrix():
     f = qfi_pure(gens, np.zeros(2), uniform_state(4), 1)
     np.testing.assert_allclose(f.entries, [[0.625, 0.5], [0.5, 0.625]], atol=1e-12)
     assert trace_inverse(f) == pytest.approx(2 / 0.25 + 2 / 2.25, abs=1e-9)
+
+
+def test_singularity_test_is_relative_to_the_model_scale():
+    # two-sector at alpha = 1e-6, beta = 5e-7: every entry of F is below
+    # 1e-10, yet F is invertible
+    a, b = 1e-6, 5e-7
+    f = qfi_pure(build_two_sector_generators(a, b), np.zeros(2), uniform_state(4), 1)
+    np.testing.assert_allclose(np.linalg.eigvalsh(f.entries), [1.25e-13, 1.125e-12],
+                               rtol=1e-9)
+    exact = 2 / (a - b) ** 2 + 2 / (a + b) ** 2
+    assert trace_inverse(f) == pytest.approx(exact, rel=1e-9)
+    assert math.isfinite(nuisance_variance(f, 0))
+    assert nuisance_variance(f, 0) + nuisance_variance(f, 1) == pytest.approx(exact, rel=1e-9)
+    # sigma_x/2 on |+>: F is rounding noise (about 2e-16) where the exact value is 0
+    plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
+    f = qfi_pure(build_pauli_generators("x"), np.zeros(1), plus, 1)
+    assert trace_inverse(f) == math.inf
+    assert nuisance_variance(f, 0) == math.inf
+    # a multiple of the identity has F = 0 and no spread to scale by
+    f = qfi_pure(GeneratorSet((np.eye(2),)), np.zeros(1), plus, 1)
+    assert f.scale == 1.0
+    assert trace_inverse(f) == math.inf
+    with pytest.raises(InvalidArgumentError):
+        QfiMatrix(np.eye(2), scale=0.0)
 
 
 def test_noncommuting_requires_zero_expansion_point():

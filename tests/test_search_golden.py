@@ -5,13 +5,15 @@ search and the sphere search is recorded (the calling module, nfev, nit,
 success and fun), together with the search's returned value.  A change that
 alters the objective's arithmetic in any way shows up here as a different
 nfev or fun.  nfev, nit and success must match exactly; fun and the value to
-1e-12 relative.  Regenerate with ``python tests/test_search_golden.py`` and
-review the diff of ``golden/search_runs.json``.
+1e-12 relative.  Regenerate cases with ``python tests/test_search_golden.py
+[name ...]`` (all cases when no name is given) and review the diff of
+``golden/search_runs.json``.
 """
 
 import contextlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,10 @@ def test_search_trajectory_matches_golden(golden, name):
 
 
 if __name__ == "__main__":
-    data = {name: capture(name) for name in CASES}
+    names = sys.argv[1:] or list(CASES)
+    data = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in names:
+        data[name] = capture(name)
+    ordered = {name: data[name] for name in CASES if name in data}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(ordered, indent=1) + "\n")
