@@ -41,15 +41,22 @@ PI2 = math.pi ** 2
 # single-parameter limits and allocation
 
 
-def test_per_parameter_spread_constants_single_generator():
-    # diag(0, lam) has spread lam: the single-parameter constants 1/lam^2 (CR)
-    # and pi^2/lam^2 (MM)
+def test_single_param_cr_examples():
+    # diag(0, lam) has spread lam: the single-parameter CR constant is 1/lam^2
     for lam in (1.0, 2.0, 0.1):
         gens = GeneratorSet((np.diag([0.0, lam]),))
         assert per_parameter_spread_constants(gens, "cr")[0] == pytest.approx(1 / lam ** 2)
-        assert per_parameter_spread_constants(gens, "mm")[0] == pytest.approx(PI2 / lam ** 2)
     with pytest.raises(InvalidArgumentError, match="degenerate spectrum"):
         per_parameter_spread_constants(GeneratorSet((np.diag([1.0, 1.0]),)), "cr")
+
+
+def test_single_param_mm_examples():
+    # diag(0, lam) has spread lam: the single-parameter MM constant is pi^2/lam^2
+    for lam in (1.0, 2.0, 0.1):
+        gens = GeneratorSet((np.diag([0.0, lam]),))
+        assert per_parameter_spread_constants(gens, "mm")[0] == pytest.approx(PI2 / lam ** 2)
+    with pytest.raises(InvalidArgumentError, match="degenerate spectrum"):
+        per_parameter_spread_constants(GeneratorSet((np.diag([1.0, 1.0]),)), "mm")
 
 
 def test_mm_to_cr_ratio_is_pi_squared():
