@@ -13,7 +13,6 @@ from .bounds import (
     CostEstimate,
     allocate,
     c_optimal_variance,
-    default_variance_oracle,
     elfving_variance_oracle,
     jnt_lower_bound,
     orthogonal_restricted_sep_plus,

@@ -130,7 +130,11 @@ class AllocationPlan:
             raise InvalidArgumentError("alpha must be 1 (CR) or 2 (MM)")
         roots = c ** (1.0 / (self.alpha + 1))
         shares = roots / np.sum(roots)
-        total = float(np.sum(roots) ** (self.alpha + 1))
+        if np.all(c == c[0]):
+            # p^(alpha+1) c exactly: the root round trip would lose the last bit
+            total = float(c.size ** (self.alpha + 1) * c[0])
+        else:
+            total = float(np.sum(roots) ** (self.alpha + 1))
         c.flags.writeable = False
         shares.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -274,12 +278,6 @@ def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
     return oracle
 
 
-def default_variance_oracle(gens: GeneratorSet, paradigm: str):
-    if gens.commuting:
-        return elfving_variance_oracle(gens, paradigm)
-    return spread_variance_oracle(gens, paradigm)
-
-
 def per_parameter_spread_constants(gens: GeneratorSet, paradigm: str) -> np.ndarray:
     """Single-shot constants 1/lambda_i^2 (CR) or pi^2/lambda_i^2 (MM)."""
     _, factor = paradigm_constants(paradigm)
@@ -346,7 +344,8 @@ def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
     whole sum is at least the ``sep_plus_lower_bound`` constant.  That needs
     L* exact (``exact_max_spread``), and for the Elfving oracle, whose design
     vectors are 2 x pattern, a pattern set symmetric under x -> -x: only then
-    is 2 |x . a| at most the spread of a . Lambda.
+    is 2 |x . a| at most the spread of a . Lambda.  In CR the larger of this
+    spread floor and ``_design_floor`` is returned.
     """
     if not gens.commuting:
         return None
@@ -356,7 +355,28 @@ def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
     exact = exact_max_spread(gens)
     if exact is None:
         return None
-    return _spread_floor(gens.p, paradigm, exact[1])
+    floor = _spread_floor(gens.p, paradigm, exact[1])
+    design = _design_floor(2.0 * pts) if paradigm == "cr" else None
+    return float(floor if design is None else max(floor, design))
+
+
+def _design_floor(vectors: np.ndarray) -> float | None:
+    """2 tr M^{-1} - max_s v_s^T M^{-2} v_s for the uniform design
+    M = V^T V / m on the rows v_s of ``vectors``; None when M is singular.
+
+    Stacking the separate estimators of a CR SEP+ strategy gives one linear
+    unbiased estimator of all parameters, so by Gauss-Markov every SEP+
+    value is at least the joint A-optimal value min_w tr M_w^{-1} over
+    designs w on the v_s (Kiefer and Wolfowitz 1960).  tr M_w^{-1} is
+    convex in w, so its tangent plane at the uniform design lies below it,
+    and over the simplex that plane is least at a vertex: this value.
+    """
+    m = vectors.T @ vectors / len(vectors)
+    if not np.linalg.det(m) > DET_TOL * np.prod(np.diag(m)):
+        return None
+    m_inv = np.linalg.inv(m)
+    leverage = np.sum((vectors @ m_inv) ** 2, axis=1)
+    return float(2.0 * np.trace(m_inv) - np.max(leverage))
 
 
 def jnt_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
@@ -422,17 +442,20 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     ``upper_bound`` on the true reparametrized-separate optimum.
 
     The searches stop early, before the next start, once the best value is
-    within 1e-12 relative of the ``sep_plus_lower_bound`` constant, which no
-    candidate can beat.  This certificate applies to commuting sets whose
-    largest combined spread is exact and whose eigenvalue patterns are
-    symmetric under sign flip (see ``_certified_search_floor``).  Free
-    atoms reach it at the identity seed, fixed atoms at the Walsh-Hadamard
-    seed when p is a power of two.  The stop is logged at DEBUG with the
-    winning seed or search, its value and the floor.
+    within 1e-12 relative of a floor no candidate can beat: the
+    ``sep_plus_lower_bound`` constant, or in CR the joint-design floor when
+    that is larger (see ``_certified_search_floor``).  This certificate
+    applies to commuting sets whose largest combined spread is exact and
+    whose eigenvalue patterns are symmetric under sign flip.  Free atoms
+    reach it at the identity seed, fixed atoms at the Walsh-Hadamard seed
+    when p is a power of two, and the two-sector model (CR) at the
+    pattern-inverse seed.  The stop is logged at DEBUG with the winning
+    seed or search, its value and the floor.
     """
     p = gens.p
     alpha, _ = paradigm_constants(paradigm)
-    variance_oracle = default_variance_oracle(gens, paradigm)
+    oracle_factory = elfving_variance_oracle if gens.commuting else spread_variance_oracle
+    variance_oracle = oracle_factory(gens, paradigm)
     floor = _certified_search_floor(gens, paradigm)
 
     def objective(flat):

@@ -103,9 +103,10 @@ def _overlap_matrix(gens: GeneratorSet, theta0, psi_in: PureState, n: int):
 def qfi_pure(gens: GeneratorSet, theta0, psi_in: PureState, n: int = 1) -> QfiMatrix:
     """QFI matrix for n parallel uses, modeled as generator scaling n Lambda.
 
-    Commuting sets: F_ij = 4 n^2 (Re<Lambda_i Lambda_j> - <Lambda_i><Lambda_j>)
-    at the evolved point, for any theta0.  Noncommuting sets: the overlap
-    formula 4 Re<D_i|D_j> of the exact derivative states, theta0 = 0 only.
+    Commuting sets: F_ij = 4 n^2 Re<(Lambda_i - <Lambda_i>) psi|(Lambda_j -
+    <Lambda_j>) psi> at the evolved point psi, for any theta0.  Noncommuting
+    sets: the overlap formula 4 Re<D_i|D_j> of the exact derivative states,
+    theta0 = 0 only.
     ``scale`` is n^2 max_i spread(Lambda_i)^2, the largest F_ii (1 if that is 0).
     """
     theta0 = _validate_inputs(gens, theta0, psi_in)
@@ -114,10 +115,13 @@ def qfi_pure(gens: GeneratorSet, theta0, psi_in: PureState, n: int = 1) -> QfiMa
     scale = n * n * max(spread(g) for g in gens.generators) ** 2 or 1.0
     if gens.commuting:
         psi0 = evolve(gens, theta0, psi_in).amplitudes
-        vs = np.stack([g.entries @ psi0 for g in gens.generators])
-        second = np.real(vs.conj() @ vs.T)
-        means = np.real(vs @ psi0.conj())
-        base = 4.0 * (second - np.outer(means, means))
+        means = [np.real(np.vdot(psi0, g.entries @ psi0)) for g in gens.generators]
+        # centre the generator, not the product: a multiple of the identity
+        # in Lambda_i would otherwise cancel catastrophically
+        eye = np.eye(gens.dim)
+        ds = np.stack([(g.entries - mu * eye) @ psi0
+                       for g, mu in zip(gens.generators, means)])
+        base = 4.0 * np.real(ds.conj() @ ds.T)
         return QfiMatrix((n * n) * base, scale)
     overlap = _overlap_matrix(gens, theta0, psi_in, n)
     return QfiMatrix(np.real(overlap), scale)

@@ -32,7 +32,7 @@ from hlbounds import (
 import hlbounds.bounds as bounds_module
 import hlbounds.operators as operators_module
 from hlbounds.bounds import _GaugeSolver, design_vectors, sep_plus_value
-from hlbounds.operators import exact_max_spread
+from hlbounds.operators import distinct_patterns, exact_max_spread
 
 PI2 = math.pi ** 2
 
@@ -83,6 +83,20 @@ def test_allocate_sqrt_proportionality():
 def test_allocate_three_phase_minimax():
     plan = allocate([PI2, PI2, PI2], 2)
     assert plan.total_constant == pytest.approx(27 * PI2)
+
+
+def test_equal_constants_allocate_without_rounding():
+    # p^(alpha+1) c exactly: the root round trip (pi^2)^(1/3) cubed loses a bit
+    for p in (1, 2, 3, 5):
+        assert allocate([PI2] * p, 2).total_constant == p ** 3 * PI2
+        assert allocate([PI2] * p, 1).total_constant == p ** 2 * PI2
+    for build in (build_fixed_atom_generators, build_free_atom_generators):
+        sep = sep_cost(per_parameter_spread_constants(build(1), "mm"), "mm")
+        assert sep.constant == PI2
+    # free atoms at p=2, MM: the exact sep is no longer below the sep_plus floor
+    gens = build_free_atom_generators(2)
+    sep = sep_cost(per_parameter_spread_constants(gens, "mm"), "mm").constant
+    assert sep >= sep_plus_lower_bound(gens, "mm").constant
 
 
 def test_allocate_rejects_nonpositive():
@@ -389,9 +403,9 @@ def minimize_runs(monkeypatch):
 
 def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
     runs = minimize_runs
-    # the two-sector optimum lies above the spread floor, so every start runs
+    # sigma_x, sigma_y do not commute, so there is no floor and every start runs
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
-        sep_plus_optimize(build_two_sector_generators(1.0, 0.5), "cr")
+        sep_plus_optimize(build_pauli_generators("xy"), "cr")
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     assert len(messages) == len(runs) >= 5
     for start, (msg, res) in enumerate(zip(messages, runs)):
@@ -403,6 +417,10 @@ def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
 # the certified stop of the SEP+ search
 
 
+# the two-sector pairs of the benchmark's search workload (perfbench/workloads.py)
+TWO_SECTOR_PAIRS = ((1.0, 0.5), (1.0, 0.3), (1.0, 0.4), (1.0, 0.6), (2.0, 1.0), (2.0, 0.5))
+
+
 @pytest.mark.parametrize(
     "gens,paradigm,winner,closed_form",
     [
@@ -410,14 +428,20 @@ def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
         (build_fixed_atom_generators(4), "mm", 1, 16 * PI2),
         (build_free_atom_generators(4), "mm", 0, 64 * PI2),
         (build_fixed_atom_generators(8), "mm", 1, 64 * PI2),
+    ] + [
+        (build_two_sector_generators(a, b), "cr", 2, 2 / (a - b) ** 2 + 2 / (a + b) ** 2)
+        for a, b in TWO_SECTOR_PAIRS
     ],
-    ids=["fixed-atoms-2-cr", "fixed-atoms-4-mm", "free-atoms-4-mm", "fixed-atoms-8-mm"],
+    ids=["fixed-atoms-2-cr", "fixed-atoms-4-mm", "free-atoms-4-mm", "fixed-atoms-8-mm"]
+    + [f"two-sector-{a}-{b}-cr" for a, b in TWO_SECTOR_PAIRS],
 )
 def test_search_stops_at_a_seed_on_the_floor(caplog, minimize_runs, gens, paradigm,
                                              winner, closed_form):
     # fixed atoms meet p^2 pi^2 at the Walsh-Hadamard seed (1), free atoms
-    # p^3 pi^2 at the identity (0)
-    floor = sep_plus_lower_bound(gens, paradigm).constant
+    # p^3 pi^2 at the identity (0); two-sector meets the CR design floor, its
+    # joint constant, at the pattern-inverse seed (2)
+    floor = bounds_module._certified_search_floor(gens, paradigm)
+    assert floor >= sep_plus_lower_bound(gens, paradigm).constant
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
         _, est = sep_plus_optimize(gens, paradigm)
     assert minimize_runs == []
@@ -429,6 +453,16 @@ def test_search_stops_at_a_seed_on_the_floor(caplog, minimize_runs, gens, paradi
     )
     assert est.constant == pytest.approx(closed_form, rel=1e-12, abs=0)
     assert est.status == "upper_bound"
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_cr_design_floor_of_the_atom_models(p):
+    # fixed atoms: v in {+-1}^p, M = I, floor 2p - p; free atoms: v = +-e_i,
+    # M = I/p, floor 2p^2 - p^2
+    for build, expected in ((build_fixed_atom_generators, p),
+                            (build_free_atom_generators, p * p)):
+        vectors = 2.0 * distinct_patterns(build(p))
+        assert bounds_module._design_floor(vectors) == pytest.approx(expected, rel=1e-12)
 
 
 def test_fixed_atoms_p8_search_uses_the_lp_backend():
@@ -492,10 +526,33 @@ def test_certified_floor_bounds_both_oracles(model, entries, paradigm):
     assert value >= floor * (1 - 1e-12)
     certified = bounds_module._certified_search_floor(gens, paradigm)
     if symmetric:
+        design = bounds_module._design_floor(2.0 * distinct_patterns(gens))
+        if paradigm == "cr" and design is not None:
+            floor = max(floor, design)
         assert certified == floor
     if certified is not None:
         value = sep_plus_value(a, elfving_variance_oracle(gens, paradigm), alpha)
         assert value >= certified * (1 - 1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    patterns=st.lists(st.lists(EIGHTHS, min_size=3, max_size=3), min_size=2, max_size=4),
+    p=st.integers(1, 3),
+    entries=st.lists(EIGHTHS, min_size=9, max_size=9),
+)
+def test_elfving_sep_plus_is_above_the_design_floor(patterns, p, entries):
+    # every CR SEP+ value is a joint design's tr M_w^{-1}, which the tangent
+    # floor at the uniform design bounds from below
+    points = np.array(patterns)[:, :p]
+    points = np.vstack([points, -points])
+    design = bounds_module._design_floor(2.0 * points)
+    assume(design is not None)
+    a = np.reshape(entries[:p * p], (p, p))
+    assume(np.linalg.cond(a) < 1e3)
+    gens = GeneratorSet(tuple(np.diag(col) for col in points.T))
+    value = sep_plus_value(ReparamMatrix(a), elfving_variance_oracle(gens, "cr"), 1)
+    assert value >= design * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_singularity_test_is_relative_to_the_model_scale():
     assert trace_inverse(f) == pytest.approx(exact, rel=1e-9)
     assert math.isfinite(nuisance_variance(f, 0))
     assert nuisance_variance(f, 0) + nuisance_variance(f, 1) == pytest.approx(exact, rel=1e-9)
-    # sigma_x/2 on |+>: F is rounding noise (about 2e-16) where the exact value is 0
+    # sigma_x/2 on |+>: F is rounding noise (about 2e-32) where the exact value is 0
     plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
     f = qfi_pure(build_pauli_generators("x"), np.zeros(1), plus, 1)
     assert trace_inverse(f) == math.inf
@@ -70,6 +70,13 @@ def test_singularity_test_is_relative_to_the_model_scale():
     assert trace_inverse(f) == math.inf
     with pytest.raises(InvalidArgumentError):
         QfiMatrix(np.eye(2), scale=0.0)
+
+
+def test_a_shift_of_the_identity_does_not_cancel():
+    # Lambda = 1e6 I + diag(1/2, -1/2) on (0.6, 0.8): F = 4 Var = 4 (0.25 - 0.14^2)
+    gens = GeneratorSet((1e6 * np.eye(2) + np.diag([0.5, -0.5]),))
+    f = qfi_pure(gens, np.zeros(1), PureState(np.array([0.6, 0.8])), 1)
+    assert f.entries[0, 0] == pytest.approx(0.9216, rel=0, abs=1e-12)
 
 
 def test_noncommuting_requires_zero_expansion_point():
