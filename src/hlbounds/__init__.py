@@ -22,7 +22,6 @@ from .bounds import (
     sep_plus_lower_bound,
     sep_plus_optimize,
     spread_variance_oracle,
-    weight_to_reparam,
 )
 from .catalog import (
     CatalogEntry,
@@ -53,7 +52,6 @@ from .operators import (
     eigenvalue_patterns,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
-    rotate_generators,
     rotated_spreads,
     rotation_bound_ceiling,
     rotation_bound_value,

@@ -147,18 +147,6 @@ def allocate(c, alpha: int) -> AllocationPlan:
     return AllocationPlan(alpha, np.asarray(c, dtype=float))
 
 
-def weight_to_reparam(w) -> ReparamMatrix:
-    """Factor a full-rank PSD weight matrix as W = A^T A (Cholesky-style)."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or np.max(np.abs(w - w.T)) > 1e-10:
-        raise InvalidArgumentError("W must be a symmetric square matrix")
-    try:
-        lower = np.linalg.cholesky(w)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError("W must be positive definite (full rank)") from exc
-    return ReparamMatrix(lower.T)
-
-
 # ---------------------------------------------------------------------------
 # per-parameter variance oracles
 
@@ -403,15 +391,14 @@ def jnt_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
 def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
     """Reparametrized separate cost (sum_i ([A^T A]_ii v_i)^(1/(alpha+1)))^(alpha+1),
     summed in index order over the p constants v of one ``variance_oracle(a)``
-    call; +inf if any v_i is."""
-    gram_diag = np.sum(a.entries ** 2, axis=0)
-    values = variance_oracle(a)
-    total = 0.0
-    for i in range(a.p):
-        if not math.isfinite(values[i]):
-            return math.inf
-        total += (gram_diag[i] * values[i]) ** (1.0 / (alpha + 1))
-    return total ** (alpha + 1)
+    call; +inf if any v_i is.  Equal terms give p^(alpha+1) times the term
+    exactly, as in ``AllocationPlan``."""
+    terms = (np.sum(a.entries ** 2, axis=0) * variance_oracle(a)).tolist()
+    if not all(map(math.isfinite, terms)):
+        return math.inf
+    if terms.count(terms[0]) == len(terms):
+        return a.p ** (alpha + 1) * terms[0]
+    return sum(t ** (1.0 / (alpha + 1)) for t in terms) ** (alpha + 1)
 
 
 def _pattern_inverse_seed(gens: GeneratorSet) -> np.ndarray | None:

@@ -231,7 +231,7 @@ def cmd_variational(args):
             "residual": spec.residual,
         }
     elif args.target == "airy":
-        res = vr.airy_lower_bound(args.cutoff)
+        res = vr.airy_lower_bound()
         payload = {
             "target": "airy",
             "a_prime_zero": res.a_prime_zero,
@@ -359,7 +359,6 @@ def build_parser():
     v.add_argument("target", choices=("simplex", "airy", "ball", "phase"))
     v.add_argument("--p", type=int, default=2)
     v.add_argument("--grid", type=int, default=160)
-    v.add_argument("--cutoff", type=float, default=14.0)
     v.add_argument("--family", default="sin")
     v.add_argument("--N", type=int, default=20)
     v.add_argument("--mc-samples", type=int, default=0)

@@ -28,7 +28,6 @@ logger = logging.getLogger(__name__)
 HERMITICITY_TOL = 1e-12
 COMMUTATOR_TOL = 1e-10
 INDEPENDENCE_TOL = 1e-10
-ORTHOGONALITY_TOL = 1e-10
 DET_TOL = 1e-12
 DEGENERATE_SPREAD_TOL = 1e-9
 
@@ -122,9 +121,7 @@ class GeneratorSet:
 class ReparamMatrix:
     """A real invertible parameter-space transformation theta = A theta'.
 
-    Invertibility is checked at construction; ``orthogonal`` (A^T A = 1 to
-    1e-10) is computed on access, since the searches build many candidates
-    and never ask.
+    Invertibility is checked at construction.
     """
 
     entries: np.ndarray
@@ -139,12 +136,6 @@ class ReparamMatrix:
             raise InvalidArgumentError("reparametrization matrix is singular")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-
-    @property
-    def orthogonal(self) -> bool:
-        m = self.entries
-        gram = m.T @ m
-        return bool(np.max(np.abs(gram - np.eye(m.shape[0]))) <= ORTHOGONALITY_TOL)
 
     @property
     def p(self) -> int:
@@ -279,12 +270,6 @@ def _check_size(gens: GeneratorSet, a: ReparamMatrix):
         raise InvalidArgumentError(f"matrix is {a.p}x{a.p} but the set has p={gens.p}")
 
 
-def rotate_generators(gens: GeneratorSet, a: ReparamMatrix) -> GeneratorSet:
-    """Reparametrized set Lambda'_i = sum_j A[j, i] Lambda_j (i.e. A^T Lambda)."""
-    _check_size(gens, a)
-    return GeneratorSet(tuple(np.tensordot(a.entries.T, gens.matrices(), axes=(1, 0))))
-
-
 def rotated_spread_kernel(gens: GeneratorSet):
     """``spreads(a)``: the spreads of the p generators of A^T Lambda for a
     (p, p) array A, without building the rotated set (so a badly scaled A
@@ -307,8 +292,8 @@ def rotated_spread_kernel(gens: GeneratorSet):
 
 
 def rotated_spreads(gens: GeneratorSet, a: ReparamMatrix) -> np.ndarray:
-    """Spreads of every generator of ``rotate_generators(gens, a)``
-    (see ``rotated_spread_kernel``)."""
+    """Spreads of the reparametrized generators Lambda'_i = sum_j A[j, i]
+    Lambda_j, i.e. A^T Lambda (see ``rotated_spread_kernel``)."""
     _check_size(gens, a)
     return rotated_spread_kernel(gens)(a.entries)
 

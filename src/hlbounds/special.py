@@ -1,17 +1,18 @@
 """Airy and Bessel evaluation without external special-function dependencies.
 
 Ai and Ai' are propagated along the ODE y'' = x y by local Taylor steps
-between cached anchors: outward from the exactly known values at x = 0 on
-[-6, 4.5], and downward from an asymptotic-series seed at x = 16 on
-(4.5, 16] (downward integration is the stable direction for the recessive
-solution).  J_nu sums the ascending series with iterated terms in decimal
-arithmetic.  The terms grow to about e^x times the scale of J_nu before
-they cancel (in double precision about 0.23 nu digits are lost near
-x ~ nu, and (x/2)^nu overflows from nu ~ 163 on), so the working precision
-is x log10(e) + 25 digits and the prefactor (x/2)^nu / Gamma(nu + 1) is
-formed in the same arithmetic; J_nu keeps double precision at every
-supported order.  The first zero of J_nu is bracketed by a unit-step scan
-and refined by Illinois regula falsi; the first zero of Ai' by bisection.
+between cached anchors, outward from the exactly known values at x = 0.
+The domain is [-6, 4.5]: beyond it upward marching would lose the
+recessive solution, and the library evaluates Ai only in [-2, -0.5], near
+the first zero of Ai'.  J_nu sums the ascending series with iterated
+terms in decimal arithmetic.  The terms grow to about e^x times the scale
+of J_nu before they cancel (in double precision about 0.23 nu digits are
+lost near x ~ nu, and (x/2)^nu overflows from nu ~ 163 on), so the working
+precision is x log10(e) + 25 digits and the prefactor (x/2)^nu /
+Gamma(nu + 1) is formed in the same arithmetic; J_nu keeps double
+precision at every supported order.  The first zero of J_nu is bracketed
+by a unit-step scan and refined by Illinois regula falsi; the first zero
+of Ai' by bisection.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import InvalidArgumentError, NumericalError, ResourceLimitError
 
 _STEP = 0.5
 _LOW_LIMIT = -6.0
-_SWITCH = 16.0
+_HIGH_LIMIT = 4.5
 _TAYLOR_TERMS = 34
 
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -53,38 +54,12 @@ def _taylor_step(x0: float, y: float, yp: float, t: float) -> tuple[float, float
     return val, dval
 
 
-def _asymptotic_ai(x: float, terms: int = 20) -> tuple[float, float]:
-    """Large-x expansion of (Ai, Ai'); accurate to machine precision for x >= 16."""
-    zeta = (2.0 / 3.0) * x ** 1.5
-    u = 1.0
-    s_ai = 1.0
-    s_aip = 1.0
-    sign = 1.0
-    for k in range(1, terms):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216.0 * k)
-        v = (6 * k + 1) / (1.0 - 6 * k) * u
-        sign = -sign
-        s_ai += sign * u / zeta ** k
-        s_aip += sign * v / zeta ** k
-    pref = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pref * s_ai / x ** 0.25
-    aip = -pref * s_aip * x ** 0.25
-    return ai, aip
-
-
 def _anchor(index: int) -> tuple[float, float]:
-    """(Ai, Ai') at x = index * _STEP, cached, built by stable marching."""
+    """(Ai, Ai') at x = index * _STEP, cached, marched outward from x = 0."""
     if index in _anchors:
         return _anchors[index]
     if index == 0:
         pair = (_AI0, _AIP0)
-    elif index * _STEP > 4.5:
-        hi = int(round(_SWITCH / _STEP))
-        if index >= hi:
-            pair = _asymptotic_ai(index * _STEP)
-        else:
-            y, yp = _anchor(index + 1)
-            pair = _taylor_step((index + 1) * _STEP, y, yp, -_STEP)
     else:
         src = index - 1 if index > 0 else index + 1
         y, yp = _anchor(src)
@@ -94,13 +69,12 @@ def _anchor(index: int) -> tuple[float, float]:
 
 
 def airy_ai_with_prime(x: float) -> tuple[float, float]:
-    """(Ai(x), Ai'(x)) for x >= -6, absolute accuracy near machine precision."""
+    """(Ai(x), Ai'(x)) for -6 <= x <= 4.5, absolute accuracy near machine precision."""
     if not math.isfinite(x):
         raise InvalidArgumentError("x must be finite")
-    if x < _LOW_LIMIT:
-        raise InvalidArgumentError(f"Ai evaluation supported for x >= {_LOW_LIMIT}")
-    if x >= _SWITCH:
-        return _asymptotic_ai(x)
+    if not _LOW_LIMIT <= x <= _HIGH_LIMIT:
+        raise InvalidArgumentError(
+            f"Ai evaluation supported for {_LOW_LIMIT} <= x <= {_HIGH_LIMIT}")
     index = int(round(x / _STEP))
     x0 = index * _STEP
     y, yp = _anchor(index)

@@ -16,6 +16,9 @@ full grid.  The eigenvector is unfolded onto the full grid on return (see
 ``simplex_ground_energy``).  One DEBUG record per solve on this module's
 logger gives p, M, full-grid nodes, orthant unknowns, outer iterations, E
 and the residual.
+
+The Airy lower bound is a closed form in the first zero a0 of Ai' and
+Ai(a0); no quadrature is run (see ``airy_lower_bound``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, InvalidArgumentError, NumericalError, ResourceLimitError
@@ -41,7 +43,6 @@ NODE_CAP = 20_000_000
 RESIDUAL_RTOL = 1e-9
 MAX_POWER_ITERATIONS = 200
 DEFAULT_PDF_GRID = 2 ** 14
-DEFAULT_AIRY_CUTOFF = 14.0
 BALL_P_MAX = 2 * MAX_ORDER + 2  # the Bessel order p/2 - 1 stays <= MAX_ORDER
 
 logger = logging.getLogger(__name__)
@@ -200,42 +201,27 @@ def _cg_solve(op, rhs):
     return sol
 
 
-def airy_lower_bound(tail_cutoff: float = DEFAULT_AIRY_CUTOFF) -> AiryBoundResult:
+def airy_lower_bound() -> AiryBoundResult:
     """Fundamental joint minimax bound coefficient from the Airy problem.
 
-    Locates the first zero A0' of Ai', evaluates the three half-line
-    integrals of |Ai|^2, |Ai|^2 mu and |Ai'|^2 shifted by A0', and returns
-    the coefficient 4 I_kin I_mean^2 / I_norm^3 of p^3/N^2 (about 0.63).
-    The integrands decay like exp(-(4/3) mu^(3/2)); ``tail_cutoff`` is the
-    truncation point of the adaptive quadrature.
+    Locates the first zero a0 of Ai' and returns the three half-line
+    integrals of |Ai|^2, |Ai|^2 mu and |Ai'|^2 shifted by a0, and the
+    coefficient 4 I_kin I_mean^2 / I_norm^3 of p^3/N^2 (about 0.63).  Since
+    Ai'(a0) = 0, the Airy integral identities (DLMF 9.11(iv)) give all three
+    in closed form from Ai(a0)^2: I_norm = -a0 Ai^2, I_mean = (2/3) a0^2 Ai^2
+    and I_kin = a0^2 Ai^2 / 3, so the coefficient is (16/27) |a0|^3.
     """
-    if tail_cutoff < 5.0:
-        raise InvalidArgumentError("tail cutoff too small for the quadrature window")
     a0 = airy_ai_prime_first_zero()
-
-    def ai_sq(mu):
-        return airy_ai_with_prime(a0 + mu)[0] ** 2
-
-    def ai_sq_mu(mu):
-        return airy_ai_with_prime(a0 + mu)[0] ** 2 * mu
-
-    def aip_sq(mu):
-        return airy_ai_with_prime(a0 + mu)[1] ** 2
-
-    values = []
-    for f in (ai_sq, ai_sq_mu, aip_sq):
-        val, err = quad(f, 0.0, tail_cutoff, limit=200, epsabs=1e-13, epsrel=1e-12)
-        if err > 1e-8 * max(abs(val), 1e-12):
-            raise NumericalError(f"quadrature error estimate {err:.2e} too large")
-        values.append(val)
-    i_norm, i_mean, i_kin = values
-    constant = 4.0 * i_kin * i_mean ** 2 / i_norm ** 3
+    ai_sq = airy_ai_with_prime(a0)[0] ** 2
+    i_norm = -a0 * ai_sq
+    i_mean = 2.0 / 3.0 * a0 ** 2 * ai_sq
+    i_kin = a0 ** 2 * ai_sq / 3.0
     return AiryBoundResult(
         a_prime_zero=a0,
         I_norm=i_norm,
         I_mean=i_mean,
         I_kinetic=i_kin,
-        constant=constant,
+        constant=4.0 * i_kin * i_mean ** 2 / i_norm ** 3,
     )
 
 

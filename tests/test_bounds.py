@@ -27,7 +27,6 @@ from hlbounds import (
     sep_plus_lower_bound,
     sep_plus_optimize,
     spread_variance_oracle,
-    weight_to_reparam,
 )
 import hlbounds.bounds as bounds_module
 import hlbounds.operators as operators_module
@@ -143,31 +142,6 @@ def _grid_minimum(c, alpha, rounds=5, k=41):
         lo = np.array([max(best_x[0] - span0, 0.0), max(best_x[1] - span1, 0.0), 0.0])
         hi = np.array([min(best_x[0] + span0, 1.0), min(best_x[1] + span1, 1.0), 1.0])
     return best
-
-
-# ---------------------------------------------------------------------------
-# weight-matrix reduction
-
-
-def test_weight_to_reparam_examples():
-    np.testing.assert_allclose(weight_to_reparam(np.eye(2)).entries, np.eye(2))
-    np.testing.assert_allclose(
-        weight_to_reparam(np.diag([4.0, 9.0])).entries, np.diag([2.0, 3.0])
-    )
-
-
-def test_weight_to_reparam_factorization_property():
-    rng = np.random.default_rng(32)
-    for _ in range(10):
-        m = rng.standard_normal((3, 3))
-        w = m @ m.T + 0.5 * np.eye(3)
-        a = weight_to_reparam(w)
-        np.testing.assert_allclose(a.entries.T @ a.entries, w, atol=1e-10)
-
-
-def test_weight_to_reparam_rejects_rank_deficient():
-    with pytest.raises(InvalidArgumentError):
-        weight_to_reparam(np.diag([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hlbounds
 from hlbounds import get_model
 from hlbounds.cli import main
 
@@ -104,6 +109,16 @@ def test_bounds_free_atoms_single_parameter(capsys):
     assert by[("jnt", "rotation_bound")] == PI2
 
 
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+@pytest.mark.parametrize("model", ["fixed-atoms", "free-atoms"])
+def test_single_parameter_search_row_is_not_below_the_lower_row(capsys, model, paradigm):
+    # the search is an upper bound; its single term is scaled exactly, so no
+    # root round trip leaves it an ulp below the lower bound (pi^2 in MM)
+    rows = run_json(capsys, "bounds", "--model", model, "--p", "1", "--paradigm", paradigm)
+    by = {(r["strategy"], r["variant"]): r["constant"] for r in rows}
+    assert by[("sep_plus", "search")] >= by[("sep_plus", "lower")]
+
+
 def test_bounds_free_atoms_mm_bracket(capsys):
     rows = run_json(capsys, "bounds", "--model", "free-atoms", "--p", "3", "--paradigm", "mm")
     by = {(r["strategy"], r["variant"]): r["constant"] for r in rows}
@@ -125,6 +140,15 @@ def test_variational_simplex(capsys):
 def test_variational_airy(capsys):
     data = run_json(capsys, "variational", "airy")
     assert data["constant"] == pytest.approx(0.63, abs=0.01)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the Airy bound is a closed form: no command needs quadrature at import
+    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]))
+    code = "import sys, hlbounds.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "False\n"
 
 
 def test_variational_ball_large_p(capsys):
@@ -237,12 +261,14 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2 and "unknown config key" in err
 
 
-# flags that reached no output: bounds --k/--N, and --seed outside variational
+# flags that reached no output: bounds --k/--N, and --seed outside variational;
+# and the Airy quadrature's tail cutoff, gone with the quadrature
 @pytest.mark.parametrize("argv", [
     ["bounds", "--model", "pauli3", "--paradigm", "cr", "--k", "3"],
     ["bounds", "--model", "pauli3", "--paradigm", "mm", "--N", "5"],
     ["table", "--seed", "1"],
-], ids=["bounds-k", "bounds-N", "table-seed"])
+    ["variational", "airy", "--cutoff", "14"],
+], ids=["bounds-k", "bounds-N", "table-seed", "airy-cutoff"])
 def test_removed_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -253,7 +279,8 @@ def test_removed_flags_are_rejected(capsys, argv):
 @pytest.mark.parametrize("argv, key, value", [
     (["bounds", "--model", "pauli3", "--paradigm", "cr"], "k", 3),
     (["table"], "seed", 1),
-], ids=["bounds-k", "table-seed"])
+    (["variational", "airy"], "cutoff", 14),
+], ids=["bounds-k", "table-seed", "airy-cutoff"])
 def test_config_rejects_removed_flags(tmp_path, capsys, argv, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy import special as sp
+from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
@@ -142,14 +143,41 @@ def test_airy_bound_values():
     assert res.I_norm > 0 and res.I_mean > 0 and res.I_kinetic > 0
 
 
+def _airy_oracle(cutoff):
+    """(a0', I_norm, I_mean, I_kin) from scipy: ``ai_zeros`` and ``quad`` of
+    ``airy`` over [a0', a0' + cutoff]."""
+    a0 = sp.ai_zeros(1)[1][0]
+
+    def integral(f):
+        return quad(f, a0, a0 + cutoff, limit=200, epsabs=1e-14, epsrel=1e-13)[0]
+
+    return (a0, integral(lambda t: sp.airy(t)[0] ** 2),
+            integral(lambda t: (t - a0) * sp.airy(t)[0] ** 2),
+            integral(lambda t: sp.airy(t)[1] ** 2))
+
+
+def test_airy_bound_matches_an_independent_oracle():
+    res = airy_lower_bound()
+    a0, i_norm, i_mean, i_kin = _airy_oracle(14.0)
+    assert res.a_prime_zero == pytest.approx(a0, rel=1e-12)
+    assert res.I_norm == pytest.approx(i_norm, rel=1e-12)
+    assert res.I_mean == pytest.approx(i_mean, rel=1e-12)
+    assert res.I_kinetic == pytest.approx(i_kin, rel=1e-12)
+    assert res.constant == pytest.approx(4 * i_kin * i_mean ** 2 / i_norm ** 3, rel=1e-12)
+    assert res.constant == pytest.approx(16 / 27 * abs(a0) ** 3, rel=1e-14)
+
+
 def test_airy_bound_tail_insensitive():
-    c1 = airy_lower_bound(tail_cutoff=14.0).constant
-    c2 = airy_lower_bound(tail_cutoff=28.0).constant
-    assert abs(c1 - c2) < 1e-8
+    # the closed form is the half-line limit: widening the oracle's window
+    # from a0' + 14 to a0' + 28 changes nothing at 1e-12
+    _, i_norm, i_mean, i_kin = _airy_oracle(28.0)
+    assert airy_lower_bound().constant == pytest.approx(4 * i_kin * i_mean ** 2 / i_norm ** 3,
+                                                        rel=1e-12)
 
 
 def test_airy_bound_rejects_tiny_cutoff():
-    with pytest.raises(InvalidArgumentError):
+    # the closed form has no tail to cut: the function takes no cutoff at all
+    with pytest.raises(TypeError):
         airy_lower_bound(tail_cutoff=1.0)
 
 
