@@ -84,24 +84,27 @@ def airy_ai_with_prime(x: float) -> tuple[float, float]:
 
 
 def airy_ai_prime_first_zero() -> float:
-    """First (largest) zero of Ai', near -1.019, by bracketing bisection."""
+    """First (largest) zero of Ai', near -1.019, by bracketing bisection.
+
+    Bisects until the midpoint of the bracket rounds to one of its ends,
+    then returns the end with the smaller |Ai'|.
+    """
     lo, hi = -2.0, -0.5
     flo = airy_ai_with_prime(lo)[1]
     fhi = airy_ai_with_prime(hi)[1]
     if flo * fhi >= 0:
         raise NumericalError("failed to bracket the first zero of Ai'")
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(flo) <= abs(fhi) else hi
         fmid = airy_ai_with_prime(mid)[1]
         if fmid == 0.0:
             return mid
         if flo * fmid < 0:
-            hi = mid
+            hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
 
 
 def bessel_j(nu: float, x: float) -> float:

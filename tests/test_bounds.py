@@ -553,6 +553,54 @@ def test_orthogonal_restricted_grid_refinement_stable():
     assert abs(v1 - v2) < 1e-8
 
 
+def _scalar_angle_scan(alpha_beta, angle_grid):
+    """The angle scan with one gauge query per angle, as it was written
+    before the sweeps were batched."""
+    alpha, beta = alpha_beta
+    solver = _GaugeSolver(np.array([[alpha, beta], [beta, alpha]]))
+
+    def value(phi):
+        c, s = math.cos(phi), math.sin(phi)
+        total = 0.0
+        for g in solver.gauges(np.array([[c, s], [-s, c]])).tolist():
+            if not math.isfinite(g):
+                return math.inf
+            total += g
+        return total ** 2
+
+    lo, hi = 0.0, math.pi / 2
+    grid = np.linspace(lo, hi, max(angle_grid, 8) + 1)
+    vals = [value(x) for x in grid]
+    i = int(np.argmin(vals))
+    best_phi, best_val = float(grid[i]), vals[i]
+    width = (hi - lo) / max(angle_grid, 8)
+    for _ in range(7):
+        local = np.linspace(best_phi - width, best_phi + width, 25)
+        lvals = [value(x) for x in local]
+        j = int(np.argmin(lvals))
+        if lvals[j] < best_val:
+            best_phi, best_val = float(local[j]), lvals[j]
+        width /= 10.0
+    return best_val
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0])
+def test_batched_angle_scan_equals_the_scalar_scan_on_the_ratio_figure(alpha):
+    # betas from the `figure ratio` grid alpha (i + 1) / 51
+    for i in (0, 10, 25, 40, 49):
+        beta = alpha * (i + 1) / 51
+        assert (orthogonal_restricted_sep_plus((alpha, beta), 180)
+                == _scalar_angle_scan((alpha, beta), 180))
+
+
+@pytest.mark.parametrize("alpha_beta", [(1.0, 0.5), (1.0, 0.3), (1.0, 0.4), (1.0, 0.6),
+                                        (2.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("angle_grid", [1, 8, 90, 180])
+def test_batched_angle_scan_equals_the_scalar_scan(alpha_beta, angle_grid):
+    assert (orthogonal_restricted_sep_plus(alpha_beta, angle_grid)
+            == _scalar_angle_scan(alpha_beta, angle_grid))
+
+
 # ---------------------------------------------------------------------------
 # ordering invariants
 

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import hlbounds
+import hlbounds.bounds as bounds_module
+import hlbounds.operators as operators_module
 from hlbounds import get_model
 from hlbounds.cli import main
 
@@ -149,6 +151,20 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("argv", [["table"], ["bounds", "--model", "pauli3", "--paradigm", "mm"]],
+                         ids=["table", "pauli3-mm"])
+def test_registry_commands_run_no_search(monkeypatch, capsys, argv):
+    # the Pauli SEP+ floors take L* = 1 from the certified stop of the sphere
+    # search, and no other registry row searches
+    calls = []
+    for module in (bounds_module, operators_module):
+        monkeypatch.setattr(module, "minimize",
+                            lambda *args, _name=module.__name__, **kwargs: calls.append(_name))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert calls == []
 
 
 def test_variational_ball_large_p(capsys):

@@ -389,6 +389,82 @@ def test_free_atom_rotation_search_below_the_ceiling(p, earlier):
     assert rotation_bound_ceiling(gens) == pytest.approx(p * p, rel=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the certified stop of the sphere search
+
+
+@pytest.mark.parametrize("components", ["xy", "xyz"], ids=["pauli2", "pauli3"])
+def test_sphere_search_stops_at_the_first_axis_on_the_ceiling(caplog, minimize_runs,
+                                                               components):
+    # every a . sigma/2 has eigenvalues +-1/2, and G = I/2 gives the ceiling 1
+    gens = build_pauli_generators(components)
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
+        _, value = max_spread_over_sphere(gens)
+    assert minimize_runs == []
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.operators"]
+    assert messages == [
+        "max_spread_over_sphere certified by candidate 0: value=1.0 ceiling=1.0; "
+        f"starts 0-{gens.p + 3} skipped"
+    ]
+    assert value == 1.0
+
+
+def test_sphere_search_runs_every_start_below_the_ceiling(caplog, minimize_runs):
+    # spin 3/2: every unit a . S has spread 3, while tr S_i S_j = 5 delta_ij
+    # gives the ceiling sqrt(10)
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    raising = np.diag(np.sqrt(1.5 * 2.5 - m[1:] * (m[1:] + 1)), 1)
+    gens = GeneratorSet(((raising + raising.T) / 2, (raising - raising.T) / 2j, np.diag(m)))
+    assert operators_module.spread_ceiling(gens) == pytest.approx(math.sqrt(10), rel=1e-14)
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
+        _, value = max_spread_over_sphere(gens)
+    assert len(minimize_runs) == 7
+    assert not any("certified" in r.getMessage() for r in caplog.records)
+    assert value == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("gens", [build_fixed_atom_generators(p) for p in (2, 5, 8)]
+                         + [build_free_atom_generators(4), build_two_sector_generators(1.0, 0.3)],
+                         ids=["fixed-atoms-2", "fixed-atoms-5", "fixed-atoms-8", "free-atoms-4",
+                              "two-sector"])
+def test_diagonal_spread_objective_equals_the_dense_eigensolve(gens):
+    # a diagonal set takes the range of the combined diagonal, which must be
+    # bit-identical to the eigvalsh spread of the dense combination
+    objective = operators_module._sphere_objective(gens)
+    rng = np.random.default_rng(11)
+    directions = [rng.standard_normal(gens.p) for _ in range(5)]
+    directions.append(operators_module.exact_max_spread(gens)[0])
+    for x in directions:
+        w = np.linalg.eigvalsh(np.tensordot(x / np.linalg.norm(x), gens.matrices(), axes=(0, 0)))
+        assert objective(x) == float(w[-1] - w[0])
+
+
+@st.composite
+def hermitian_sets(draw):
+    """p = 2 or 3 random Hermitian d x d generators, d = 2..4, that do not
+    all commute."""
+    d = draw(st.integers(2, 4))
+    p = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(p):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mats.append((z + z.conj().T) * draw(st.sampled_from([0.1, 1.0, 10.0])))
+    gens = GeneratorSet(tuple(mats))
+    assume(not gens.commuting)
+    return gens
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(gens=hermitian_sets(), seed=st.integers(0, 2 ** 32 - 1))
+def test_no_unit_vector_spreads_beyond_the_ceiling(gens, seed):
+    ceiling = operators_module.spread_ceiling(gens)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        a = rng.standard_normal(gens.p)
+        assert spread(combine(gens, a / np.linalg.norm(a))) <= ceiling * (1 + 1e-12)
+
+
 EIGHTHS = st.integers(-16, 16).map(lambda n: n / 8)
 
 

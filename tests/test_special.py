@@ -50,6 +50,11 @@ def test_airy_prime_first_zero():
     assert zero == pytest.approx(-1.019, abs=1e-3)
 
 
+def test_airy_prime_first_zero_is_correctly_rounded():
+    # a'_1 = -1.0187929716474710890... rounds to this double (mpmath, 40 digits)
+    assert airy_ai_prime_first_zero() == -1.018792971647471
+
+
 @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 2.5, 7.0, 19.0])
 def test_bessel_series_matches_scipy(nu):
     hi = max(nu, 0) + 3 + 2 * max(nu, 0) ** (1 / 3)
