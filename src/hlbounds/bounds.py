@@ -320,6 +320,8 @@ def sep_plus_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
 def _spread_floor(p: int, paradigm: str, lam_star: float) -> float:
     """p^2/L*^2 (CR) or p^3 pi^2/L*^2 (MM) for the largest combined spread L*."""
     alpha, factor = paradigm_constants(paradigm)
+    if lam_star < 1e-12:
+        raise InvalidArgumentError("a generator has degenerate spectrum")
     return factor * p ** (alpha + 1) / lam_star ** 2
 
 
@@ -375,7 +377,10 @@ def jnt_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
     """
     _, factor = paradigm_constants(paradigm)
     if gens.p == 1:
-        value = 1.0 / spread(gens.generators[0]) ** 2
+        lam = spread(gens.generators[0])
+        if lam < 1e-12:
+            raise InvalidArgumentError("a generator has degenerate spectrum")
+        value = 1.0 / lam ** 2
     else:
         _, value = optimize_orthogonal_bound(gens)
     return CostEstimate(
@@ -501,44 +506,23 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     return ReparamMatrix(best_a), estimate
 
 
-def orthogonal_restricted_sep_plus(alpha_beta, angle_grid: int = 180) -> float:
+def orthogonal_restricted_sep_plus(alpha_beta) -> float:
     """Best orthogonally-reparametrized separate CR constant for the
-    two-sector model, minimized over the rotation angle.
+    two-sector model, 4 alpha^2/((alpha^2 + beta^2)(alpha - beta)^2) in
+    units of 1/k at n = 1.
 
-    Uses the exact nuisance-aware per-direction constants o_i^T F^{-1} o_i,
-    scanned on a uniform angle grid with local refinement.  Each sweep (the
-    grid, then seven refinements) is one batched gauge query over all its
-    angles.  Returns the minimal constant (in units of 1/k at n = 1).
+    A rotation by phi has rows (cos phi, sin phi) and (-sin phi, cos phi);
+    each row's exact nuisance-aware constant is its squared gauge with
+    respect to conv(+-(alpha, beta), +-(beta, alpha)), and the cost is
+    (g_1 + g_2)^2.  With u = cos phi + sin phi and v = cos phi - sin phi
+    (so u^2 + v^2 = 2) the two gauges are max(|u|/(alpha+beta), |v|/(alpha-beta))
+    and max(|v|/(alpha+beta), |u|/(alpha-beta)).  Their sum is least where
+    |u|/|v| = (alpha-beta)/(alpha+beta), i.e. at
+    phi* = atan((alpha-beta)/(alpha+beta)) - pi/4, which gives the value
+    above.  Over the general optimum 2/(alpha-beta)^2 + 2/(alpha+beta)^2 it
+    is (alpha (alpha+beta)/(alpha^2+beta^2))^2.
     """
     alpha, beta = alpha_beta
     if not (0 < beta < alpha):
         raise InvalidArgumentError("require 0 < beta < alpha")
-    if angle_grid < 1:
-        raise InvalidArgumentError("angle_grid must be positive")
-    solver = _GaugeSolver(np.array([[alpha, beta], [beta, alpha]]))
-
-    def values(phis):
-        rows = []
-        for phi in phis.tolist():
-            c, s = math.cos(phi), math.sin(phi)
-            rows += ([c, s], [-s, c])
-        gauges = solver.gauges(np.array(rows)).tolist()
-        # summed and squared as Python floats: bit-identical to one query per angle
-        return [(g0 + g1) ** 2 if math.isfinite(g0) and math.isfinite(g1) else math.inf
-                for g0, g1 in zip(gauges[::2], gauges[1::2])]
-
-    # the cost has period pi/2 in the rotation angle
-    lo, hi = 0.0, math.pi / 2
-    grid = np.linspace(lo, hi, max(angle_grid, 8) + 1)
-    vals = values(grid)
-    i = int(np.argmin(vals))
-    best_phi, best_val = float(grid[i]), vals[i]
-    width = (hi - lo) / max(angle_grid, 8)
-    for _ in range(7):
-        local = np.linspace(best_phi - width, best_phi + width, 25)
-        lvals = values(local)
-        j = int(np.argmin(lvals))
-        if lvals[j] < best_val:
-            best_phi, best_val = float(local[j]), lvals[j]
-        width /= 10.0
-    return best_val
+    return 4.0 * alpha ** 2 / ((alpha ** 2 + beta ** 2) * (alpha - beta) ** 2)

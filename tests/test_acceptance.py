@@ -81,13 +81,13 @@ def test_criterion_04_two_sector_reproduction():
     _, est = hl.sep_plus_optimize(gens, "cr")
     ok_search = abs(est.constant - expected) <= 1e-6
 
-    ortho = hl.orthogonal_restricted_sep_plus((alpha, beta), 180)
+    ortho = hl.orthogonal_restricted_sep_plus((alpha, beta))
     ok_ratio = ortho / expected > 1.01
 
     ratios = []
     for b in (0.02, 0.05, 0.5, 0.95, 0.99):
         g = 2 / (1 - b) ** 2 + 2 / (1 + b) ** 2
-        ratios.append(hl.orthogonal_restricted_sep_plus((1.0, b), 120) / g)
+        ratios.append(hl.orthogonal_restricted_sep_plus((1.0, b)) / g)
     ok_shape = (
         ratios[0] < ratios[1] < ratios[2]
         and ratios[2] > ratios[3] > ratios[4]

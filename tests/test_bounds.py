@@ -196,6 +196,15 @@ def test_jnt_lower_bound_single_parameter(build):
     assert jnt_lower_bound(build(1), "mm").constant == PI2
 
 
+@pytest.mark.parametrize("bound", [jnt_lower_bound, sep_plus_lower_bound],
+                         ids=["jnt", "sep_plus_lower"])
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+def test_single_generator_proportional_to_identity_is_rejected(bound, paradigm):
+    # a spread of zero is an input error, not a division by zero
+    with pytest.raises(InvalidArgumentError, match="degenerate spectrum"):
+        bound(GeneratorSet((np.eye(2),)), paradigm)
+
+
 # ---------------------------------------------------------------------------
 # per-direction variance constants (c-optimal design values)
 
@@ -536,26 +545,20 @@ def test_elfving_sep_plus_is_above_the_design_floor(patterns, p, entries):
 def test_orthogonal_restricted_decoupled_limit():
     beta = 1e-3
     general = 2 / (1 - beta) ** 2 + 2 / (1 + beta) ** 2
-    ratio = orthogonal_restricted_sep_plus((1.0, beta), 180) / general
+    ratio = orthogonal_restricted_sep_plus((1.0, beta)) / general
     assert abs(ratio - 1.0) < 1e-2
 
 
 def test_orthogonal_restricted_strictly_worse_at_half():
     general = 2 / 0.25 + 2 / 2.25
-    value = orthogonal_restricted_sep_plus((1.0, 0.5), 180)
+    value = orthogonal_restricted_sep_plus((1.0, 0.5))
     assert value / general > 1.01
     assert value >= general - 1e-9
 
 
-def test_orthogonal_restricted_grid_refinement_stable():
-    v1 = orthogonal_restricted_sep_plus((1.0, 0.5), 90)
-    v2 = orthogonal_restricted_sep_plus((1.0, 0.5), 180)
-    assert abs(v1 - v2) < 1e-8
-
-
 def _scalar_angle_scan(alpha_beta, angle_grid):
-    """The angle scan with one gauge query per angle, as it was written
-    before the sweeps were batched."""
+    """The rotation-angle scan the closed form replaced: a uniform grid on
+    [0, pi/2] and seven local refinements, one gauge query per angle."""
     alpha, beta = alpha_beta
     solver = _GaugeSolver(np.array([[alpha, beta], [beta, alpha]]))
 
@@ -586,19 +589,34 @@ def _scalar_angle_scan(alpha_beta, angle_grid):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0])
 def test_batched_angle_scan_equals_the_scalar_scan_on_the_ratio_figure(alpha):
-    # betas from the `figure ratio` grid alpha (i + 1) / 51
+    # betas from the `figure ratio` grid alpha (i + 1) / 51: the closed form
+    # is the minimum the scan approaches from above
     for i in (0, 10, 25, 40, 49):
         beta = alpha * (i + 1) / 51
-        assert (orthogonal_restricted_sep_plus((alpha, beta), 180)
-                == _scalar_angle_scan((alpha, beta), 180))
+        closed = orthogonal_restricted_sep_plus((alpha, beta))
+        assert closed <= _scalar_angle_scan((alpha, beta), 180) <= closed * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("alpha_beta", [(1.0, 0.5), (1.0, 0.3), (1.0, 0.4), (1.0, 0.6),
                                         (2.0, 1.0), (2.0, 0.5)])
 @pytest.mark.parametrize("angle_grid", [1, 8, 90, 180])
 def test_batched_angle_scan_equals_the_scalar_scan(alpha_beta, angle_grid):
-    assert (orthogonal_restricted_sep_plus(alpha_beta, angle_grid)
-            == _scalar_angle_scan(alpha_beta, angle_grid))
+    closed = orthogonal_restricted_sep_plus(alpha_beta)
+    scan = _scalar_angle_scan(alpha_beta, angle_grid)
+    assert closed <= scan <= closed * (1 + 1e-8)
+    if angle_grid >= 90:
+        assert scan <= closed * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("alpha_beta", [(1.0, 0.5), (1.0, 0.3), (1.0, 0.6), (2.0, 1.0),
+                                        (2.0, 0.5), (1.0, 1e-3), (1.0, 0.99)])
+def test_orthogonal_restricted_closed_form_is_the_gauge_sum_at_the_optimal_angle(alpha_beta):
+    alpha, beta = alpha_beta
+    phi = math.atan((alpha - beta) / (alpha + beta)) - math.pi / 4
+    c, s = math.cos(phi), math.sin(phi)
+    solver = _GaugeSolver(np.array([[alpha, beta], [beta, alpha]]))
+    value = float(np.sum(solver.gauges(np.array([[c, s], [-s, c]])))) ** 2
+    assert value == pytest.approx(orthogonal_restricted_sep_plus(alpha_beta), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def test_figure_ball_resource_ceiling():
 
 
 def test_figure_ratio_curve():
-    rows = figure_ratio_data(1.0, [0.05, 0.5, 0.95], angle_grid=120)
+    rows = figure_ratio_data(1.0, [0.05, 0.5, 0.95])
     ratios = [r["ratio"] for r in rows]
     assert all(r >= 1 - 1e-9 for r in ratios)
     assert ratios[1] > ratios[0] and ratios[1] > ratios[2]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ import hlbounds
 import hlbounds.bounds as bounds_module
 import hlbounds.operators as operators_module
 from hlbounds import get_model
-from hlbounds.cli import main
+from hlbounds.cli import build_parser, main
 
 PI2 = math.pi ** 2
 
@@ -230,8 +231,7 @@ def test_figure_ball_rows(tmp_path, capsys):
 
 def test_figure_ratio_rows(capsys):
     code, out, err = run_cli(
-        capsys, "figure", "ratio", "--alpha", "1", "--beta-steps", "5",
-        "--angle-grid", "90", "--format", "json",
+        capsys, "figure", "ratio", "--alpha", "1", "--beta-steps", "5", "--format", "json",
     )
     assert code == 0
     rows = json.loads(out)
@@ -278,13 +278,18 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 # flags that reached no output: bounds --k/--N, and --seed outside variational;
-# and the Airy quadrature's tail cutoff, gone with the quadrature
+# the Airy quadrature's tail cutoff and the two-sector angle grid, gone with
+# the quadrature and the angle scan; and the phase pdf grid, now set by N
 @pytest.mark.parametrize("argv", [
     ["bounds", "--model", "pauli3", "--paradigm", "cr", "--k", "3"],
     ["bounds", "--model", "pauli3", "--paradigm", "mm", "--N", "5"],
     ["table", "--seed", "1"],
     ["variational", "airy", "--cutoff", "14"],
-], ids=["bounds-k", "bounds-N", "table-seed", "airy-cutoff"])
+    ["bounds", "--model", "two-sector", "--paradigm", "cr", "--angle-grid", "90"],
+    ["figure", "ratio", "--angle-grid", "90"],
+    ["variational", "phase", "--mc-samples", "1000", "--pdf-grid", "4096"],
+], ids=["bounds-k", "bounds-N", "table-seed", "airy-cutoff", "bounds-angle-grid",
+        "ratio-angle-grid", "phase-pdf-grid"])
 def test_removed_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -296,7 +301,11 @@ def test_removed_flags_are_rejected(capsys, argv):
     (["bounds", "--model", "pauli3", "--paradigm", "cr"], "k", 3),
     (["table"], "seed", 1),
     (["variational", "airy"], "cutoff", 14),
-], ids=["bounds-k", "table-seed", "airy-cutoff"])
+    (["bounds", "--model", "two-sector", "--paradigm", "cr"], "angle_grid", 90),
+    (["figure", "ratio"], "angle_grid", 90),
+    (["variational", "phase", "--mc-samples", "1000"], "pdf_grid", 4096),
+], ids=["bounds-k", "table-seed", "airy-cutoff", "bounds-angle-grid", "ratio-angle-grid",
+        "phase-pdf-grid"])
 def test_config_rejects_removed_flags(tmp_path, capsys, argv, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
@@ -305,12 +314,34 @@ def test_config_rejects_removed_flags(tmp_path, capsys, argv, key, value):
     assert err == f"error: unknown config key {key!r}\n"
 
 
+# every option of every subcommand: a flag is added or removed only with an
+# edit here
+FLAG_INVENTORY = {
+    "qfi": ["--alpha", "--beta", "--config", "--format", "--help", "--model", "--n",
+            "--output", "--p", "--state", "-h"],
+    "bounds": ["--alpha", "--beta", "--config", "--format", "--help", "--model", "--n",
+               "--output", "--p", "--paradigm", "-h"],
+    "variational": ["--N", "--config", "--family", "--format", "--grid", "--help",
+                    "--mc-samples", "--output", "--p", "--seed", "-h"],
+    "table": ["--config", "--format", "--help", "--output", "-h"],
+    "figure": ["--alpha", "--beta-steps", "--config", "--format", "--help", "--output",
+               "--p-max", "-h"],
+}
+
+
+def test_flag_inventory():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(opt for action in command._actions for opt in action.option_strings)
+               for name, command in commands.choices.items()}
+    assert options == FLAG_INVENTORY
+
+
 CSV_COMMANDS = [
     ["table", "--format", "csv"],
     ["figure", "ball", "--p-max", "5"],
-    ["figure", "ratio", "--beta-steps", "3", "--angle-grid", "30"],
-    ["bounds", "--model", "two-sector", "--paradigm", "cr", "--angle-grid", "30",
-     "--format", "csv"],
+    ["figure", "ratio", "--beta-steps", "3"],
+    ["bounds", "--model", "two-sector", "--paradigm", "cr", "--format", "csv"],
     ["bounds", "--model", "free-atoms", "--p", "2", "--paradigm", "mm", "--format", "csv"],
 ] + [
     ["bounds", "--model", model, "--paradigm", paradigm, "--format", "csv"]

@@ -268,6 +268,12 @@ def test_pdf_model_grid_validation():
         PhaseMeasurementModel(sin_coefficients(100), grid_points=128)
 
 
+@pytest.mark.parametrize("N, grid", [(1, 2 ** 14), (4095, 2 ** 14), (4096, 2 ** 15),
+                                     (5000, 2 ** 15)])
+def test_pdf_model_default_grid_is_the_least_power_of_two_past_4_n_plus_1(N, grid):
+    assert PhaseMeasurementModel(sin_coefficients(N)).grid_points == grid
+
+
 def test_monte_carlo_concordance_and_determinism():
     model = PhaseMeasurementModel(sin_coefficients(20))
     mean, stderr = phase_cost_monte_carlo(model, 100_000, seed=7)
