@@ -11,10 +11,11 @@ MM), and ``paradigm_constants`` is the one place that picks them.
 Per-parameter variance constants for individual estimation come from one of
 two oracles: the spread oracle 1/lambda'^2 (pi^2/lambda'^2 for MM), which
 ignores nuisance parameters and is attainable only when the rotated
-generator can be sensed undisturbed, or the exact commuting-model oracle
-based on the classical c-optimal design value over the joint eigenvalue
-patterns, which accounts for nuisance parameters and is what the
-reparametrization optimizer uses by default on commuting sets.
+generator can be sensed undisturbed, or, for commuting sets, the exact
+nuisance-aware oracle: the c-optimal design value over the probes' joint
+eigenvalue patterns x_s, which is the squared gauge of c with respect to
+their difference body D = conv{x_s - x_t} (``c_optimal_variance``).  The
+reparametrization optimizer uses the latter by default on commuting sets.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -32,13 +34,14 @@ from .operators import (
     SEARCH_SEEDS,
     GeneratorSet,
     ReparamMatrix,
+    difference_body,
     distinct_patterns,
-    eigenvalue_patterns,
     exact_max_spread,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
     rotated_spread_kernel,
     spread,
+    spread_tolerance,
     walsh_hadamard,
 )
 
@@ -151,92 +154,51 @@ def allocate(c, alpha: int) -> AllocationPlan:
 # per-parameter variance oracles
 
 
-def design_vectors(gens: GeneratorSet) -> np.ndarray:
-    """Rows 2 * (joint eigenvalue pattern) of a commuting set, deduplicated
-    up to sign.  The achievable QFI matrices are exactly the second-moment
-    matrices of symmetric designs on these vectors."""
-    pts = 2.0 * eigenvalue_patterns(gens)
-    pts = np.round(pts, 12)
-    canon = []
-    for row in pts:
-        nz = row[np.abs(row) > 0]
-        if nz.size == 0:
-            continue
-        canon.append(row if nz[0] > 0 else -row)
-    if not canon:
-        raise InvalidArgumentError("all eigenvalue patterns are zero")
-    return np.unique(np.array(canon), axis=0)
-
-
 class _GaugeSolver:
-    """Gauge of c with respect to conv(+-vectors): min ||b||_1 with V^T b = c.
+    """Gauge of c with respect to the ``difference_body`` D of a commuting
+    set: max(facets @ c) where D is built, else the linear program
+    min ||beta||_1 / 2 subject to sum_s beta_s x_s = c, sum_s beta_s = 0 over
+    the distinct patterns x_s (such a beta splits into pairs e_s - e_t)."""
 
-    The minimum is attained on a basic solution supported on p vectors, so
-    for small designs all invertible p-subsets are inverted once up front
-    and ``gauges`` solves every queried row (all p rows of A^{-1} at once)
-    against every subset in one batched product; large designs fall back to
-    a linear program per row.
-    """
-
-    _SUBSET_LIMIT = 3000
-
-    def __init__(self, vectors: np.ndarray):
-        self.vectors = np.asarray(vectors, dtype=float)
-        self.m, self.p = self.vectors.shape
-        self._inverses = None
-        if math.comb(self.m, self.p) <= self._SUBSET_LIMIT:
-            from itertools import combinations
-
-            invs = []
-            for subset in combinations(range(self.m), self.p):
-                sub = self.vectors[list(subset)].T
-                # scale-free: |det| is at most the product of the column norms
-                if abs(np.linalg.det(sub)) > DET_TOL * np.prod(np.linalg.norm(sub, axis=0)):
-                    invs.append(np.linalg.inv(sub))
-            if invs:
-                self._inverses = np.stack(invs)
+    def __init__(self, gens: GeneratorSet):
+        self.patterns = distinct_patterns(gens)
+        self.body = difference_body(gens)
+        self._facets = None if self.body is None else self.body[1]
 
     def gauges(self, rows: np.ndarray) -> np.ndarray:
         """Gauges of the rows of ``rows`` (shape (r, p)); +inf where infeasible."""
-        if self._inverses is not None:
-            # One (p, p) @ (p, 1) matvec per (subset, row) pair, rounding as a
-            # single-row query does; ``self._inverses @ rows.T`` rounds
-            # differently and would change the searches' trajectories.
-            coeffs = self._inverses[:, None] @ rows[None, :, :, None]
-            return np.min(np.sum(np.abs(coeffs[..., 0]), axis=2), axis=0)
+        if self._facets is not None:
+            return np.max(rows @ self._facets.T, axis=1)
         return np.array([self._lp_gauge(c) for c in rows])
 
     def _lp_gauge(self, c: np.ndarray) -> float:
-        res = linprog(
-            np.ones(2 * self.m),
-            A_eq=np.hstack([self.vectors.T, -self.vectors.T]),
-            b_eq=c,
-            bounds=[(0, None)] * (2 * self.m),
-            method="highs",
-        )
-        if not res.success:
-            return math.inf
-        return float(res.fun)
+        a_eq = np.vstack([self.patterns.T, np.ones(len(self.patterns))])
+        res = linprog(np.full(2 * a_eq.shape[1], 0.5), A_eq=np.hstack([a_eq, -a_eq]),
+                      b_eq=np.append(c, 0.0), bounds=(0, None), method="highs")
+        return float(res.fun) if res.success else math.inf
 
 
 def c_optimal_variance(gens: GeneratorSet, c) -> float:
-    """Smallest achievable c^T F^{-1} c over input states, commuting sets.
+    """Smallest achievable c^T F^{-1} c over input states, commuting sets:
+    the squared gauge of c with respect to the ``difference_body`` D.
 
-    This is the squared gauge of c with respect to the symmetric convex hull
-    of the design vectors (the classical c-optimal design value); it is the
-    exact per-direction variance constant with the remaining parameters
-    treated as nuisance.  Returns +inf when the direction is not estimable.
+    The QFIs are F_w = 4 Cov_w over probe weights w on the patterns x_s, and
+    u^T F_w u <= h_D(u)^2, the squared spread of u . Lambda (Popoviciu), so
+    c^T F_w^{-1} c >= (c . u)^2 / h_D(u)^2; u^T F_w u is concave in w and
+    convex in u, so by the minimax theorem the best w attains the largest
+    of these bounds.  It is the exact per-direction constant with the other
+    parameters as nuisance; +inf when the direction is not estimable.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (gens.p,):
         raise InvalidArgumentError(f"direction has shape {c.shape}, expected ({gens.p},)")
-    g = float(_GaugeSolver(design_vectors(gens)).gauges(c[None])[0])
+    g = float(_GaugeSolver(gens).gauges(c[None])[0])
     return g * g if math.isfinite(g) else math.inf
 
 
 def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
     """Oracle A -> the p constants 1/lambda'_i^2 (CR) or pi^2/lambda'_i^2 (MM),
-    +inf where lambda'_i < 1e-12.
+    +inf where lambda'_i is degenerate (``spread_tolerance``).
 
     Ignores nuisance parameters; a valid constant only when parameter i can
     be sensed undisturbed in the A-parametrization, a certified lower bound
@@ -244,20 +206,22 @@ def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
     """
     _, factor = paradigm_constants(paradigm)
     spreads = rotated_spread_kernel(gens)
+    tol = spread_tolerance(gens)
 
     def oracle(a: ReparamMatrix) -> np.ndarray:
         # scalar ``lam ** 2`` is pow(), which an array square does not round alike
-        return np.array([factor / lam ** 2 if lam >= 1e-12 else math.inf
+        return np.array([factor / lam ** 2 if lam > tol else math.inf
                          for lam in spreads(a.entries)])
 
     return oracle
 
 
 def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
-    """Exact nuisance-aware oracle for commuting sets (c-optimal design value):
-    A -> the p constants, one per row of A^{-1}, +inf where not estimable."""
+    """Exact nuisance-aware oracle for commuting sets: A -> the p constants
+    factor g_i^2, g_i the difference-body gauge of row i of A^{-1}
+    (``c_optimal_variance``), +inf where not estimable."""
     _, factor = paradigm_constants(paradigm)
-    solver = _GaugeSolver(design_vectors(gens))
+    solver = _GaugeSolver(gens)
 
     def oracle(a: ReparamMatrix) -> np.ndarray:
         g = solver.gauges(np.linalg.inv(a.entries))
@@ -270,7 +234,7 @@ def per_parameter_spread_constants(gens: GeneratorSet, paradigm: str) -> np.ndar
     """Single-shot constants 1/lambda_i^2 (CR) or pi^2/lambda_i^2 (MM)."""
     _, factor = paradigm_constants(paradigm)
     lams = np.array([spread(g) for g in gens.generators])
-    if np.any(lams < 1e-12):
+    if np.any(lams <= spread_tolerance(gens)):
         raise InvalidArgumentError("a generator has degenerate spectrum")
     return factor / lams ** 2
 
@@ -310,43 +274,42 @@ def sep_plus_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
     return CostEstimate(
         paradigm=paradigm,
         strategy="sep_plus",
-        constant=_spread_floor(gens.p, paradigm, lam_star),
+        constant=_spread_floor(gens, paradigm, lam_star),
         p_exponent=alpha + 1,
         status="lower_bound",
         provenance="computed: single-vector spread maximization",
     )
 
 
-def _spread_floor(p: int, paradigm: str, lam_star: float) -> float:
+def _spread_floor(gens: GeneratorSet, paradigm: str, lam_star: float) -> float:
     """p^2/L*^2 (CR) or p^3 pi^2/L*^2 (MM) for the largest combined spread L*."""
     alpha, factor = paradigm_constants(paradigm)
-    if lam_star < 1e-12:
+    if lam_star <= spread_tolerance(gens):
         raise InvalidArgumentError("a generator has degenerate spectrum")
-    return factor * p ** (alpha + 1) / lam_star ** 2
+    return factor * gens.p ** (alpha + 1) / lam_star ** 2
 
 
 def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
     """A value no SEP+ search objective can go below, or None.
 
-    Column i of A combines the generators into a . Lambda with spread at most
-    |a_i| L*, so each oracle value v_i is at least factor/(|a_i| L*)^2 and
-    every term [A^T A]_ii v_i of ``sep_plus_value`` at least factor/L*^2: the
-    whole sum is at least the ``sep_plus_lower_bound`` constant.  That needs
-    L* exact (``exact_max_spread``), and for the Elfving oracle, whose design
-    vectors are 2 x pattern, a pattern set symmetric under x -> -x: only then
-    is 2 |x . a| at most the spread of a . Lambda.  In CR the larger of this
-    spread floor and ``_design_floor`` is returned.
+    Column a_i of A gives a_i . Lambda a spread h at most |a_i| L*.  The
+    spread is the difference body's support function at a_i, and row b_i of
+    A^{-1} has b_i . a_i = 1, so the gauge of b_i is at least 1/h: the
+    Elfving value v_i, like the spread oracle's, is at least
+    factor/(|a_i| L*)^2, every term [A^T A]_ii v_i of ``sep_plus_value`` at
+    least factor/L*^2, and the sum at least the ``sep_plus_lower_bound``
+    constant, for every commuting set with an exact L* (``exact_max_spread``).
+    In CR the larger of this and ``_design_floor`` on 2 (x_s - m) is
+    returned, m the midrange of the patterns: 4 Cov_w <= sum_s w_s 4 (x_s -
+    m)(x_s - m)^T for every m, so those designs dominate every QFI.
     """
-    if not gens.commuting:
-        return None
-    pts = distinct_patterns(gens)
-    if not np.array_equal(pts, np.unique(-pts, axis=0)):
-        return None
     exact = exact_max_spread(gens)
     if exact is None:
         return None
-    floor = _spread_floor(gens.p, paradigm, exact[1])
-    design = _design_floor(2.0 * pts) if paradigm == "cr" else None
+    floor = _spread_floor(gens, paradigm, exact[1])
+    pts = distinct_patterns(gens)
+    centred = 2.0 * (pts - (pts.max(axis=0) + pts.min(axis=0)) / 2)
+    design = _design_floor(centred) if paradigm == "cr" else None
     return float(floor if design is None else max(floor, design))
 
 
@@ -377,10 +340,7 @@ def jnt_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
     """
     _, factor = paradigm_constants(paradigm)
     if gens.p == 1:
-        lam = spread(gens.generators[0])
-        if lam < 1e-12:
-            raise InvalidArgumentError("a generator has degenerate spectrum")
-        value = 1.0 / lam ** 2
+        value = per_parameter_spread_constants(gens, "cr")[0]
     else:
         _, value = optimize_orthogonal_bound(gens)
     return CostEstimate(
@@ -406,43 +366,63 @@ def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
     return sum(t ** (1.0 / (alpha + 1)) for t in terms) ** (alpha + 1)
 
 
-def _pattern_inverse_seed(gens: GeneratorSet) -> np.ndarray | None:
-    """Candidate A whose inverse rows are extreme design vectors, one per
-    parameter (the construction that decouples paired-sector models)."""
-    try:
-        vectors = design_vectors(gens)
-    except InvalidArgumentError:
-        return None
-    rows = []
-    for i in range(gens.p):
-        order = np.lexsort(np.vstack([vectors.T[::-1], -np.abs(vectors[:, i])]))
-        rows.append(vectors[order[0]])
-    b = np.array(rows)
-    if abs(np.linalg.det(b)) < 1e-10:
-        return None
-    return np.linalg.inv(b)
+# The most p-subsets of difference directions that are scored in one batch.
+_SEED_SUBSETS = 3000
+
+
+def _difference_seed(gens: GeneratorSet, alpha: int) -> list:
+    """[A] for the best A whose inverse has p distinct difference directions
+    as rows ([] without a ``difference_body`` or past ``_SEED_SUBSETS``).
+    Scaling a row of A^{-1} leaves its ``sep_plus_value`` term as it is, so
+    each direction is kept once, its gauge (finite on a full-dimensional D)
+    computed once.  It meets two-sector's CR design floor."""
+    if not gens.commuting:
+        return []
+    solver = _GaugeSolver(gens)
+    if solver.body is None:
+        return []
+    diffs = solver.body[0][np.any(solver.body[0] != 0, axis=1)]
+    # a direction's key: its unit vector at 12 decimals, first nonzero entry > 0
+    keys = np.round(diffs / np.linalg.norm(diffs, axis=1)[:, None], 12)
+    sign = np.sign(keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)])[:, None]
+    dirs = (sign * diffs)[np.unique(sign * keys, axis=0, return_index=True)[1]]
+    if math.comb(len(dirs), gens.p) > _SEED_SUBSETS:
+        return []
+    subsets = np.array(list(combinations(range(len(dirs)), gens.p)))
+    b = dirs[subsets]
+    # scale-free: |det| is at most the product of the row norms
+    ok = np.abs(np.linalg.det(b)) > DET_TOL * np.prod(np.linalg.norm(b, axis=2), axis=1)
+    if not np.any(ok):
+        return []
+    a = np.linalg.inv(b[ok])
+    terms = np.sum(a ** 2, axis=1) * solver.gauges(dirs)[subsets[ok]] ** 2
+    best = int(np.argmin(np.sum(terms ** (1.0 / (alpha + 1)), axis=1)))
+    # row i of A^{-1} leans on parameter i where it can, as in the identity
+    order = np.argsort(np.argmax(np.abs(b[ok][best]), axis=1), kind="stable")
+    return [a[best][:, order]]
 
 
 def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     """Minimize the reparametrized separate cost over invertible A.
 
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
-    two), the inverse-pattern construction for commuting sets, and fixed
-    random starts, each refined in turn by a derivative-free simplex search.
-    Every seed is evaluated before the first search.  Singular candidates
-    are discarded.  Returns ``(A, CostEstimate)`` with status
-    ``upper_bound`` on the true reparametrized-separate optimum.
+    two), for commuting sets the best inverse of difference directions
+    (``_difference_seed``), and fixed random starts, each refined in turn by
+    a derivative-free simplex search.  Every seed is evaluated before the
+    first search.  Singular candidates are discarded.  Returns
+    ``(A, CostEstimate)`` with status ``upper_bound`` on the true
+    reparametrized-separate optimum.
 
     The searches stop early, before the next start, once the best value is
     within 1e-12 relative of a floor no candidate can beat: the
     ``sep_plus_lower_bound`` constant, or in CR the joint-design floor when
-    that is larger (see ``_certified_search_floor``).  This certificate
-    applies to commuting sets whose largest combined spread is exact and
-    whose eigenvalue patterns are symmetric under sign flip.  Free atoms
-    reach it at the identity seed, fixed atoms at the Walsh-Hadamard seed
-    when p is a power of two, and the two-sector model (CR) at the
-    pattern-inverse seed.  The stop is logged at DEBUG with the winning
-    seed or search, its value and the floor.
+    that is larger (see ``_certified_search_floor``), for commuting sets
+    whose largest combined spread is exact.  Free atoms reach it at the
+    identity seed, fixed atoms at the Walsh-Hadamard seed when p is a power
+    of two, and the two-sector model (CR) at the difference seed; fixed
+    atoms at p=3 reach 2 + sqrt(3) there, above the floor 3, and run every
+    start.  The stop is logged at DEBUG with the winning seed or search, its
+    value and the floor.
     """
     p = gens.p
     alpha, _ = paradigm_constants(paradigm)
@@ -462,9 +442,7 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     r = int(round(math.log2(p)))
     if 2 ** r == p:
         seeds.append(walsh_hadamard(r).entries)
-    pattern_seed = _pattern_inverse_seed(gens)
-    if pattern_seed is not None:
-        seeds.append(pattern_seed)
+    seeds += _difference_seed(gens, alpha)
     for seed in SEARCH_SEEDS:
         rng = np.random.default_rng(seed)
         seeds.append(np.eye(p) + 0.3 * rng.standard_normal((p, p)))

@@ -10,7 +10,8 @@ that meets the ceiling p/r^2 of a commuting set (``rotation_bound_ceiling``)
 is moreover the certified optimum, and so is a largest spread that meets
 Mirsky's ceiling sqrt(2 lambda_max(G)) on the Gram matrix G of the traceless
 generators (``spread_ceiling``); both searches stop once they reach their
-ceiling.
+ceiling.  Spread and pattern thresholds are relative to the largest
+generator spread, so a multiple s Lambda gives every constant over s^2.
 """
 
 from __future__ import annotations
@@ -32,17 +33,17 @@ HERMITICITY_TOL = 1e-12
 COMMUTATOR_TOL = 1e-10
 INDEPENDENCE_TOL = 1e-10
 DET_TOL = 1e-12
-DEGENERATE_SPREAD_TOL = 1e-9
+DEGENERATE_SPREAD_TOL = 1e-12
 
 # Fixed seeds of every multi-start search (sphere, rotation, SEP+).
 SEARCH_SEEDS = (5, 17, 29)
 
 DIMENSION_CAP = 2 ** 12
 
-# The rotation-bound ceiling takes one convex hull of the distinct pattern
-# differences, only for at most this many of them and this many parameters:
-# qhull's output grows with the dimension (2^p facets on the free-atom
-# cross-polytope).
+# The difference body is one convex hull of the distinct pattern
+# differences, built only for at most this many of them and this many
+# parameters: qhull's output grows with the dimension (2^p facets on the
+# free-atom cross-polytope).
 _HULL_LIMIT = 1000
 _HULL_MAX_P = 8
 
@@ -175,6 +176,12 @@ def spread(op: HermitianOperator) -> float:
     return float(w[-1] - w[0])
 
 
+def spread_tolerance(gens: GeneratorSet) -> float:
+    """DEGENERATE_SPREAD_TOL times the largest generator spread: a spread at
+    or below it is degenerate (only 0 when every generator is a multiple of I)."""
+    return DEGENERATE_SPREAD_TOL * max(spread(g) for g in gens.generators)
+
+
 def combine(gens: GeneratorSet, a) -> HermitianOperator:
     """Linear combination sum_i a_i Lambda_i."""
     a = np.asarray(a, dtype=float)
@@ -268,11 +275,6 @@ def walsh_hadamard(r: int) -> ReparamMatrix:
     return ReparamMatrix(h / math.sqrt(p))
 
 
-def _check_size(gens: GeneratorSet, a: ReparamMatrix):
-    if a.p != gens.p:
-        raise InvalidArgumentError(f"matrix is {a.p}x{a.p} but the set has p={gens.p}")
-
-
 def rotated_spread_kernel(gens: GeneratorSet):
     """``spreads(a)``: the spreads of the p generators of A^T Lambda for a
     (p, p) array A, without building the rotated set (so a badly scaled A
@@ -297,7 +299,8 @@ def rotated_spread_kernel(gens: GeneratorSet):
 def rotated_spreads(gens: GeneratorSet, a: ReparamMatrix) -> np.ndarray:
     """Spreads of the reparametrized generators Lambda'_i = sum_j A[j, i]
     Lambda_j, i.e. A^T Lambda (see ``rotated_spread_kernel``)."""
-    _check_size(gens, a)
+    if a.p != gens.p:
+        raise InvalidArgumentError(f"matrix is {a.p}x{a.p} but the set has p={gens.p}")
     return rotated_spread_kernel(gens)(a.entries)
 
 
@@ -327,10 +330,18 @@ def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:
     return patterns
 
 
+def _distinct_rows(x: np.ndarray, scale: float) -> np.ndarray:
+    """One row of ``x`` (the first) per class of rows that agree to 12
+    decimals of ``scale``, in lexicographic order of the rounded rows."""
+    digits = 12 - math.floor(math.log10(scale)) if scale > 0 else 12
+    return x[np.unique(np.round(x, digits), axis=0, return_index=True)[1]]
+
+
 def distinct_patterns(gens: GeneratorSet) -> np.ndarray:
-    """The distinct joint eigenvalue patterns of a commuting set, rounded to
-    12 decimals, in lexicographic order."""
-    return np.unique(np.round(eigenvalue_patterns(gens), 12), axis=0)
+    """The distinct joint eigenvalue patterns of a commuting set: patterns
+    that agree to 12 decimals of the largest generator spread are one."""
+    pts = eigenvalue_patterns(gens)
+    return _distinct_rows(pts, float(np.max(np.ptp(pts, axis=0))))
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +349,13 @@ def distinct_patterns(gens: GeneratorSet) -> np.ndarray:
 
 
 def _sphere_objective(gens):
-    mats = gens.matrices()
+    spreads = rotated_spread_kernel(gens)
 
     def value(x):
         nrm = np.linalg.norm(x)
         if nrm < 1e-12:
             return 0.0
-        h = np.tensordot(x / nrm, mats, axes=(0, 0))
-        if gens.diagonal:
-            # the eigenvalues of a diagonal h are its diagonal, which eigvalsh
-            # returns exactly; a dense solve costs O(d^3) (d = 256 at fixed atoms p=8)
-            d = np.real(np.diagonal(h))
-            return float(np.max(d) - np.min(d))
-        w = np.linalg.eigvalsh(h)
-        return float(w[-1] - w[0])
+        return float(spreads((x / nrm)[:, None])[0])
 
     return value
 
@@ -367,7 +371,7 @@ def _diameter_direction(pts: np.ndarray):
     s, t = np.unravel_index(np.argmax(dist2), dist2.shape)
     direction = pts[s] - pts[t]
     nrm = np.linalg.norm(direction)
-    if nrm < 1e-15:
+    if nrm == 0.0:
         return None
     return direction / nrm
 
@@ -466,22 +470,21 @@ def max_spread_over_sphere(gens: GeneratorSet):
 def rotation_bound_value(gens: GeneratorSet, a: ReparamMatrix) -> float:
     """The bound sum sum_i 1 / spread([A^T Lambda]_i)^2 for one rotation.
 
-    Returns -inf when any rotated spread is degenerate (below 1e-9), so the
-    candidate never wins a maximization.
+    Returns -inf when any rotated spread is degenerate (``spread_tolerance``),
+    so the candidate never wins a maximization.
     """
-    return _bound_sum(rotated_spreads(gens, a))
+    return _bound_sum(rotated_spreads(gens, a), spread_tolerance(gens))
 
 
-def rotation_bound_ceiling(gens: GeneratorSet) -> float | None:
-    """p / r^2, a value no rotation's bound sum exceeds, or None.
+def difference_body(gens: GeneratorSet):
+    """``(differences, facets)`` of the difference body D = conv{x_s - x_t}
+    of a commuting set's joint eigenvalue patterns x_s, or None.
 
-    For a commuting set the spread of u . Lambda is max_{s,t} (x_s - x_t) . u,
-    the support function of the difference body D = conv{x_s - x_t} of the
-    joint eigenvalue patterns.  Over unit vectors u it is at least r, the
-    smallest facet offset (inradius) of D, so each of the p terms of the
-    bound sum is at most 1/r^2.  None for a non-commuting set, p < 2 or
-    p > 8, more than 1000 distinct differences, or a D that is not
-    full-dimensional (then some u has spread 0 and the sum is unbounded).
+    ``differences`` are the distinct x_s - x_t, 0 included, and D is
+    {y : facets @ y <= 1}, one row per facet.  Its support function
+    max_{s,t} (x_s - x_t) . u is the spread of u . Lambda.  None for a
+    non-commuting set, p < 2 or p > 8, more than 1000 distinct differences,
+    or a flat D (then some u . Lambda has spread 0).
     """
     p = gens.p
     if not gens.commuting or not 2 <= p <= _HULL_MAX_P:
@@ -489,26 +492,41 @@ def rotation_bound_ceiling(gens: GeneratorSet) -> float | None:
     pts = distinct_patterns(gens)
     # d points spanning R^p have at least (p + 1) d - p (p + 1) / 2 distinct
     # differences (Freiman, Heppes and Uhrin 1989); points that do not span
-    # it have a flat D and no ceiling either
+    # it have a flat D
     if (p + 1) * len(pts) - p * (p + 1) // 2 > _HULL_LIMIT:
         return None
-    diffs = np.unique(np.round((pts[:, None] - pts[None]).reshape(-1, p), 12), axis=0)
+    diffs = _distinct_rows((pts[:, None] - pts[None]).reshape(-1, p),
+                           float(np.max(np.ptp(pts, axis=0))))
     if len(diffs) > _HULL_LIMIT:
         return None
     try:
         hull = ConvexHull(diffs)
     except QhullError:
         return None
-    # facets are n . x + c <= 0 with unit outward n; D contains the origin
-    r = float(np.min(-hull.equations[:, -1]))
-    return p / r ** 2
+    # n . y + c <= 0 with unit n and c < 0; the triangles of a facet share it
+    equations = np.unique(hull.equations, axis=0)
+    return diffs, equations[:, :-1] / -equations[:, -1:]
 
 
-def _bound_sum(spreads) -> float:
-    """sum_i 1 / s_i^2 in index order, or -inf if any s_i is below 1e-9."""
+def rotation_bound_ceiling(gens: GeneratorSet) -> float | None:
+    """p / r^2, a value no rotation's bound sum exceeds, or None.
+
+    For a commuting set the spread of u . Lambda is the support function of
+    the ``difference_body`` D.  Over unit vectors u it is at least r, the
+    inradius of D (1 over the largest facet row norm), so each of the p
+    terms of the bound sum is at most 1/r^2.  None wherever D is.
+    """
+    body = difference_body(gens)
+    if body is None:
+        return None
+    return gens.p * float(np.max(np.sum(body[1] ** 2, axis=1)))
+
+
+def _bound_sum(spreads, tol: float) -> float:
+    """sum_i 1 / s_i^2 in index order, or -inf if any s_i is at most ``tol``."""
     total = 0.0
     for s in spreads:
-        if s < DEGENERATE_SPREAD_TOL:
+        if s <= tol:
             return -math.inf
         total += 1.0 / s ** 2
     return float(total)
@@ -554,9 +572,10 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
 
     ceiling = rotation_bound_ceiling(gens)
     spreads = rotated_spread_kernel(gens)
+    tol = spread_tolerance(gens)
     best_o, best_val, best_origin = None, -math.inf, None
     for start, o in enumerate(structured):
-        val = _bound_sum(spreads(o))
+        val = _bound_sum(spreads(o), tol)
         if val == -math.inf:
             logger.warning("discarding rotation candidate with degenerate spread")
         elif val > best_val + 1e-12:
@@ -565,7 +584,7 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     nvars = p * (p - 1) // 2
 
     def neg_bound(x, base):
-        value = _bound_sum(spreads(base @ _skew_to_orthogonal(x, p)))
+        value = _bound_sum(spreads(base @ _skew_to_orthogonal(x, p)), tol)
         return -value if value > -math.inf else 1e300
 
     starts = [(np.zeros(nvars), base) for base in structured]

@@ -30,8 +30,8 @@ from hlbounds import (
 )
 import hlbounds.bounds as bounds_module
 import hlbounds.operators as operators_module
-from hlbounds.bounds import _GaugeSolver, design_vectors, sep_plus_value
-from hlbounds.operators import distinct_patterns, exact_max_spread
+from hlbounds.bounds import _GaugeSolver, sep_plus_value
+from hlbounds.operators import distinct_patterns, exact_max_spread, rotation_bound_ceiling
 
 PI2 = math.pi ** 2
 
@@ -244,9 +244,48 @@ def test_c_optimal_variance_against_design_scan():
         assert value == pytest.approx(best, rel=5e-3)
 
 
-def test_scaled_design_keeps_its_subset_inverses(monkeypatch):
-    # the subset test is relative to the column norms: a design scaled by
-    # 1e-5 is solved by the same subset inverses, not by one LP per query
+def test_c_optimal_variance_of_an_asymmetric_single_generator():
+    # patterns {1, 2}: the best probe is (|1> + |2>)/sqrt(2) with F = 4 Var = 1;
+    # the difference body is [-1, 1], so the squared gauge of 1 is 1
+    gens = GeneratorSet((np.diag([1.0, 2.0]),))
+    assert c_optimal_variance(gens, [1.0]) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def _min_over_probe_weights(points, c, rng):
+    """min_w c^T (4 Cov_w)^{-1} c over probe weights w on the rows of
+    ``points``, by Nelder-Mead over softmax logits from random starts."""
+    from scipy.optimize import minimize
+
+    def value(z):
+        w = np.exp(z - np.max(z))
+        w /= np.sum(w)
+        mean = w @ points
+        cov = (points * w[:, None]).T @ points - np.outer(mean, mean)
+        try:
+            return float(c @ np.linalg.solve(4.0 * cov, c))
+        except np.linalg.LinAlgError:
+            return math.inf
+
+    return min(minimize(value, rng.standard_normal(len(points)), method="Nelder-Mead",
+                        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 20000}).fun
+               for _ in range(5))
+
+
+def test_c_optimal_variance_of_the_triangle():
+    # patterns (1, 0), (-1/2, +-sqrt(3)/2): the difference body is the hexagon
+    # with vertices +-(3/2, +-sqrt(3)/2), +-(0, sqrt(3)), whose edge x = 3/2
+    # gives e1 the squared gauge 4/9; the probe (1/2, 1/4, 1/4) attains it
+    points = np.array([[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]])
+    gens = GeneratorSet(tuple(np.diag(col) for col in points.T))
+    e1 = np.array([1.0, 0.0])
+    assert c_optimal_variance(gens, e1) == pytest.approx(4 / 9, rel=1e-12)
+    direct = _min_over_probe_weights(points, e1, np.random.default_rng(5))
+    assert 4 / 9 * (1 - 1e-12) <= direct <= 4 / 9 * (1 + 1e-8)
+
+
+def test_scaled_design_keeps_its_facet_gauge(monkeypatch):
+    # a set scaled by 1e-5 keeps its difference body (rounding is relative to
+    # the set's scale), so no query falls back to a linear program
     calls = []
     linprog = bounds_module.linprog
     monkeypatch.setattr(bounds_module, "linprog",
@@ -257,6 +296,32 @@ def test_scaled_design_keeps_its_subset_inverses(monkeypatch):
         assert c_optimal_variance(scaled, c) == pytest.approx(
             1e10 * c_optimal_variance(gens, c), rel=1e-12)
     assert calls == []
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-13])
+@pytest.mark.parametrize("build", [lambda: build_fixed_atom_generators(3),
+                                   lambda: build_free_atom_generators(4)],
+                         ids=["fixed-atoms-3", "free-atoms-4"])
+def test_constants_scale_with_the_set(build, scale):
+    # every degeneracy and rounding threshold is relative to the set's scale:
+    # scaling the generators by s scales every constant by 1/s^2
+    gens = build()
+    scaled = GeneratorSet(tuple(scale * g.entries for g in gens.generators))
+    rng = np.random.default_rng(4)
+    a = ReparamMatrix(np.eye(gens.p) + 0.3 * rng.standard_normal((gens.p, gens.p)))
+
+    def constants(g):
+        values = [rotation_bound_ceiling(g)]
+        for paradigm in ("cr", "mm"):
+            values += per_parameter_spread_constants(g, paradigm).tolist()
+            values += [sep_plus_lower_bound(g, paradigm).constant,
+                       jnt_lower_bound(g, paradigm).constant]
+            values += spread_variance_oracle(g, paradigm)(a).tolist()
+            values += elfving_variance_oracle(g, paradigm)(a).tolist()
+        return values + [c_optimal_variance(g, np.arange(1.0, g.p + 1))]
+
+    np.testing.assert_allclose(np.array(constants(scaled)) * scale ** 2, constants(gens),
+                               rtol=1e-12, atol=0)
 
 
 def test_sep_plus_optimize_two_sector():
@@ -326,36 +391,17 @@ def test_spread_oracle_scores_a_badly_scaled_matrix():
 # batched gauge queries and per-candidate oracles
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_fixed_atom_generators(3),
-        lambda: build_fixed_atom_generators(4),
-        lambda: build_free_atom_generators(4),
-        lambda: build_two_sector_generators(1.0, 0.5),
-    ],
-    ids=["fixed-atoms-3", "fixed-atoms-4", "free-atoms-4", "two-sector"],
-)
-def test_batched_gauges_equal_single_row_queries(build):
+@pytest.mark.parametrize("build", [lambda: build_fixed_atom_generators(5),
+                                   lambda: build_fixed_atom_generators(6),
+                                   lambda: build_free_atom_generators(6)],
+                         ids=["fixed-atoms-5", "fixed-atoms-6", "free-atoms-6"])
+def test_facet_gauge_equals_the_lp_fallback(build):
     gens = build()
-    solver = _GaugeSolver(design_vectors(gens))
-    assert solver._inverses is not None
-    rows = np.random.default_rng(8).standard_normal((7, gens.p))
-    batched = solver.gauges(rows)
-    assert np.array_equal(batched, [solver.gauges(r[None])[0] for r in rows])
-    # the single-row matvec form every query used before batching
-    matvec = [float(np.min(np.sum(np.abs(solver._inverses @ r), axis=1))) for r in rows]
-    assert np.array_equal(batched, matvec)
-
-
-def test_lp_gauges_match_c_optimal_variance():
-    # C(16, 5) = 4368 subsets exceed the subset limit, so every row is an LP
-    gens = build_fixed_atom_generators(5)
-    solver = _GaugeSolver(design_vectors(gens))
-    assert solver._inverses is None
-    rows = np.random.default_rng(9).standard_normal((3, 5))
-    squared = [g * g for g in solver.gauges(rows).tolist()]
-    assert squared == [c_optimal_variance(gens, r) for r in rows]
+    solver = _GaugeSolver(gens)
+    assert solver._facets is not None
+    rows = np.random.default_rng(9).standard_normal((4, gens.p))
+    np.testing.assert_allclose(solver.gauges(rows), [solver._lp_gauge(r) for r in rows],
+                               rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("factory", [elfving_variance_oracle, spread_variance_oracle])
@@ -422,7 +468,7 @@ def test_search_stops_at_a_seed_on_the_floor(caplog, minimize_runs, gens, paradi
                                              winner, closed_form):
     # fixed atoms meet p^2 pi^2 at the Walsh-Hadamard seed (1), free atoms
     # p^3 pi^2 at the identity (0); two-sector meets the CR design floor, its
-    # joint constant, at the pattern-inverse seed (2)
+    # joint constant, at the difference seed (2)
     floor = bounds_module._certified_search_floor(gens, paradigm)
     assert floor >= sep_plus_lower_bound(gens, paradigm).constant
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
@@ -449,24 +495,47 @@ def test_cr_design_floor_of_the_atom_models(p):
 
 
 def test_fixed_atoms_p8_search_uses_the_lp_backend():
-    # C(128, 8) subsets exceed the subset limit: the certified seed is an LP
-    assert _GaugeSolver(design_vectors(build_fixed_atom_generators(8)))._inverses is None
+    # 3^8 pattern differences exceed the hull's size gate: the certified
+    # seed's gauges are linear programs
+    assert _GaugeSolver(build_fixed_atom_generators(8))._facets is None
 
 
 def test_search_runs_every_start_below_the_floor(minimize_runs):
-    # fixed atoms at p=3: floor 3, optimum about 5.79; identity and 3 random starts
+    # fixed atoms at p=3: floor 3, best known 2 + sqrt(3), reached at the
+    # difference seed; the identity, that seed and 3 random starts all run
     gens = build_fixed_atom_generators(3)
     assert sep_plus_lower_bound(gens, "cr").constant == pytest.approx(3.0)
-    sep_plus_optimize(gens, "cr")
-    assert len(minimize_runs) == 4
+    _, est = sep_plus_optimize(gens, "cr")
+    assert len(minimize_runs) == 5
+    assert est.constant <= (2 + math.sqrt(3)) * (1 + 1e-15)
 
 
-def test_no_certificate_for_an_asymmetric_pattern_set():
-    # patterns {1, 2}: the Elfving oracle's design vectors 2 x pattern are not
-    # bounded by the spread, so the spread floor does not hold for it
+@pytest.mark.parametrize("paradigm,value", [("cr", 2 + math.sqrt(3)), ("mm", 110.32808106595)])
+def test_difference_seed_of_fixed_atoms_p3(paradigm, value):
+    # the best inverse of three of the 13 directions of {-1, 0, 1}^3
+    gens = build_fixed_atom_generators(3)
+    [seed] = bounds_module._difference_seed(gens, paradigm_constants(paradigm)[0])
+    assert np.allclose(np.linalg.inv(seed), np.round(np.linalg.inv(seed)), atol=1e-12)
+    oracle = elfving_variance_oracle(gens, paradigm)
+    alpha = paradigm_constants(paradigm)[0]
+    assert sep_plus_value(ReparamMatrix(seed), oracle, alpha) == pytest.approx(value, rel=1e-12)
+
+
+def test_asymmetric_pattern_set_has_a_certificate():
+    # patterns {1, 2}: the difference body [-1, 1] has the spread as its
+    # support function, so the spread floor 1 bounds both oracles; the design
+    # floor on the centred vectors +-1 is 1 as well
     gens = GeneratorSet((np.diag([1.0, 2.0]),))
     assert exact_max_spread(gens) is not None
-    assert bounds_module._certified_search_floor(gens, "cr") is None
+    assert bounds_module._certified_search_floor(gens, "cr") == 1.0
+    assert bounds_module._certified_search_floor(gens, "mm") == PI2
+    for paradigm, alpha in (("cr", 1), ("mm", 2)):
+        floor = bounds_module._certified_search_floor(gens, paradigm)
+        for scale in (0.5, 1.0, 3.0):
+            a = ReparamMatrix([[scale]])
+            for factory in (spread_variance_oracle, elfving_variance_oracle):
+                value = sep_plus_value(a, factory(gens, paradigm), alpha)
+                assert value >= floor * (1 - 1e-12)
 
 
 EIGHTHS = st.integers(-16, 16).map(lambda n: n / 8)
@@ -475,7 +544,8 @@ EIGHTHS = st.integers(-16, 16).map(lambda n: n / 8)
 @st.composite
 def diagonal_models(draw):
     """A commuting diagonal set from k random joint patterns (multiples of
-    1/8, so rounding to 12 digits is exact), optionally with their negatives."""
+    1/8, so rounding to 12 digits of the scale is exact), optionally with
+    their negatives."""
     p = draw(st.integers(1, 3))
     k = draw(st.integers(p, 4))
     points = np.array(draw(st.lists(st.lists(EIGHTHS, min_size=p, max_size=p),
@@ -504,18 +574,22 @@ def test_certified_floor_bounds_both_oracles(model, entries, paradigm):
     # a well-conditioned A keeps the rotated generators linearly independent
     assume(np.linalg.cond(a) < 1e3)
     a = ReparamMatrix(a)
-    floor = bounds_module._spread_floor(p, paradigm, exact[1])
+    floor = bounds_module._spread_floor(gens, paradigm, exact[1])
     value = sep_plus_value(a, spread_variance_oracle(gens, paradigm), alpha)
     assert value >= floor * (1 - 1e-12)
-    certified = bounds_module._certified_search_floor(gens, paradigm)
+    # symmetric or not: the spread floor, and in CR the design floor on the
+    # patterns centred at their midrange (0 for a symmetric set)
+    pts = distinct_patterns(gens)
+    centre = (pts.max(axis=0) + pts.min(axis=0)) / 2
     if symmetric:
-        design = bounds_module._design_floor(2.0 * distinct_patterns(gens))
-        if paradigm == "cr" and design is not None:
-            floor = max(floor, design)
-        assert certified == floor
-    if certified is not None:
-        value = sep_plus_value(a, elfving_variance_oracle(gens, paradigm), alpha)
-        assert value >= certified * (1 - 1e-12)
+        assert np.all(centre == 0)
+    design = bounds_module._design_floor(2.0 * (pts - centre))
+    if paradigm == "cr" and design is not None:
+        floor = max(floor, design)
+    certified = bounds_module._certified_search_floor(gens, paradigm)
+    assert certified == floor
+    value = sep_plus_value(a, elfving_variance_oracle(gens, paradigm), alpha)
+    assert value >= certified * (1 - 1e-12)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -560,7 +634,7 @@ def _scalar_angle_scan(alpha_beta, angle_grid):
     """The rotation-angle scan the closed form replaced: a uniform grid on
     [0, pi/2] and seven local refinements, one gauge query per angle."""
     alpha, beta = alpha_beta
-    solver = _GaugeSolver(np.array([[alpha, beta], [beta, alpha]]))
+    solver = _GaugeSolver(build_two_sector_generators(alpha, beta))
 
     def value(phi):
         c, s = math.cos(phi), math.sin(phi)
@@ -614,7 +688,7 @@ def test_orthogonal_restricted_closed_form_is_the_gauge_sum_at_the_optimal_angle
     alpha, beta = alpha_beta
     phi = math.atan((alpha - beta) / (alpha + beta)) - math.pi / 4
     c, s = math.cos(phi), math.sin(phi)
-    solver = _GaugeSolver(np.array([[alpha, beta], [beta, alpha]]))
+    solver = _GaugeSolver(build_two_sector_generators(alpha, beta))
     value = float(np.sum(solver.gauges(np.array([[c, s], [-s, c]])))) ** 2
     assert value == pytest.approx(orthogonal_restricted_sep_plus(alpha_beta), rel=1e-14, abs=0)
 
