@@ -168,7 +168,9 @@ class _GaugeSolver:
     def gauges(self, rows: np.ndarray) -> np.ndarray:
         """Gauges of the rows of ``rows`` (shape (r, p)); +inf where infeasible."""
         if self._facets is not None:
-            return np.max(rows @ self._facets.T, axis=1)
+            # one (f, p) @ (p, 1) matvec per row, rounding as a single-row
+            # query does; ``rows @ facets.T`` rounds differently
+            return np.max(self._facets @ rows[:, :, None], axis=(1, 2))
         return np.array([self._lp_gauge(c) for c in rows])
 
     def _lp_gauge(self, c: np.ndarray) -> float:

@@ -391,6 +391,38 @@ def test_spread_oracle_scores_a_badly_scaled_matrix():
 # batched gauge queries and per-candidate oracles
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_fixed_atom_generators(3),
+        lambda: build_fixed_atom_generators(4),
+        lambda: build_free_atom_generators(4),
+        lambda: build_two_sector_generators(1.0, 0.5),
+    ],
+    ids=["fixed-atoms-3", "fixed-atoms-4", "free-atoms-4", "two-sector"],
+)
+def test_batched_gauges_equal_single_row_queries(build):
+    gens = build()
+    solver = _GaugeSolver(gens)
+    assert solver._facets is not None
+    rows = np.random.default_rng(8).standard_normal((7, gens.p))
+    batched = solver.gauges(rows)
+    assert np.array_equal(batched, [solver.gauges(r[None])[0] for r in rows])
+    # the single-row matvec form: the largest facet value of each row
+    matvec = [float(np.max(solver._facets @ r)) for r in rows]
+    assert np.array_equal(batched, matvec)
+
+
+def test_lp_gauges_match_c_optimal_variance():
+    # 3^8 pattern differences exceed the hull's size gate, so every row is an LP
+    gens = build_fixed_atom_generators(8)
+    solver = _GaugeSolver(gens)
+    assert solver._facets is None
+    rows = np.random.default_rng(9).standard_normal((3, 8))
+    squared = [g * g for g in solver.gauges(rows).tolist()]
+    assert squared == [c_optimal_variance(gens, r) for r in rows]
+
+
 @pytest.mark.parametrize("build", [lambda: build_fixed_atom_generators(5),
                                    lambda: build_fixed_atom_generators(6),
                                    lambda: build_free_atom_generators(6)],
