@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .errors import InvalidArgumentError
 from .operators import (
@@ -44,6 +43,7 @@ from .operators import (
     spread_tolerance,
     walsh_hadamard,
 )
+from .solvers import minimize
 
 logger = logging.getLogger(__name__)
 
@@ -152,6 +152,14 @@ def allocate(c, alpha: int) -> AllocationPlan:
 
 # ---------------------------------------------------------------------------
 # per-parameter variance oracles
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call: only gauges past
+    the ``difference_body`` gates solve a linear program."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 class _GaugeSolver:

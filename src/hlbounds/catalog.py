@@ -43,6 +43,8 @@ from .special import bessel_j_first_zero
 from .states import superposed_noon_state, uniform_state
 from .variational import BALL_P_MAX, airy_lower_bound, ball_upper_bound
 
+_COM_SPLIT = "computed: optimal resource split of per-parameter protocols"
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -95,11 +97,6 @@ class ModelRecord:
 @lru_cache(maxsize=None)
 def _airy_constant() -> float:
     return airy_lower_bound().constant
-
-
-@lru_cache(maxsize=None)
-def _bessel_xi() -> float:
-    return bessel_j_first_zero(0.0)
 
 
 def _entry(paradigm, strategy, p_exponent, status, provenance,
@@ -173,10 +170,9 @@ def _single(paradigm, p):
 
 
 def _pauli_entries(p):
-    com = "computed: optimal resource split of per-parameter protocols"
     no_gain = "computed: single-vector spread maximization (no reparametrization gain)"
     return (
-        _entry("cr", "sep", 0, "exact_asymptotic", com,
+        _entry("cr", "sep", 0, "exact_asymptotic", _COM_SPLIT,
                recompute=partial(_unit_sep, "cr"), p_ref=p),
         _entry("cr", "sep_plus", 0, "exact_asymptotic", no_gain,
                recompute=partial(_sep_plus_floor, _pauli_gens, "cr"), p_ref=p),
@@ -201,13 +197,8 @@ def _pauli_gens(p):
     return build_pauli_generators({3: "xyz", 2: "xy"}[p])
 
 
-@lru_cache(maxsize=None)
-def table_one() -> tuple:
-    """The full registry: six models, both paradigms, all strategies."""
-    xi = _bessel_xi()
-    com_split = "computed: optimal resource split of per-parameter protocols"
-
-    fixed = ModelRecord(
+def _fixed_atoms() -> ModelRecord:
+    return ModelRecord(
         name="fixed_atoms",
         p_fixed=None,
         notes=(
@@ -215,7 +206,7 @@ def table_one() -> tuple:
             "only in the minimax paradigm (advantage grows linearly in p)"
         ),
         entries=(
-            _entry("cr", "sep", 2, "exact_asymptotic", com_split,
+            _entry("cr", "sep", 2, "exact_asymptotic", _COM_SPLIT,
                    recompute=partial(_sep, build_fixed_atom_generators, "cr")),
             _entry("cr", "sep_plus", 1, "exact_asymptotic",
                    "computed: spread-balancing orthogonal reparametrization",
@@ -223,7 +214,7 @@ def table_one() -> tuple:
             _entry("cr", "jnt", 1, "exact_asymptotic",
                    "computed: trace of inverse information at the product probe",
                    recompute=_fixed_cr_jnt),
-            _entry("mm", "sep", 3, "exact_asymptotic", com_split,
+            _entry("mm", "sep", 3, "exact_asymptotic", _COM_SPLIT,
                    recompute=partial(_sep, build_fixed_atom_generators, "mm")),
             _entry("mm", "sep_plus", 2, "exact_asymptotic",
                    "computed: spread-balancing reparametrization saturates the "
@@ -236,7 +227,9 @@ def table_one() -> tuple:
         ),
     )
 
-    free = ModelRecord(
+
+def _free_atoms() -> ModelRecord:
+    return ModelRecord(
         name="free_atoms",
         p_fixed=None,
         notes=(
@@ -244,7 +237,7 @@ def table_one() -> tuple:
             "paradigm, constant-factor advantage (up to ~pi^2/0.63) in minimax"
         ),
         entries=(
-            _entry("cr", "sep", 2, "exact_asymptotic", com_split,
+            _entry("cr", "sep", 2, "exact_asymptotic", _COM_SPLIT,
                    recompute=partial(_sep, build_free_atom_generators, "cr")),
             _entry("cr", "sep_plus", 2, "exact_asymptotic",
                    "computed: single-vector spread maximization (no gain: "
@@ -254,7 +247,7 @@ def table_one() -> tuple:
                    "computed: trace of inverse information at the superposed "
                    "per-site probe",
                    recompute=_free_cr_jnt),
-            _entry("mm", "sep", 3, "exact_asymptotic", com_split,
+            _entry("mm", "sep", 3, "exact_asymptotic", _COM_SPLIT,
                    recompute=partial(_sep, build_free_atom_generators, "mm")),
             _entry("mm", "sep_plus", 3, "exact_asymptotic",
                    "computed: single-vector spread maximization (no gain)",
@@ -268,7 +261,9 @@ def table_one() -> tuple:
         ),
     )
 
-    pauli3 = ModelRecord(
+
+def _pauli3() -> ModelRecord:
+    return ModelRecord(
         name="pauli3",
         p_fixed=3,
         notes=(
@@ -283,7 +278,9 @@ def table_one() -> tuple:
         ),
     )
 
-    pauli2 = ModelRecord(
+
+def _pauli2() -> ModelRecord:
+    return ModelRecord(
         name="pauli2",
         p_fixed=2,
         notes="two-component field at zero field; minimax joint optimum 4 xi^2 "
@@ -291,11 +288,13 @@ def table_one() -> tuple:
         entries=_pauli_entries(2) + (
             _entry("mm", "jnt", 0, "cited",
                    "cited: covariant unit-vector transmission optimum",
-                   coefficient=4.0 * xi ** 2),
+                   coefficient=4.0 * bessel_j_first_zero(0.0) ** 2),
         ),
     )
 
-    pauli1 = ModelRecord(
+
+def _pauli1() -> ModelRecord:
+    return ModelRecord(
         name="pauli1",
         p_fixed=1,
         notes="single field component: the scalar phase problem",
@@ -321,7 +320,9 @@ def table_one() -> tuple:
         ),
     )
 
-    interferometer = ModelRecord(
+
+def _interferometer() -> ModelRecord:
+    return ModelRecord(
         name="interferometer_p_arms",
         p_fixed=None,
         notes="p phases against one reference arm; reference rows only "
@@ -345,14 +346,30 @@ def table_one() -> tuple:
         ),
     )
 
-    return (fixed, free, pauli3, pauli2, pauli1, interferometer)
+
+# record name -> its builder, in registry order
+_BUILDERS = {
+    "fixed_atoms": _fixed_atoms,
+    "free_atoms": _free_atoms,
+    "pauli3": _pauli3,
+    "pauli2": _pauli2,
+    "pauli1": _pauli1,
+    "interferometer_p_arms": _interferometer,
+}
 
 
+@lru_cache(maxsize=None)
 def get_model(name: str) -> ModelRecord:
-    for record in table_one():
-        if record.name == name:
-            return record
-    raise InvalidArgumentError(f"unknown catalog model {name!r}")
+    """The registry record ``name``; only that record is built."""
+    if name not in _BUILDERS:
+        raise InvalidArgumentError(f"unknown catalog model {name!r}")
+    return _BUILDERS[name]()
+
+
+@lru_cache(maxsize=None)
+def table_one() -> tuple:
+    """The full registry: six models, both paradigms, all strategies."""
+    return tuple(get_model(name) for name in _BUILDERS)
 
 
 def ordering_violations(record: ModelRecord, p: int, n: int = 100) -> list:

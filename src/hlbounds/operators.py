@@ -16,16 +16,16 @@ generator spread, so a multiple s Lambda gives every constant over s^2.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InvalidArgumentError, ResourceLimitError
+from .solvers import minimize
 
 logger = logging.getLogger(__name__)
 
@@ -483,11 +483,13 @@ def difference_body(gens: GeneratorSet):
     ``differences`` are the distinct x_s - x_t, 0 included, and D is
     {y : facets @ y <= 1}, one row per facet.  Its support function
     max_{s,t} (x_s - x_t) . u is the spread of u . Lambda.  None for a
-    non-commuting set, p < 2 or p > 8, more than 1000 distinct differences,
-    or a flat D (then some u . Lambda has spread 0).
+    non-commuting set, p > 8, more than 1000 distinct differences, or a
+    flat D (then some u . Lambda has spread 0).  The facets are a closed
+    form where one applies (``_closed_form_facets``; always at p = 1),
+    else qhull's.
     """
     p = gens.p
-    if not gens.commuting or not 2 <= p <= _HULL_MAX_P:
+    if not gens.commuting or p > _HULL_MAX_P:
         return None
     pts = distinct_patterns(gens)
     # d points spanning R^p have at least (p + 1) d - p (p + 1) / 2 distinct
@@ -495,17 +497,85 @@ def difference_body(gens: GeneratorSet):
     # it have a flat D
     if (p + 1) * len(pts) - p * (p + 1) // 2 > _HULL_LIMIT:
         return None
-    diffs = _distinct_rows((pts[:, None] - pts[None]).reshape(-1, p),
-                           float(np.max(np.ptp(pts, axis=0))))
+    scale = float(np.max(np.ptp(pts, axis=0)))
+    diffs = _distinct_rows((pts[:, None] - pts[None]).reshape(-1, p), scale)
     if len(diffs) > _HULL_LIMIT:
         return None
-    try:
+    facets = _closed_form_facets(pts, diffs, scale)
+    if facets is None:
         hull = ConvexHull(diffs)
+        if hull is None:
+            return None
+        # n . y + c <= 0 with unit n and c < 0; the triangles of a facet share it
+        equations = np.unique(hull.equations, axis=0)
+        facets = equations[:, :-1] / -equations[:, -1:]
+    return (diffs, facets) if len(facets) else None
+
+
+def ConvexHull(points):
+    """qhull's hull of ``points`` (``scipy.spatial.ConvexHull``, imported on
+    first call), or None when the points are flat."""
+    from scipy.spatial import ConvexHull as qhull, QhullError
+
+    try:
+        return qhull(points)
     except QhullError:
         return None
-    # n . y + c <= 0 with unit n and c < 0; the triangles of a facet share it
-    equations = np.unique(hull.equations, axis=0)
-    return diffs, equations[:, :-1] / -equations[:, -1:]
+
+
+def _closed_form_facets(pts: np.ndarray, diffs: np.ndarray, scale: float):
+    """The facet rows of D in closed form, an empty array for a flat D, or
+    None where no closed form applies.
+
+    - A product of per-coordinate value sets (fixed atoms) gives the box of
+      the coordinate ranges w_k, facets +-e_k / w_k.
+    - Patterns with at most one nonzero coordinate each, taking exactly the
+      values +-a_k on axis k (free atoms), give the weighted l1 ball with
+      vertices +-2 a_k e_k, facets s / (2 a) for every sign vector s.
+    - In the plane, the convex polygon of the differences.
+    """
+    p = pts.shape[1]
+    values = [np.unique(pts[:, k]) for k in range(p)]
+    if math.prod(map(len, values)) == len(pts):
+        if min(map(len, values)) < 2:
+            return np.empty((0, p))
+        widths = np.max(diffs, axis=0)
+        return np.vstack([np.eye(p) / widths, -np.eye(p) / widths])
+    axes = [v[v != 0] for v in values]
+    if (np.all(np.count_nonzero(pts, axis=1) <= 1)
+            and all(len(a) == 2 and a[0] == -a[1] for a in axes)):
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=p)))
+        return signs / (2.0 * np.array([a[1] for a in axes]))
+    if p == 2:
+        return _polygon_facets(diffs, scale)
+    return None
+
+
+def _polygon_facets(points: np.ndarray, scale: float) -> np.ndarray:
+    """Facet rows (v_1 - u_1, u_0 - v_0) / (u_0 v_1 - u_1 v_0) of the edges
+    u -> v of conv(points), counterclockwise around an interior origin
+    (Andrew's monotone chain); empty when the points are collinear.  A point
+    within 1e-12 scale^2 of the line through its neighbours is no vertex:
+    the rounded midpoints of an edge stay off the hull."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    tol = 1e-12 * scale * scale
+    hull = []
+    for chain_order in (order, order[::-1]):
+        chain = []
+        for q in points[chain_order]:
+            while len(chain) >= 2:
+                (o0, o1), (a0, a1) = chain[-2], chain[-1]
+                if (a0 - o0) * (q[1] - o1) - (a1 - o1) * (q[0] - o0) > tol:
+                    break
+                chain.pop()
+            chain.append(q)
+        hull += chain[:-1]
+    if len(hull) < 3:
+        return np.empty((0, 2))
+    u = np.array(hull)
+    v = np.roll(u, -1, axis=0)
+    det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    return np.column_stack([v[:, 1] - u[:, 1], u[:, 0] - v[:, 0]]) / det[:, None]
 
 
 def rotation_bound_ceiling(gens: GeneratorSet) -> float | None:

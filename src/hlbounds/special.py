@@ -159,6 +159,7 @@ def bessel_j_first_zero(nu: float, lower: float | None = None) -> float:
     below j_{nu,1} (such as the first zero of a smaller order: the zeros
     increase with the order), lets the scan start at the last of its steps
     at or below ``lower``; the bracket, and so the result, stay the same.
+    J_{1/2}(x) = sqrt(2/(pi x)) sin x, so j_{1/2,1} is pi, returned exactly.
     """
     if nu < -0.5:
         raise InvalidArgumentError("orders below -1/2 are not supported")
@@ -172,6 +173,8 @@ def bessel_j_first_zero(nu: float, lower: float | None = None) -> float:
     fa = bessel_j(nu, a)
     if a >= hi or fa <= 0.0:
         raise InvalidArgumentError(f"the scan start {a} is not below the first zero of J_{nu}")
+    if nu == 0.5:
+        return math.pi
     while True:
         b = min(a + 1.0, hi)
         fb = bessel_j(nu, b)

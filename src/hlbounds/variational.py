@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, InvalidArgumentError, NumericalError, ResourceLimitError
+from .solvers import cg
 from .special import (
     MAX_ORDER,
     airy_ai_prime_first_zero,
@@ -156,11 +156,8 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     diag = 2.0 * p * inv_h2
 
     def matvec(z):
-        z = np.asarray(z, dtype=float).ravel()
         padded = np.concatenate([z / sqrt_w, [0.0]])
         return diag * z - inv_h2 * sqrt_w * padded[neighbors].sum(axis=1)
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
 
     x = (0.5 - np.sum(np.abs(axes[orthant_idx]), axis=1)) * sqrt_w  # tent profile start
     x /= np.linalg.norm(x)
@@ -168,7 +165,7 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     energy = residual = math.inf
     iterations = 0
     for iterations in range(1, MAX_POWER_ITERATIONS + 1):
-        y = _cg_solve(op, x)
+        y = cg(matvec, x, rtol=1e-12, atol=0.0, maxiter=20000)[0]
         y /= np.linalg.norm(y)
         ay = matvec(y)
         energy = float(y @ ay)
@@ -192,13 +189,6 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
         nodes=axes[coords_idx],
         eigenvector=(x / sqrt_w)[fold(coords_idx)],
     )
-
-
-def _cg_solve(op, rhs):
-    sol, info = cg(op, rhs, rtol=1e-12, atol=0.0, maxiter=20000)
-    if info < 0:
-        raise ConvergenceError(f"conjugate-gradient breakdown (info={info})")
-    return sol
 
 
 def airy_lower_bound() -> AiryBoundResult:

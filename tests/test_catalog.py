@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +18,24 @@ from hlbounds import (
     rotation_bound_ceiling,
     table_one,
 )
+import hlbounds
 from hlbounds.catalog import _fixed_cr_jnt, _fixed_mm_jnt, _free_cr_jnt
 from hlbounds.variational import BALL_P_MAX
 
 PI2 = math.pi ** 2
 
+
+def test_get_model_builds_only_the_named_record():
+    # a fresh process: bounds --model pauli3 computes no fixed-atom,
+    # free-atom or Bessel constant of the other records
+    code = ("from hlbounds import catalog; catalog.get_model('pauli3'); "
+            "print([f.cache_info().currsize for f in (catalog.table_one, "
+            "catalog._fixed_cr_sep_plus, catalog._fixed_cr_jnt, catalog._airy_constant)])")
+    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[0, 0, 0, 0]\n"
+    assert get_model("pauli3") is table_one()[2]
 
 def _find(record, paradigm, strategy, variant=""):
     rows = [

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -145,13 +146,76 @@ def test_variational_airy(capsys):
     assert data["constant"] == pytest.approx(0.63, abs=0.01)
 
 
+def _run_python(code, cwd=None):
+    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=cwd, check=True).stdout
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # the Airy bound is a closed form: no command needs quadrature at import
-    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]))
     code = "import sys, hlbounds.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out == "False\n"
+    assert _run_python(code) == "False\n"
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy():
+    assert _run_python(f"import sys, hlbounds.cli; print({_SCIPY_MODULES})") == "[]\n"
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [line.split()[1:] for line in readme.read_text().splitlines()
+            if line.startswith("hlbounds ")]
+
+
+def test_readme_and_small_bounds_commands_load_no_scipy(tmp_path):
+    # numpy-only paths: the closed-form difference bodies, the in-package
+    # Nelder-Mead and CG.  scipy stays for qhull and the LP past the gates.
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for model in ("fixed-atoms", "free-atoms"):
+        for p in range(1, 5):
+            for paradigm in ("cr", "mm"):
+                commands.append(["bounds", "--model", model, "--p", str(p),
+                                 "--paradigm", paradigm])
+    for paradigm in ("cr", "mm"):  # MM is refused after parsing
+        commands.append(["bounds", "--model", "two-sector", "--paradigm", paradigm])
+    code = f"""
+import contextlib, io, json, sys
+import hlbounds.cli as cli
+loaded = {{}}
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    loaded[" ".join(argv)] = {_SCIPY_MODULES}
+print(json.dumps(loaded))
+"""
+    loaded = json.loads(_run_python(code, cwd=tmp_path))
+    assert set(loaded) == {" ".join(argv) for argv in commands}
+    assert {cmd: mods for cmd, mods in loaded.items() if mods} == {}
+
+
+def test_no_module_level_scipy_import():
+    src = Path(hlbounds.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        stack = list(ast.parse(path.read_text()).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # runs on call, not at import
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize("argv", [["table"], ["bounds", "--model", "pauli3", "--paradigm", "mm"]],

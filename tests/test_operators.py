@@ -531,6 +531,84 @@ def test_size_gates_give_no_ceiling(monkeypatch, p, at_least, distinct):
     assert rotation_bound_ceiling(gens) is None
 
 
+# ---------------------------------------------------------------------------
+# difference-body facets in closed form
+
+
+def _qhull_facets(diffs):
+    from scipy.spatial import ConvexHull
+
+    equations = np.unique(ConvexHull(diffs).equations, axis=0)
+    return equations[:, :-1] / -equations[:, -1:]
+
+
+def _sorted_rows(rows):
+    return rows[np.lexsort(np.round(rows, 9).T[::-1])]
+
+
+def _random_diagonal_pair():
+    rng = np.random.default_rng(11)
+    return GeneratorSet(tuple(np.diag(rng.standard_normal(6)) for _ in range(2)))
+
+
+# box (fixed atoms) and weighted l1 ball (free atoms)
+BOX_AND_CROSS_SETS = {
+    **{f"fixed-atoms-{p}": (build_fixed_atom_generators, p) for p in range(2, 7)},
+    **{f"free-atoms-{p}": (build_free_atom_generators, p) for p in range(2, 9)},
+}
+# perfbench's two-sector menu, two more pairs and a random diagonal pair
+PLANAR_SETS = {
+    **{f"two-sector-{a}-{b}": (lambda ab: build_two_sector_generators(*ab), (a, b))
+       for a, b in ((1.0, 0.5), (1.0, 0.3), (1.0, 0.4), (1.0, 0.6), (2.0, 1.0), (2.0, 0.5),
+                    (1.0, 0.2), (1.0, 0.7))},
+    "random-diagonal": (lambda _: _random_diagonal_pair(), None),
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_AND_CROSS_SETS))
+def test_box_and_cross_facets_equal_qhull_bit_for_bit(name):
+    build, arg = BOX_AND_CROSS_SETS[name]
+    diffs, facets = operators_module.difference_body(build(arg))
+    assert np.array_equal(_sorted_rows(facets), _sorted_rows(_qhull_facets(diffs)))
+
+
+@pytest.mark.parametrize("name", list(PLANAR_SETS))
+def test_planar_facets_equal_qhull(name):
+    build, arg = PLANAR_SETS[name]
+    diffs, facets = operators_module.difference_body(build(arg))
+    ours, ref = _sorted_rows(facets), _sorted_rows(_qhull_facets(diffs))
+    assert ours.shape == ref.shape
+    assert np.max(np.abs(ours - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_closed_forms_run_no_qhull(monkeypatch):
+    def no_qhull(points):
+        raise AssertionError("qhull was called")
+
+    monkeypatch.setattr(operators_module, "ConvexHull", no_qhull)
+    for build, arg in list(BOX_AND_CROSS_SETS.values()) + list(PLANAR_SETS.values()):
+        assert operators_module.difference_body(build(arg)) is not None
+    # p = 1 is a box too: D = [-1, 1]
+    for build in (build_fixed_atom_generators, build_free_atom_generators):
+        np.testing.assert_array_equal(operators_module.difference_body(build(1))[1],
+                                      [[1.0], [-1.0]])
+    flat = GeneratorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    assert operators_module.difference_body(flat) is None
+
+
+def test_other_sets_fall_back_to_qhull(monkeypatch):
+    # three random diagonal generators: neither a product nor an axis set
+    calls = []
+    qhull = operators_module.ConvexHull
+    monkeypatch.setattr(operators_module, "ConvexHull",
+                        lambda points: calls.append(len(points)) or qhull(points))
+    rng = np.random.default_rng(4)
+    gens = GeneratorSet(tuple(np.diag(rng.standard_normal(5)) for _ in range(3)))
+    diffs, facets = operators_module.difference_body(gens)
+    assert calls == [len(diffs)] == [21]
+    np.testing.assert_array_equal(facets, _qhull_facets(diffs))
+
+
 def test_rotated_spreads_do_not_depend_on_the_basis():
     # a unitary change of basis leaves every spread as it is but makes the set
     # non-diagonal, so the eigenvalue branch must agree with the diagonal one

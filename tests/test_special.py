@@ -17,6 +17,7 @@ from hlbounds.special import (
     bessel_j,
     bessel_j_first_zero,
 )
+from hlbounds.variational import ball_upper_bound
 
 
 @pytest.mark.parametrize(
@@ -103,6 +104,15 @@ def test_bessel_first_zero_from_the_previous_order(nu):
     assert zero == pytest.approx(sp.jn_zeros(nu, 1)[0], rel=1e-13, abs=0)
     with pytest.raises(InvalidArgumentError):
         bessel_j_first_zero(float(nu), zero + 1.5)
+
+
+def test_bessel_first_zero_of_order_one_half_is_pi():
+    # J_{1/2}(x) = sqrt(2/(pi x)) sin x; the ball bound at p=3 is then 12 pi^2
+    assert bessel_j_first_zero(0.5) == math.pi
+    assert bessel_j_first_zero(0.5, bessel_j_first_zero(0.0)) == math.pi
+    assert ball_upper_bound(3) == 12.0 * math.pi ** 2
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_first_zero(0.5, math.pi + 1.5)
 
 
 def test_bessel_resource_ceiling():
