@@ -12,6 +12,7 @@ to scipy's; importing scipy's solvers would cost about 0.5 s per command.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,9 @@ def cg(matvec, b, rtol=1e-5, atol=0.0, maxiter=None, callback=None):
     x = np.zeros(len(b))
     r = b.copy()
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, 0
         rho_cur = np.dot(r, r)
+        if math.sqrt(rho_cur) < atol:  # np.linalg.norm(r), bit for bit
+            return x, 0
         if iteration > 0:
             p *= rho_cur / rho_prev
             p += r

@@ -14,8 +14,8 @@ planes, node weights w = number of full-grid copies, and the symmetric
 operator W^(1/2) R W^(-1/2), whose norms and residuals are those of the
 full grid.  The eigenvector is unfolded onto the full grid on return (see
 ``simplex_ground_energy``).  One DEBUG record per solve on this module's
-logger gives p, M, full-grid nodes, orthant unknowns, outer iterations, E
-and the residual.
+logger gives p, M, full-grid nodes, orthant unknowns, outer iterations, E,
+the residual and the number of matvecs.
 
 The Airy lower bound is a closed form in the first zero a0 of Ai' and
 Ai(a0); no quadrature is run (see ``airy_lower_bound``).
@@ -122,7 +122,10 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     ``residual`` and the stopping rule are the full grid's.  On return
     u = z/sqrt(w) is unfolded onto every interior node, in C order of the
     full grid, so ``nodes`` and the unit-norm ``eigenvector`` cover the
-    whole cross-polytope.
+    whole cross-polytope.  The neighbour table is a contiguous (2p, n)
+    array, gathered with one ``take`` and summed down its columns in the
+    order numpy adds a row of 2p values (left to right below 8, a pairwise
+    tree at 8), so every CG iterate equals that of the (n, 2p) row sum.
     """
     if p not in (1, 2, 3, 4):
         raise InvalidArgumentError("the simplex solver supports p in {1, 2, 3, 4}")
@@ -148,16 +151,22 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     # interior nodes have 1 <= i_d <= M - 1, so every neighbour is on the grid
     orthant_idx = np.argwhere(orthant) + lo
     unit = np.eye(p, dtype=np.int64)
-    neighbors = np.stack([fold(orthant_idx + step * unit[d]) for d in range(p) for step in (-1, 1)],
-                         axis=1)
+    neighbors = np.stack([fold(orthant_idx + step * unit[d]) for d in range(p) for step in (-1, 1)])
     sqrt_w = np.sqrt(np.prod(np.where(2 * orthant_idx == m, 1.0, 2.0), axis=1))
 
     inv_h2 = 1.0 / (h * h)
     diag = 2.0 * p * inv_h2
+    off_scale = inv_h2 * sqrt_w
+    matvecs = 0
 
     def matvec(z):
-        padded = np.concatenate([z / sqrt_w, [0.0]])
-        return diag * z - inv_h2 * sqrt_w * padded[neighbors].sum(axis=1)
+        nonlocal matvecs
+        matvecs += 1
+        g = np.concatenate([z / sqrt_w, [0.0]]).take(neighbors)
+        if p == 4:  # numpy adds a row of 8 as ((g0+g1)+(g2+g3))+((g4+g5)+(g6+g7))
+            g = g[0::2] + g[1::2]
+            g = g[0::2] + g[1::2]
+        return diag * z - off_scale * g.sum(axis=0)
 
     x = (0.5 - np.sum(np.abs(axes[orthant_idx]), axis=1)) * sqrt_w  # tent profile start
     x /= np.linalg.norm(x)
@@ -179,7 +188,8 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
             residual=residual,
         )
     logger.debug("simplex_ground_energy p=%d M=%d: nodes=%d unknowns=%d iterations=%d "
-                 "E=%r residual=%.3e", p, m, len(coords_idx), n, iterations, energy, residual)
+                 "E=%r residual=%.3e matvecs=%d", p, m, len(coords_idx), n, iterations, energy,
+                 residual, matvecs)
     return SimplexSpectrum(
         p=p,
         h=h,

@@ -23,6 +23,8 @@ from hlbounds import (
     simplex_ground_energy,
     sin_coefficients,
 )
+import hlbounds.variational as variational_module
+from hlbounds.solvers import cg
 from hlbounds.variational import BALL_P_MAX, _interior_mask
 
 PI2 = math.pi ** 2
@@ -111,7 +113,16 @@ def test_simplex_orthant_fold_matches_full_grid(p, m):
         assert np.max(np.abs(np.transpose(grid, perm) - grid)) <= 1e-8
 
 
-def test_simplex_logs_one_debug_record(caplog):
+def test_simplex_logs_one_debug_record(caplog, monkeypatch):
+    cg_iterations = []
+
+    def counting(matvec, b, **kwargs):
+        steps = []
+        result = cg(matvec, b, callback=steps.append, **kwargs)
+        cg_iterations.append(len(steps))
+        return result
+
+    monkeypatch.setattr(variational_module, "cg", counting)
     with caplog.at_level(logging.DEBUG, logger="hlbounds.variational"):
         spec = simplex_ground_energy(3, 20)
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.variational"]
@@ -121,6 +132,53 @@ def test_simplex_logs_one_debug_record(caplog):
     _, mask = _interior_mask(3, 20)
     assert f" unknowns={np.count_nonzero(mask[10:, 10:, 10:])} " in msg  # the orthant i_d >= M/2
     assert f"iterations={spec.iterations} E={spec.E!r} residual={spec.residual:.3e}" in msg
+    # one matvec per CG iteration and one Rayleigh quotient per outer iteration
+    assert len(cg_iterations) == spec.iterations
+    assert msg.endswith(f" matvecs={sum(cg_iterations) + spec.iterations}")
+
+
+# exact E, outer iterations and residual: any reordering of the floating-point sums
+# in the matvec or CG moves them; both parities of M, and p = 4, whose neighbour sum
+# follows numpy's pairwise order
+@pytest.mark.parametrize("p, m, energy, iterations, residual", [
+    (1, 200, 9.869401467147968, 10, 2.5209051074378338e-09),
+    (2, 40, 39.39731009555941, 10, 1.1818786534086902e-08),
+    (2, 41, 37.5507622311179, 12, 1.5159731533378204e-08),
+    (3, 16, 91.93017369364871, 16, 3.612019205762306e-08),
+    (3, 17, 92.32061228112671, 16, 2.8880549886128912e-08),
+    (4, 11, 141.31721984881514, 17, 1.3421294000345863e-07),
+    (4, 12, 165.35399441550533, 20, 8.563681527096558e-08),
+])
+def test_simplex_is_bit_identical(p, m, energy, iterations, residual):
+    spec = simplex_ground_energy(p, m)
+    assert spec.E == energy
+    assert spec.iterations == iterations
+    assert spec.residual == residual
+
+
+def test_simplex_runs_under_a_tracing_cg(monkeypatch):
+    # a tracer rebinds variational.cg and passes its own callback=, as
+    # perfbench's counted_cg does; a callback from the solver would clash
+    per_solve = []
+
+    def traced(matvec, *args, **kwargs):
+        counts = {"matvecs": 0, "callbacks": 0}
+
+        def counted_matvec(z):
+            counts["matvecs"] += 1
+            return matvec(z)
+
+        def callback(_xk):
+            counts["callbacks"] += 1
+
+        per_solve.append(counts)
+        return cg(counted_matvec, *args, callback=callback, **kwargs)
+
+    monkeypatch.setattr(variational_module, "cg", traced)
+    spec = simplex_ground_energy(2, 40)
+    assert spec.E == 39.39731009555941
+    assert len(per_solve) == spec.iterations
+    assert all(c["callbacks"] == c["matvecs"] > 0 for c in per_solve)
 
 
 def test_simplex_validation():
