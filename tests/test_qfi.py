@@ -79,6 +79,23 @@ def test_a_shift_of_the_identity_does_not_cancel():
     assert f.entries[0, 0] == pytest.approx(0.9216, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e2, 1e3, 1e4])
+def test_a_shift_of_the_identity_does_not_cancel_in_a_noncommuting_set(c):
+    # (sigma_x/2 + cI, sigma_y/2, sigma_z/2 + cI) has the QFI and overlaps
+    # of c = 0: centring each generator on psi removes the shift exactly
+    pauli = build_pauli_generators("xyz").matrices()
+    shift = np.array([c, 0.0, c])[:, None, None] * np.eye(2)
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    psi = PureState(z / np.linalg.norm(z))
+    base, shifted = GeneratorSet(tuple(pauli)), GeneratorSet(tuple(pauli + shift))
+    np.testing.assert_allclose(qfi_pure(shifted, np.zeros(3), psi, 3).entries,
+                               qfi_pure(base, np.zeros(3), psi, 3).entries, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(saturability(shifted, np.zeros(3), psi).imag_parts,
+                               saturability(base, np.zeros(3), psi).imag_parts,
+                               rtol=0, atol=1e-14)
+
+
 def test_noncommuting_requires_zero_expansion_point():
     gens = build_pauli_generators("xy")
     psi = PureState([1.0, 0.0])

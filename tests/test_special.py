@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+import hlbounds.special as special
 from hlbounds.errors import InvalidArgumentError, ResourceLimitError
 from hlbounds.special import (
     MAX_ARGUMENT,
@@ -113,6 +114,20 @@ def test_bessel_first_zero_of_order_one_half_is_pi():
     assert ball_upper_bound(3) == 12.0 * math.pi ** 2
     with pytest.raises(InvalidArgumentError):
         bessel_j_first_zero(0.5, math.pi + 1.5)
+
+
+def test_ball_bound_scan_starts_at_the_proven_lower_bound(monkeypatch):
+    # the unit-step scan for j_{499,1} ~ 513.6 starts within two steps of
+    # the zero, so the scan and regula falsi take a handful of evaluations
+    calls = []
+
+    def counted(nu, x):
+        calls.append(x)
+        return bessel_j(nu, x)
+
+    monkeypatch.setattr(special, "bessel_j", counted)
+    ball_upper_bound(1000)
+    assert len(calls) <= 8
 
 
 def test_bessel_resource_ceiling():

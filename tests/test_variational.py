@@ -267,6 +267,25 @@ def test_ball_matches_scipy_at_large_p(p):
     assert ball_upper_bound(p) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+# values of the parent of the computed scan start, which must not move
+BALL_PINS = {
+    1: 9.869604401089358,
+    2: 46.265487703574266,
+    3: 118.4352528130723,
+    4: 234.91153027398173,
+    7: 930.0889335995146,
+    40: 94776.0631570047,
+    41: 101502.08225089415,
+    400: 70567623.3370788,
+    1000: 1056165532.9244698,
+}
+
+
+@pytest.mark.parametrize("p", sorted(BALL_PINS))
+def test_ball_is_bit_identical(p):
+    assert ball_upper_bound(p) == BALL_PINS[p]
+
+
 def test_ball_resource_ceiling():
     assert BALL_P_MAX >= 1000
     with pytest.raises(ResourceLimitError):
