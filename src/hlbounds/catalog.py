@@ -422,11 +422,8 @@ def figure_ball_data(p_max: int):
         raise ResourceLimitError(f"p_max must be <= {BALL_P_MAX} for the ball bound")
     airy_c = _airy_constant()
     rows = []
-    zero = None
     for p in range(1, p_max + 1):
-        e = ball_upper_bound(p, zero)
-        # E = p (2 j)^2: j_{p/2-1,1} lies below the zero for p + 1
-        zero = math.sqrt(e / p) / 2.0
+        e = ball_upper_bound(p)
         rows.append(
             {
                 "p": p,

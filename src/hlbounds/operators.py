@@ -74,9 +74,9 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_diagonal(self, tol: float = 1e-14) -> bool:
+    def is_diagonal(self) -> bool:
         off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.max(np.abs(off)) <= tol) if off.size else True
+        return bool(np.max(np.abs(off)) <= 1e-14)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Quantum Fisher information for pure output states.
 
-For commuting generator sets the QFI is evaluated analytically from
-generator covariances (valid for any expansion point); noncommuting models
-are supported only at theta0 = 0.  Every derivative state is exact: for a
-commuting set, or at theta0 = 0 for any set, d/d theta_i exp(i n theta .
-Lambda) |psi> = i n Lambda_i exp(i n theta . Lambda) |psi>, so no finite
-differences are taken.  The regularized trace-of-inverse and per-parameter
+Both the QFI and the saturability test read one overlap matrix
+<D_i|D_j> of the centred states |D_i> = (Lambda_i - <Lambda_i>) |psi> at
+the evolved point psi, for every generator set.  The derivative states are
+exact: for a commuting set, or at theta0 = 0 for any set, d/d theta_i
+exp(i n theta . Lambda) |psi> = i n Lambda_i exp(i n theta . Lambda) |psi>,
+so no finite differences are taken; noncommuting sets are supported only
+at theta0 = 0.  The regularized trace-of-inverse and per-parameter
 nuisance variances implement the epsilon -> 0+ limit semantics, returning
 +inf for genuinely singular directions.
 """
@@ -89,54 +90,44 @@ def _validate_inputs(gens: GeneratorSet, theta0, psi_in: PureState):
     return theta0
 
 
-def _overlap_matrix(gens: GeneratorSet, theta0, psi_in: PureState, n: int):
-    """4 <D_i|D_j> for the derivative states |D_i> = |d_i psi> - <psi|d_i psi>|psi>
-    of n uses, with the exact |d_i psi> = i n Lambda_i |psi>."""
+def _overlap_matrix(gens: GeneratorSet, theta0, psi_in: PureState):
+    """<D_i|D_j> for the centred states |D_i> = (Lambda_i - <Lambda_i>) |psi>
+    at the evolved point psi.  Callers scale its real or imaginary part by 4:
+    4.0 times the complex matrix can flip the sign of a zero real part."""
     psi0 = evolve(gens, theta0, psi_in).amplitudes
-    d = np.empty((gens.p, gens.dim), dtype=complex)
-    for i, g in enumerate(gens.generators):
-        d[i] = 1j * n * (g.entries @ psi0)
-        d[i] = d[i] - (psi0.conj() @ d[i]) * psi0
-    return 4.0 * (d.conj() @ d.T)
+    means = [np.real(np.vdot(psi0, g.entries @ psi0)) for g in gens.generators]
+    # centre the generator, not the product: a multiple of the identity
+    # in Lambda_i would otherwise cancel catastrophically
+    eye = np.eye(gens.dim)
+    ds = np.stack([(g.entries - mu * eye) @ psi0 for g, mu in zip(gens.generators, means)])
+    return ds.conj() @ ds.T
 
 
 def qfi_pure(gens: GeneratorSet, theta0, psi_in: PureState, n: int = 1) -> QfiMatrix:
     """QFI matrix for n parallel uses, modeled as generator scaling n Lambda.
 
-    Commuting sets: F_ij = 4 n^2 Re<(Lambda_i - <Lambda_i>) psi|(Lambda_j -
-    <Lambda_j>) psi> at the evolved point psi, for any theta0.  Noncommuting
-    sets: the overlap formula 4 Re<D_i|D_j> of the exact derivative states,
-    theta0 = 0 only.
+    F_ij = 4 n^2 Re<(Lambda_i - <Lambda_i>) psi|(Lambda_j - <Lambda_j>) psi>
+    at the evolved point psi, one centred path for every generator set
+    (noncommuting sets at theta0 = 0 only).
     ``scale`` is n^2 max_i spread(Lambda_i)^2, the largest F_ii (1 if that is 0).
     """
     theta0 = _validate_inputs(gens, theta0, psi_in)
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     scale = n * n * max(spread(g) for g in gens.generators) ** 2 or 1.0
-    if gens.commuting:
-        psi0 = evolve(gens, theta0, psi_in).amplitudes
-        means = [np.real(np.vdot(psi0, g.entries @ psi0)) for g in gens.generators]
-        # centre the generator, not the product: a multiple of the identity
-        # in Lambda_i would otherwise cancel catastrophically
-        eye = np.eye(gens.dim)
-        ds = np.stack([(g.entries - mu * eye) @ psi0
-                       for g, mu in zip(gens.generators, means)])
-        base = 4.0 * np.real(ds.conj() @ ds.T)
-        return QfiMatrix((n * n) * base, scale)
-    overlap = _overlap_matrix(gens, theta0, psi_in, n)
-    return QfiMatrix(np.real(overlap), scale)
+    return QfiMatrix((n * n) * (4.0 * np.real(_overlap_matrix(gens, theta0, psi_in))), scale)
 
 
 def saturability(gens: GeneratorSet, theta0, psi_in: PureState) -> SaturabilityReport:
     """Imaginary parts Im tr(rho L_i L_j) from the pure-state SLDs.
 
+    These are Im 4 <D_i|D_j> of the same centred states as ``qfi_pure``.
     The report is saturable iff the max entry is below 1e-9; only then is
     the multiparameter quantum Cramer-Rao bound asymptotically attainable
     with many repetitions.
     """
-    _validate_inputs(gens, theta0, psi_in)
-    overlap = _overlap_matrix(gens, theta0, psi_in, 1)
-    return SaturabilityReport(np.imag(overlap))
+    theta0 = _validate_inputs(gens, theta0, psi_in)
+    return SaturabilityReport(4.0 * np.imag(_overlap_matrix(gens, theta0, psi_in)))
 
 
 def trace_inverse(f: QfiMatrix) -> float:

@@ -148,18 +148,21 @@ def bessel_j(nu: float, x: float) -> float:
         return float(total * half ** order / gamma)
 
 
-def bessel_j_first_zero(nu: float, lower: float | None = None) -> float:
+def bessel_j_first_zero(nu: float) -> float:
     """First positive zero of J_nu, -1/2 <= nu <= MAX_ORDER.
 
     J_nu > 0 on (0, j_{nu,1}) and j_{nu,2} - j_{nu,1} > pi, so a scan with
-    unit steps from max(nu, 10^-3) < j_{nu,1} finds the first sign change;
+    unit steps on the grid max(nu, 10^-3) + k finds the first sign change;
     it ends by nu_eff + 3 + 2 nu_eff^(1/3) (nu_eff = max(nu, 0)), which lies
-    beyond j_{nu,1} ~ nu + 1.8558 nu^(1/3).  Illinois regula falsi then
-    refines the bracket to 1e-14 relative.  ``lower``, a point known to lie
-    below j_{nu,1} (such as the first zero of a smaller order: the zeros
-    increase with the order), lets the scan start at the last of its steps
-    at or below ``lower``; the bracket, and so the result, stay the same.
-    J_{1/2}(x) = sqrt(2/(pi x)) sin x, so j_{1/2,1} is pi, returned exactly.
+    beyond j_{nu,1} ~ nu + 1.8558 nu^(1/3).  The scan starts at the last
+    grid point at or below nu_eff + |a_1| (nu_eff/2)^(1/3), with a_1 =
+    -2.338107410459767 the first zero of Ai.  These are the leading terms of
+    the uniform expansion, and a proven lower bound on j_{nu,1} for nu > 0
+    (Qu and Wong, Trans. Amer. Math. Soc. 351 (1999) 2833; DLMF 10.21), so
+    the skipped steps all have J_nu > 0 and the bracket and the zero are
+    those of a scan from the grid's first point.  Illinois regula falsi then
+    refines the bracket to 1e-14 relative.  J_{1/2}(x) = sqrt(2/(pi x)) sin x,
+    so j_{1/2,1} is pi, returned exactly.
     """
     if nu < -0.5:
         raise InvalidArgumentError("orders below -1/2 are not supported")
@@ -168,11 +171,11 @@ def bessel_j_first_zero(nu: float, lower: float | None = None) -> float:
     nu_eff = max(nu, 0.0)
     hi = nu_eff + 3.0 + 2.0 * nu_eff ** (1.0 / 3.0)
     a = max(nu, 1e-3)
-    if lower is not None and lower > a:
-        a += math.floor(lower - a)
+    start = nu_eff + 2.338107410459767 * (nu_eff / 2.0) ** (1.0 / 3.0)
+    a += max(0, math.floor(start - a))
     fa = bessel_j(nu, a)
     if a >= hi or fa <= 0.0:
-        raise InvalidArgumentError(f"the scan start {a} is not below the first zero of J_{nu}")
+        raise NumericalError(f"the scan start {a} is not below the first zero of J_{nu}")
     if nu == 0.5:
         return math.pi
     while True:

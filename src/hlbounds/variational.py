@@ -225,7 +225,7 @@ def airy_lower_bound() -> AiryBoundResult:
     )
 
 
-def ball_upper_bound(p: int, lower: float | None = None) -> float:
+def ball_upper_bound(p: int) -> float:
     """Ground energy of the largest ball inscribed in the cross-polytope.
 
     The radius is 1/(2 sqrt(p)), so E = p (2 j_{p/2-1,1})^2 with j the first
@@ -234,15 +234,15 @@ def ball_upper_bound(p: int, lower: float | None = None) -> float:
     coefficient of 1/N^2).  Since j_{nu,1} = nu + 1.8558 nu^(1/3) + O(nu^(-1/3)),
     E/p^3 -> 1 for large p, but only at rate p^(-2/3): E(40)/40^3 = 1.4809,
     and E/p^3 first lies within 0.15 of 1 at p = 226.  Supported for
-    1 <= p <= BALL_P_MAX (1000); larger p raises ResourceLimitError.
-    ``lower``, if given, is a point below j_{p/2-1,1} that lets the zero
-    search skip its scan steps below it (see ``bessel_j_first_zero``).
+    1 <= p <= BALL_P_MAX (1000); larger p raises ResourceLimitError.  The
+    zero search scans up from a proven lower bound on j_{p/2-1,1} (see
+    ``bessel_j_first_zero``).
     """
     if p < 1:
         raise InvalidArgumentError("p must be >= 1")
     if p > BALL_P_MAX:
         raise ResourceLimitError(f"p must be <= {BALL_P_MAX} for the ball bound")
-    j = bessel_j_first_zero(p / 2.0 - 1.0, lower)
+    j = bessel_j_first_zero(p / 2.0 - 1.0)
     return p * (2.0 * j) ** 2
 
 
@@ -264,20 +264,16 @@ def phase_cost_analytic(coeffs: PhaseStateCoefficients) -> float:
 class PhaseMeasurementModel:
     """Covariant-measurement outcome density p(u) = |sum_m c_m e^{imu}|^2/(2 pi)
     of the mismatch u on [-pi, pi), tabulated on a uniform grid of
-    ``grid_points`` points; by default the smallest power of two that is at
-    least 2^14 and 4(N+1)."""
+    ``grid_points`` points: the least power of two that is at least 2^14
+    and 4(N+1), computed from the coefficients."""
 
     coeffs: PhaseStateCoefficients
-    grid_points: int | None = None
+    grid_points: int = field(init=False, default=None)
     u: np.ndarray = field(init=False, default=None)
     pdf: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
-        least = 4 * (self.coeffs.N + 1)
-        g = (max(MIN_PDF_GRID, 1 << (least - 1).bit_length()) if self.grid_points is None
-             else int(self.grid_points))
-        if g < least:
-            raise InvalidArgumentError("pdf grid must have at least 4(N+1) points")
+        g = max(MIN_PDF_GRID, 1 << (4 * (self.coeffs.N + 1) - 1).bit_length())
         c = self.coeffs.c
         m = np.arange(c.size)
         shifted = c * np.exp(-1j * m * np.pi)  # e^{im u} at u = -pi + 2 pi j / g

@@ -340,11 +340,6 @@ def test_pdf_model_normalization_and_phase_invariance():
     np.testing.assert_allclose(model2.pdf, model.pdf, atol=1e-12)
 
 
-def test_pdf_model_grid_validation():
-    with pytest.raises(InvalidArgumentError):
-        PhaseMeasurementModel(sin_coefficients(100), grid_points=128)
-
-
 @pytest.mark.parametrize("N, grid", [(1, 2 ** 14), (4095, 2 ** 14), (4096, 2 ** 15),
                                      (5000, 2 ** 15)])
 def test_pdf_model_default_grid_is_the_least_power_of_two_past_4_n_plus_1(N, grid):
