@@ -102,8 +102,9 @@ def test_bessel_first_zero_of_order_one_half_is_pi():
 
 
 def test_ball_bound_scan_starts_at_the_proven_lower_bound(monkeypatch):
-    # the unit-step scan for j_{499,1} ~ 513.6 starts within two steps of
-    # the zero, so the scan and regula falsi take a handful of evaluations
+    # the unit-step scan for j_{499,1} = 513.85 starts at 513, below the
+    # bound 513.72, so one scan step brackets the zero; a scan from the
+    # grid's first point, 499, would take 14 more evaluations
     calls = []
 
     def counted(nu, x):
