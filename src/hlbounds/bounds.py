@@ -178,7 +178,7 @@ class _GaugeSolver:
         if self._facets is not None:
             # one (f, p) @ (p, 1) matvec per row, rounding as a single-row
             # query does; ``rows @ facets.T`` rounds differently
-            return np.max(self._facets @ rows[:, :, None], axis=(1, 2))
+            return np.maximum.reduce(self._facets @ rows[:, :, None], axis=(1, 2))
         return np.array([self._lp_gauge(c) for c in rows])
 
     def _lp_gauge(self, c: np.ndarray) -> float:
@@ -231,10 +231,10 @@ def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
     factor g_i^2, g_i the difference-body gauge of row i of A^{-1}
     (``c_optimal_variance``), +inf where not estimable."""
     _, factor = paradigm_constants(paradigm)
-    solver = _GaugeSolver(gens)
+    gauges = _GaugeSolver(gens).gauges
 
     def oracle(a: ReparamMatrix) -> np.ndarray:
-        g = solver.gauges(np.linalg.inv(a.entries))
+        g = gauges(np.linalg.inv(a.entries))
         return factor * g * g
 
     return oracle
@@ -368,12 +368,14 @@ def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
     summed in index order over the p constants v of one ``variance_oracle(a)``
     call; +inf if any v_i is.  Equal terms give p^(alpha+1) times the term
     exactly, as in ``AllocationPlan``."""
-    terms = (np.sum(a.entries ** 2, axis=0) * variance_oracle(a)).tolist()
+    m = a.entries
+    terms = (np.add.reduce(m * m, 0) * variance_oracle(a)).tolist()
     if not all(map(math.isfinite, terms)):
         return math.inf
     if terms.count(terms[0]) == len(terms):
-        return a.p ** (alpha + 1) * terms[0]
-    return sum(t ** (1.0 / (alpha + 1)) for t in terms) ** (alpha + 1)
+        return len(terms) ** (alpha + 1) * terms[0]
+    root = 1.0 / (alpha + 1)
+    return sum([t ** root for t in terms]) ** (alpha + 1)
 
 
 # The most p-subsets of difference directions that are scored in one batch.

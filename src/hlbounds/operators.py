@@ -134,9 +134,17 @@ class ReparamMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
-        col_norms = np.linalg.norm(m, axis=0)
-        scale = float(np.prod(col_norms)) if np.all(col_norms > 0) else 0.0
-        if scale == 0.0 or abs(np.linalg.det(m)) <= DET_TOL * scale:
+        # The test |det A| > DET_TOL prod_j |a_j| is scale-free.  Where a
+        # square, the norm product or the determinant would leave the double
+        # range (or an entry is not finite), the columns are first brought to
+        # unit size by powers of two, which is exact; any other A is tested
+        # as given.
+        t = m
+        scale = _norm_product(t) if np.vdot(t, t) < 2.0 ** 1000 else math.inf
+        if not 2.0 ** -900 < scale < 2.0 ** 900:
+            t = np.ldexp(m, -np.frexp(np.maximum.reduce(abs(m), 0, initial=0.0))[1])
+            scale = _norm_product(t)
+        if not (0.0 < scale < math.inf and abs(np.linalg.det(t)) > DET_TOL * scale):
             raise InvalidArgumentError("reparametrization matrix is singular")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -144,6 +152,11 @@ class ReparamMatrix:
     @property
     def p(self) -> int:
         return self.entries.shape[0]
+
+
+def _norm_product(m: np.ndarray) -> float:
+    """prod_j |m_j| over the columns of ``m``."""
+    return math.prod(np.sqrt(np.add.reduce(m * m, 0)).tolist())
 
 
 def _all_commuting(gens) -> bool:

@@ -5,9 +5,10 @@
 1952), each ported step for step from scipy 1.17
 (``scipy.optimize.minimize(method="Nelder-Mead")`` without bounds or
 adaptive parameters, and ``scipy.sparse.linalg.cg`` from x0 = 0 with no
-preconditioner).  Every arithmetic operation, sort and stopping test is
-scipy's, so trajectories, evaluation counts and results are bit-identical
-to scipy's; importing scipy's solvers would cost about 0.5 s per command.
+preconditioner).  Every arithmetic operation and sort is scipy's, and
+every stopping test decides as scipy's does, so trajectories, evaluation
+counts and results are bit-identical to scipy's; importing scipy's solvers
+would cost about 0.5 s per command.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _nelder_mead(fun, x0, args, xatol=1e-4, fatol=1e-4, maxiter=None) -> Minimiz
     def func(x):
         nonlocal nfev
         nfev += 1
-        fx = fun(np.copy(x), *args)
+        fx = fun(x.copy(), *args)
         return fx if np.isscalar(fx) else np.asarray(fx).item()
 
     sim = np.tile(x0, (n + 1, 1))
@@ -70,14 +71,16 @@ def _nelder_mead(fun, x0, args, xatol=1e-4, fatol=1e-4, maxiter=None) -> Minimiz
     fsim = np.array([func(x) for x in sim], dtype=float)
     # scipy sorts twice here; argsort does not keep ties in place, so both stay
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        # fsim is sorted, so max |fsim[0] - fsim[1:]| is fsim[-1] - fsim[0]
+        # (rounding is monotone); tested first, it spares the vertex test
+        if (fsim[-1] - fsim[0] <= fatol
+                and abs(sim[1:] - sim[0]).max() <= xatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + _RHO) * xbar - _RHO * sim[-1]
@@ -104,9 +107,9 @@ def _nelder_mead(fun, x0, args, xatol=1e-4, fatol=1e-4, maxiter=None) -> Minimiz
                     sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
                     fsim[j] = func(sim[j])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
 
     return MinimizeResult(x=sim[0], fun=np.min(fsim), nit=iterations, nfev=nfev,
                           success=iterations < maxiter)

@@ -650,6 +650,32 @@ def test_reparam_matrix_rejects_singular():
         ReparamMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries", [
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],  # rank 2
+    [[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 0.0, 1.0]],  # zero column
+    [[1e200, 1e200], [1e200, 1e200]],
+    [[1e-200, 1e-200], [1e-200, 1e-200]],
+    np.diag([math.nan, 1.0, 1.0]),
+    np.diag([math.inf, 1.0, 1.0]),
+    np.diag([1.0, -math.inf, 1.0]),
+    [[math.inf, math.inf], [1.0, 1.0]],
+])
+def test_reparam_matrix_rejects_degenerate_and_nonfinite(entries):
+    with pytest.raises(InvalidArgumentError, match="singular"):
+        ReparamMatrix(np.array(entries))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e-110, 1e110, 1e200])
+def test_reparam_matrix_test_is_scale_free(scale):
+    # no square, norm product or determinant of the test may leave the
+    # double range, whatever the scale of A or of one of its columns
+    ReparamMatrix(scale * np.eye(3))
+    ReparamMatrix(np.diag([scale, 1.0, 1.0 / scale]))
+    ReparamMatrix(scale * np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.1], [0.0, 0.4, 1.0]]))
+
+
 @pytest.mark.parametrize(
     "build, attr, array",
     [

@@ -1,39 +1,30 @@
 """The in-package Nelder-Mead and CG against scipy's, which they port: the
 same trajectories, counts and results, bit for bit."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
+import hlbounds.bounds as bounds_module
 import hlbounds.variational as variational_module
-from hlbounds import (
-    InvalidArgumentError,
-    ReparamMatrix,
-    build_fixed_atom_generators,
-    elfving_variance_oracle,
-    simplex_ground_energy,
-)
-from hlbounds.bounds import sep_plus_value
+from hlbounds import build_fixed_atom_generators, sep_plus_optimize, simplex_ground_energy
 from hlbounds.solvers import cg, minimize
 
 
-def _sep_plus_objective():
-    # the objective sep_plus_optimize searches at fixed atoms p=3 in CR
-    oracle = elfving_variance_oracle(build_fixed_atom_generators(3), "cr")
+def _sep_plus_search(monkeypatch):
+    # the first search of sep_plus_optimize at fixed atoms p=3 in CR (from the
+    # identity), with the objective that function hands to minimize
+    calls = []
 
-    def objective(flat):
-        try:
-            a = ReparamMatrix(flat.reshape(3, 3))
-        except InvalidArgumentError:
-            return 1e300
-        val = sep_plus_value(a, oracle, 1)
-        return val if math.isfinite(val) else 1e300
+    def recording(fun, x0, **kwargs):
+        calls.append((fun, np.array(x0), (), kwargs["options"]))
+        return minimize(fun, x0, **kwargs)
 
-    return objective
+    monkeypatch.setattr(bounds_module, "minimize", recording)
+    sep_plus_optimize(build_fixed_atom_generators(3), "cr")
+    return calls[0]
 
 
 def _rosenbrock(x, shift):
@@ -49,21 +40,19 @@ def _walled_bowl(x):
 
 
 MINIMIZE_CASES = {
-    "sep-plus-fixed-atoms-3-cr": (
-        _sep_plus_objective(), np.eye(3).ravel(), (),
-        {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000}),
-    "stopped-at-maxiter": (
+    "sep-plus-fixed-atoms-3-cr": _sep_plus_search,
+    "stopped-at-maxiter": lambda _: (
         _rosenbrock, np.array([-1.2, 1.0, 0.5, 0.0]), (0.25,),
         {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 60}),
-    "walled-objective": (
+    "walled-objective": lambda _: (
         _walled_bowl, np.array([1.0, 1.0]), (),
         {"xatol": 1e-9, "fatol": 1e-11, "maxiter": 800}),
 }
 
 
 @pytest.mark.parametrize("name", list(MINIMIZE_CASES))
-def test_minimize_matches_scipy_nelder_mead(name):
-    fun, x0, args, options = MINIMIZE_CASES[name]
+def test_minimize_matches_scipy_nelder_mead(monkeypatch, name):
+    fun, x0, args, options = MINIMIZE_CASES[name](monkeypatch)
     ours = minimize(fun, x0, args=args, method="Nelder-Mead", options=options)
     ref = scipy_minimize(fun, x0, args=args, method="Nelder-Mead", options=options)
     assert np.array_equal(ours.x, ref.x)
