@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -256,6 +257,16 @@ def test_variational_phase_with_monte_carlo(capsys):
     mc = data["monte_carlo"]
     assert mc["seed"] == 7
     assert abs(mc["mean"] - exact) <= 3 * mc["stderr"]
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--mc-samples", "50000001")])
+def test_variational_phase_bad_monte_carlo_input_fails_fast(capsys, flag, value):
+    argv = {"--seed": "1234", "--mc-samples": "1000", flag: value}
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "variational", "phase", *itertools.chain(*argv.items()))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_table_contents(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hlbounds import (
 )
 import hlbounds.variational as variational_module
 from hlbounds.solvers import cg
-from hlbounds.variational import BALL_P_MAX, _interior_mask
+from hlbounds.variational import BALL_P_MAX, MC_SAMPLE_CAP, _cdf_index, _interior_mask
 
 PI2 = math.pi ** 2
 
@@ -373,3 +374,98 @@ def test_monte_carlo_seed_sensitivity():
 def test_monte_carlo_minimum_samples():
     with pytest.raises(InvalidArgumentError):
         phase_cost_monte_carlo(PhaseMeasurementModel(sin_coefficients(4)), 10, seed=0)
+
+
+def test_monte_carlo_rejects_a_negative_seed():
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        phase_cost_monte_carlo(PhaseMeasurementModel(sin_coefficients(4)), 1000, seed=-1)
+
+
+def test_monte_carlo_above_the_sample_cap_allocates_nothing():
+    model = PhaseMeasurementModel(sin_coefficients(4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            phase_cost_monte_carlo(model, MC_SAMPLE_CAP + 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def _grid_cdf(coeffs):
+    model = PhaseMeasurementModel(coeffs)
+    weights = model.pdf * (2.0 * np.pi / model.grid_points)
+    return np.cumsum(weights), float(np.sum(weights))
+
+
+def _zero_runs():
+    """A cdf with runs of equal entries, keyed at each entry (three times) and
+    on a uniform grid from 0 to the last."""
+    weights = np.zeros(64)
+    weights[[3, 4, 10, 30, 31, 32, 63]] = [1.0, 0.5, 2.0, 1.0, 1.0, 0.25, 3.0]
+    cum = np.cumsum(weights)
+    r = np.concatenate([cum, np.repeat(cum, 3), np.linspace(0.0, cum[-1], 1001)])
+    return cum, float(cum[-1]), r
+
+
+def _sparse_random():
+    """Random weights, two thirds of them zero, keyed at every cdf entry, 0
+    and uniform draws."""
+    rng = np.random.default_rng(5)
+    weights = rng.random(4096) * (rng.random(4096) < 0.3)
+    cum = np.cumsum(weights)
+    total = float(np.sum(weights))
+    r = np.concatenate([[0.0], rng.permutation(cum), rng.random(20_000) * total])
+    return cum, total, r
+
+
+def _flat_on_the_edges():
+    """The flat density: its cdf entries sit on the bucket edges j total/g,
+    so a start past the key's cell would show.  Keyed at every entry, at
+    every edge and one ulp on either side of each."""
+    cum, total = _grid_cdf(PhaseStateCoefficients(1, [1.0, 0.0]))
+    edges = np.arange(cum.size) * (total / cum.size)
+    keys = np.concatenate([cum, edges])
+    r = np.concatenate([keys, np.nextafter(keys, -1.0), np.nextafter(keys, 2.0)])
+    return cum, total, np.clip(r, 0.0, total)
+
+
+def _total_past_the_cdf():
+    """total above cum[-1], as where the pairwise np.sum exceeds the
+    sequential cumsum: the keys in (cum[-1], total] belong to the last cell."""
+    cum, total = _grid_cdf(sin_coefficients(5000))
+    assert total > cum[-1]
+    r = np.concatenate([np.linspace(cum[-1], total, 101), [np.nextafter(cum[-1], 2.0), 0.0]])
+    return cum, total, r
+
+
+def _wide_bucket():
+    """The sine state at N = 12: a tail bucket spans more than 1000 cells."""
+    cum, total = _grid_cdf(sin_coefficients(12))
+    edges = np.arange(cum.size) * (total / cum.size) * (1.0 - 1e-12)
+    assert np.diff(np.searchsorted(cum, edges)).max() > 1000
+    r = np.random.Generator(np.random.Philox(1)).random(100_000) * total
+    return cum, total, r
+
+
+@pytest.mark.parametrize("case", [_zero_runs, _sparse_random, _flat_on_the_edges,
+                                  _total_past_the_cdf, _wide_bucket],
+                         ids=lambda case: case.__name__.lstrip("_"))
+def test_guide_table_lookup_equals_searchsorted(monkeypatch, case):
+    cum, total, r = case()
+    want = np.minimum(np.searchsorted(cum, r, "left"), cum.size - 1)
+    searched = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    got = _cdf_index(cum, total, r)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got, want)
+    assert searched[0] == cum.size  # the guide table, then the keys still short
+    if case is _wide_bucket:
+        assert searched[1] > 0
