@@ -33,6 +33,7 @@ from .operators import (
     SEARCH_SEEDS,
     GeneratorSet,
     ReparamMatrix,
+    check_two_sector_strengths,
     difference_body,
     distinct_patterns,
     exact_max_spread,
@@ -127,7 +128,7 @@ class AllocationPlan:
         c = np.array(self.c, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise InvalidArgumentError("c must be a nonempty vector")
-        if np.any(c <= 0):
+        if not np.all(c > 0):
             raise InvalidArgumentError("all allocation constants must be positive")
         if self.alpha not in (1, 2):
             raise InvalidArgumentError("alpha must be 1 (CR) or 2 (MM)")
@@ -513,6 +514,5 @@ def orthogonal_restricted_sep_plus(alpha_beta) -> float:
     is (alpha (alpha+beta)/(alpha^2+beta^2))^2.
     """
     alpha, beta = alpha_beta
-    if not (0 < beta < alpha):
-        raise InvalidArgumentError("require 0 < beta < alpha")
+    check_two_sector_strengths(alpha, beta)
     return 4.0 * alpha ** 2 / ((alpha ** 2 + beta ** 2) * (alpha - beta) ** 2)

@@ -1,6 +1,7 @@
 """Reference registry of asymptotic cost constants for the six benchmark
 models, mixing constants recomputed from this package's operations with
-cited literature values, plus the data behind the ball-bound and
+cited literature values; the generator models by command-line name and the
+rows of the ``bounds`` command; and the data behind the ball-bound and
 reparametrization-ratio figures.
 
 Computed entries carry a provenance closure: ``value(p)`` re-runs the
@@ -23,11 +24,13 @@ from .bounds import (
     CostEstimate,
     allocate,
     elfving_variance_oracle,
+    jnt_lower_bound,
     orthogonal_restricted_sep_plus,
     paradigm_constants,
     per_parameter_spread_constants,
     sep_cost,
     sep_plus_lower_bound,
+    sep_plus_optimize,
     sep_plus_value,
 )
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -35,6 +38,9 @@ from .operators import (
     ReparamMatrix,
     build_fixed_atom_generators,
     build_free_atom_generators,
+    build_pauli_generators,
+    build_two_sector_generators,
+    check_two_sector_strengths,
     rotation_bound_value,
     walsh_hadamard,
 )
@@ -44,6 +50,26 @@ from .states import superposed_noon_state, uniform_state
 from .variational import BALL_P_MAX, airy_lower_bound, ball_upper_bound
 
 _COM_SPLIT = "computed: optimal resource split of per-parameter protocols"
+
+# Pauli model name -> its field components
+_PAULI_COMPONENTS = {"pauli1": "z", "pauli2": "xy", "pauli3": "xyz"}
+
+GENERATOR_MODELS = ("fixed-atoms", "free-atoms", *_PAULI_COMPONENTS, "two-sector")
+
+
+def build_model(name: str, p: int, alpha: float, beta: float):
+    """The generators of the model ``name`` (one of ``GENERATOR_MODELS``);
+    ``p`` sizes the atom models, ``alpha`` and ``beta`` are the two-sector
+    strengths."""
+    if name == "fixed-atoms":
+        return build_fixed_atom_generators(p)
+    if name == "free-atoms":
+        return build_free_atom_generators(p)
+    if name in _PAULI_COMPONENTS:
+        return build_pauli_generators(_PAULI_COMPONENTS[name])
+    if name == "two-sector":
+        return build_two_sector_generators(alpha, beta)
+    raise InvalidArgumentError(f"unknown model {name!r}")
 
 
 @dataclass(frozen=True)
@@ -192,9 +218,7 @@ def _pauli_entries(p):
 
 @lru_cache(maxsize=None)
 def _pauli_gens(p):
-    from .operators import build_pauli_generators
-
-    return build_pauli_generators({3: "xyz", 2: "xy"}[p])
+    return build_pauli_generators(_PAULI_COMPONENTS[f"pauli{p}"])
 
 
 def _fixed_atoms() -> ModelRecord:
@@ -252,13 +276,19 @@ def _free_atoms() -> ModelRecord:
             _entry("mm", "sep_plus", 3, "exact_asymptotic",
                    "computed: single-vector spread maximization (no gain)",
                    recompute=partial(_sep_plus_floor, build_free_atom_generators, "mm")),
-            _entry("mm", "jnt", 3, "lower_bound",
-                   "computed: symmetrized Airy variational bound",
-                   recompute=_free_mm_jnt_lower, variant="lower"),
-            _entry("mm", "jnt", 3, "upper_bound",
-                   "cited: inscribed-ball trial state, large-p limit",
-                   coefficient=1.0, variant="upper"),
-        ),
+        ) + _free_mm_jnt_bracket(),
+    )
+
+
+def _free_mm_jnt_bracket():
+    """The free-atom MM JNT lower (Airy) and upper (ball limit) entries."""
+    return (
+        _entry("mm", "jnt", 3, "lower_bound",
+               "computed: symmetrized Airy variational bound",
+               recompute=_free_mm_jnt_lower, variant="lower"),
+        _entry("mm", "jnt", 3, "upper_bound",
+               "cited: inscribed-ball trial state, large-p limit",
+               coefficient=1.0, variant="upper"),
     )
 
 
@@ -406,6 +436,61 @@ def ordering_violations(record: ModelRecord, p: int, n: int = 100) -> list:
 
 
 # ---------------------------------------------------------------------------
+# rows of the bounds command
+
+
+def bounds_rows(model: str, paradigm: str, p: int, n: int, alpha: float, beta: float) -> list:
+    """The cost records that the ``bounds`` command prints for ``model`` (one
+    of ``GENERATOR_MODELS``) in ``paradigm``, in order: the registry rows at
+    finite ``n`` for the Pauli models, computed rows for the others."""
+    paradigm_constants(paradigm)
+    if model in _PAULI_COMPONENTS:
+        record = get_model(model)
+        return [e.at(record.p_fixed, n) for e in record.entries
+                if e.estimate.paradigm == paradigm]
+    if model == "two-sector":
+        return _two_sector_rows(paradigm, alpha, beta)
+    gens = build_model(model, p, alpha, beta)
+    rows = [
+        sep_cost(per_parameter_spread_constants(gens, paradigm), paradigm),
+        replace(sep_plus_lower_bound(gens, paradigm), variant="lower"),
+        replace(sep_plus_optimize(gens, paradigm)[1], variant="search"),
+        replace(jnt_lower_bound(gens, paradigm), variant="rotation_bound"),
+    ]
+    if model == "free-atoms" and paradigm == "mm":
+        airy, ball = (e.at(p, n) for e in _free_mm_jnt_bracket())
+        rows += [
+            replace(airy, variant="airy_lower"),
+            replace(ball, variant="ball_limit_upper"),
+            CostEstimate("mm", "jnt", float(p ** 2), 2, "lower_bound",
+                         "cited: rotation bound as published (pi^2 bookkeeping dropped)",
+                         variant="rotation_bound_as_published"),
+        ]
+    return rows
+
+
+def _two_sector_rows(paradigm, alpha, beta):
+    if paradigm != "cr":
+        raise InvalidArgumentError("the two-sector model is analyzed in the CR paradigm only")
+    gens = build_two_sector_generators(alpha, beta)
+    identity = ReparamMatrix(np.eye(2))
+    return [  # computed in row order
+        CostEstimate("cr", "sep", sep_plus_value(identity, elfving_variance_oracle(gens, "cr"), 1),
+                     0, "exact_asymptotic",
+                     "computed: per-parameter nuisance-aware constants at identity"),
+        replace(sep_plus_optimize(gens, "cr")[1], variant="search"),
+        CostEstimate("cr", "sep_plus", orthogonal_restricted_sep_plus((alpha, beta)),
+                     0, "exact_asymptotic",
+                     # worded before the closed form; perfbench/reference.json pins it
+                     "computed: rotation-angle scan with nuisance-aware constants",
+                     variant="orthogonal_restricted"),
+        CostEstimate("cr", "jnt", trace_inverse(qfi_pure(gens, np.zeros(2), uniform_state(4), 1)),
+                     0, "exact_asymptotic",
+                     "computed: trace of inverse information at the uniform probe"),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # figure data
 
 
@@ -445,8 +530,7 @@ def figure_ratio_data(alpha: float, beta_grid):
     over 2/(alpha-beta)^2 + 2/(alpha+beta)^2, (alpha (alpha+beta)/(alpha^2+beta^2))^2."""
     rows = []
     for beta in beta_grid:
-        if not 0 < beta < alpha:
-            raise InvalidArgumentError("each beta must satisfy 0 < beta < alpha")
+        check_two_sector_strengths(alpha, beta)
         general = 2.0 / (alpha - beta) ** 2 + 2.0 / (alpha + beta) ** 2
         ortho = orthogonal_restricted_sep_plus((alpha, beta))
         rows.append({"beta_over_alpha": beta / alpha, "ratio": ortho / general})

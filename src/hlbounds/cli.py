@@ -16,21 +16,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from . import bounds as bnd
 from . import catalog
 from . import variational as vr
 from .errors import HlboundsError, InvalidArgumentError
-from .operators import (
-    ReparamMatrix,
-    build_fixed_atom_generators,
-    build_free_atom_generators,
-    build_pauli_generators,
-    build_two_sector_generators,
-)
 from .qfi import qfi_pure, saturability, trace_inverse
 from .states import (
     PureState,
@@ -39,25 +30,6 @@ from .states import (
     superposed_noon_state,
     uniform_state,
 )
-
-GENERATOR_MODELS = ("fixed-atoms", "free-atoms", "pauli1", "pauli2", "pauli3", "two-sector")
-
-
-def _build_model(name, p, alpha, beta):
-    if name == "fixed-atoms":
-        return build_fixed_atom_generators(p)
-    if name == "free-atoms":
-        return build_free_atom_generators(p)
-    if name == "pauli1":
-        return build_pauli_generators("z")
-    if name == "pauli2":
-        return build_pauli_generators("xy")
-    if name == "pauli3":
-        return build_pauli_generators("xyz")
-    if name == "two-sector":
-        return build_two_sector_generators(alpha, beta)
-    raise InvalidArgumentError(f"unknown model {name!r}")
-
 
 def _build_state(name, gens, p, n):
     if name in ("uniform", "plus-product", "noon"):
@@ -119,7 +91,7 @@ def _emit(payload, args, csv_columns=None):
 
 
 def cmd_qfi(args):
-    gens = _build_model(args.model, args.p, args.alpha, args.beta)
+    gens = catalog.build_model(args.model, args.p, args.alpha, args.beta)
     psi = _build_state(args.state, gens, args.p, args.n)
     theta0 = np.zeros(gens.p)
     f = qfi_pure(gens, theta0, psi, args.n)
@@ -138,81 +110,8 @@ def cmd_qfi(args):
     return 0
 
 
-def _bounds_rows_generator_model(gens, paradigm):
-    constants = bnd.per_parameter_spread_constants(gens, paradigm)
-    sep = bnd.sep_cost(constants, paradigm)
-    lower = bnd.sep_plus_lower_bound(gens, paradigm)
-    _, upper = bnd.sep_plus_optimize(gens, paradigm)
-    jnt = bnd.jnt_lower_bound(gens, paradigm)
-    return [
-        sep,
-        replace(lower, variant="lower"),
-        replace(upper, variant="search"),
-        replace(jnt, variant="rotation_bound"),
-    ]
-
-
 def cmd_bounds(args):
-    paradigm = args.paradigm
-    if args.model in ("pauli1", "pauli2", "pauli3"):
-        record = catalog.get_model(args.model)
-        rows = [
-            e.at(record.p_fixed, args.n)
-            for e in record.entries
-            if e.estimate.paradigm == paradigm
-        ]
-    elif args.model == "two-sector":
-        if paradigm != "cr":
-            raise InvalidArgumentError("the two-sector model is analyzed in the CR paradigm only")
-        gens = build_two_sector_generators(args.alpha, args.beta)
-        oracle = bnd.elfving_variance_oracle(gens, "cr")
-        identity_cost = bnd.sep_plus_value(ReparamMatrix(np.eye(2)), oracle, 1)
-        rows = [
-            bnd.CostEstimate(
-                "cr", "sep", identity_cost, 0, "exact_asymptotic",
-                "computed: per-parameter nuisance-aware constants at identity",
-            )
-        ]
-        _, est = bnd.sep_plus_optimize(gens, "cr")
-        rows.append(replace(est, variant="search"))
-        rows.append(
-            bnd.CostEstimate(
-                "cr", "sep_plus",
-                bnd.orthogonal_restricted_sep_plus((args.alpha, args.beta)),
-                0, "exact_asymptotic",
-                # worded before the closed form; perfbench/reference.json pins it
-                "computed: rotation-angle scan with nuisance-aware constants",
-                variant="orthogonal_restricted",
-            )
-        )
-        f = qfi_pure(gens, np.zeros(2), uniform_state(4), 1)
-        rows.append(
-            bnd.CostEstimate(
-                "cr", "jnt", trace_inverse(f), 0, "exact_asymptotic",
-                "computed: trace of inverse information at the uniform probe",
-            )
-        )
-    else:
-        gens = _build_model(args.model, args.p, args.alpha, args.beta)
-        rows = _bounds_rows_generator_model(gens, paradigm)
-        if args.model == "free-atoms" and paradigm == "mm":
-            p3 = args.p ** 3
-            rows += [
-                bnd.CostEstimate(
-                    "mm", "jnt", vr.airy_lower_bound().constant * p3, 3, "lower_bound",
-                    "computed: symmetrized Airy variational bound", variant="airy_lower",
-                ),
-                bnd.CostEstimate(
-                    "mm", "jnt", float(p3), 3, "upper_bound",
-                    "cited: inscribed-ball trial state, large-p limit",
-                    variant="ball_limit_upper",
-                ),
-                bnd.CostEstimate(
-                    "mm", "jnt", float(args.p ** 2), 2, "lower_bound",
-                    "cited: rotation bound as published (pi^2 bookkeeping dropped)",
-                    variant="rotation_bound_as_published",
-                ),
-            ]
+    rows = catalog.bounds_rows(args.model, args.paradigm, args.p, args.n, args.alpha, args.beta)
     _emit([est.row() for est in rows], args, csv_columns=[
         "strategy", "variant", "constant", "p_exponent", "scaling", "status", "provenance",
     ])
@@ -336,7 +235,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("qfi", help="quantum Fisher information of a model/state pair")
-    q.add_argument("--model", required=True, choices=GENERATOR_MODELS)
+    q.add_argument("--model", required=True, choices=catalog.GENERATOR_MODELS)
     q.add_argument("--p", type=int, default=2)
     q.add_argument("--n", type=int, default=1)
     q.add_argument("--alpha", type=float, default=1.0)
@@ -346,7 +245,7 @@ def build_parser():
     q.set_defaults(func=cmd_qfi, default_format="json")
 
     b = sub.add_parser("bounds", help="strategy cost constants for a model")
-    b.add_argument("--model", required=True, choices=GENERATOR_MODELS)
+    b.add_argument("--model", required=True, choices=catalog.GENERATOR_MODELS)
     b.add_argument("--p", type=int, default=2)
     b.add_argument("--paradigm", required=True, choices=("cr", "mm"))
     b.add_argument("--n", type=int, default=100, help="n of the finite-n rows")
@@ -422,6 +321,8 @@ def _validate(args):
             raise InvalidArgumentError(f"--{name.replace('_', '-')} must be positive")
     if getattr(args, "mc_samples", 0) < 0:
         raise InvalidArgumentError("--mc-samples must be nonnegative")
+    if getattr(args, "seed", 0) < 0:
+        raise InvalidArgumentError("--seed must be nonnegative")
 
 
 def main(argv=None):

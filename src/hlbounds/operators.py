@@ -35,6 +35,7 @@ INDEPENDENCE_TOL = 1e-10
 DET_TOL = 1e-12
 DEGENERATE_SPREAD_TOL = 1e-12
 
+
 # Fixed seeds of every multi-start search (sphere, rotation, SEP+).
 SEARCH_SEEDS = (5, 17, 29)
 
@@ -65,7 +66,7 @@ class HermitianOperator:
         m = _as_complex_matrix(self.entries)
         if m.shape[0] < 1:
             raise InvalidArgumentError("dimension must be >= 1")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
             raise InvalidArgumentError("matrix is not Hermitian to 1e-12")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -260,6 +261,16 @@ def build_pauli_generators(components) -> GeneratorSet:
     return GeneratorSet(tuple(0.5 * _PAULI[c] for c in comps))
 
 
+def check_two_sector_strengths(alpha: float, beta: float) -> None:
+    """Raise unless 0 < beta < alpha and 1e-75 <= alpha <= 1e75, where alpha^4
+    is a normal double: the spectra and the closed forms in alpha and beta
+    neither overflow nor underflow to zero.  NaN fails both tests."""
+    if not 0 < beta < alpha:
+        raise InvalidArgumentError("require 0 < beta < alpha")
+    if not 1e-75 <= alpha <= 1e75:
+        raise InvalidArgumentError("alpha must lie in [1e-75, 1e75]")
+
+
 def build_two_sector_generators(alpha: float, beta: float) -> GeneratorSet:
     """Two commuting 4-level generators with swapped strength patterns.
 
@@ -267,8 +278,7 @@ def build_two_sector_generators(alpha: float, beta: float) -> GeneratorSet:
     with 0 < beta < alpha.  The pair is the canonical case where the optimal
     individual-measurement reparametrization is non-orthogonal.
     """
-    if not (0 < beta < alpha):
-        raise InvalidArgumentError("require 0 < beta < alpha")
+    check_two_sector_strengths(alpha, beta)
     l1 = 0.5 * np.diag([alpha, -alpha, beta, -beta])
     l2 = 0.5 * np.diag([beta, -beta, alpha, -alpha])
     return GeneratorSet((l1, l2))

@@ -40,7 +40,7 @@ class QfiMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
+        if not np.max(np.abs(m - m.T)) <= SYMMETRY_TOL:
             raise InvalidArgumentError("QFI matrix is not symmetric to 1e-10")
         if not self.scale > 0:
             raise InvalidArgumentError("QFI scale must be positive")

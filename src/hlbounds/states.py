@@ -28,7 +28,7 @@ class PureState:
         v = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if v.size < 1:
             raise InvalidArgumentError("state vector must be nonempty")
-        if abs(np.sum(np.abs(v) ** 2) - 1.0) > NORM_TOL:
+        if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= NORM_TOL:
             raise InvalidArgumentError("state vector is not normalized to 1e-12")
         v.flags.writeable = False
         object.__setattr__(self, "amplitudes", v)
@@ -51,7 +51,7 @@ class PhaseStateCoefficients:
         v = np.array(self.c, dtype=complex).reshape(-1)
         if v.size != self.N + 1:
             raise InvalidArgumentError(f"expected {self.N + 1} coefficients, got {v.size}")
-        if abs(np.sum(np.abs(v) ** 2) - 1.0) > NORM_TOL:
+        if not abs(np.sum(np.abs(v) ** 2) - 1.0) <= NORM_TOL:
             raise InvalidArgumentError("coefficients are not normalized to 1e-12")
         v.flags.writeable = False
         object.__setattr__(self, "c", v)

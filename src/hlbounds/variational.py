@@ -64,7 +64,7 @@ class SimplexSpectrum:
     def __post_init__(self):
         if not self.E > 0:
             raise InvalidArgumentError("ground energy must be positive")
-        if self.residual > 1e-8 * self.E:
+        if not self.residual <= 1e-8 * self.E:
             raise InvalidArgumentError("eigen-residual exceeds 1e-8 * E")
         for name in ("nodes", "eigenvector"):
             arr = np.array(getattr(self, name))
@@ -282,7 +282,7 @@ class PhaseMeasurementModel:
         pdf = np.abs(amps) ** 2 / (2.0 * np.pi)
         u = -np.pi + 2.0 * np.pi * np.arange(g) / g
         total = float(np.sum(pdf) * (2.0 * np.pi / g))
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise NumericalError(f"pdf integrates to {total}, not 1")
         u.flags.writeable = False
         pdf.flags.writeable = False
@@ -313,7 +313,7 @@ def phase_cost_monte_carlo(model: PhaseMeasurementModel, samples: int, seed: int
     du = 2.0 * np.pi / model.grid_points
     weights = model.pdf * du
     total = float(np.sum(weights))
-    if total <= 0:
+    if not total > 0:
         raise NumericalError("pdf grid is not normalizable")
     cum = np.cumsum(weights)
     r = np.random.Generator(np.random.Philox(seed)).random(samples)

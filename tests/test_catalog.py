@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import os
 import subprocess
@@ -19,7 +22,15 @@ from hlbounds import (
     table_one,
 )
 import hlbounds
-from hlbounds.catalog import _fixed_cr_jnt, _fixed_mm_jnt, _free_cr_jnt
+from hlbounds import InvalidArgumentError
+from hlbounds.catalog import (
+    GENERATOR_MODELS,
+    _fixed_cr_jnt,
+    _fixed_mm_jnt,
+    _free_cr_jnt,
+    bounds_rows,
+)
+from hlbounds.cli import main
 from hlbounds.variational import BALL_P_MAX
 
 PI2 = math.pi ** 2
@@ -203,3 +214,49 @@ def test_figure_ratio_curve():
     assert ratios[1] > 1.01
     with pytest.raises(Exception):
         figure_ratio_data(1.0, [1.5])
+
+
+# ---------------------------------------------------------------------------
+# rows of the bounds command
+
+# the two-sector strength pairs of the benchmark menu
+_TWO_SECTOR_MENU = ((1.0, 0.5), (1.0, 0.3), (1.0, 0.4), (1.0, 0.6), (2.0, 1.0), (2.0, 0.5))
+
+
+def _bounds_cases():
+    for model in GENERATOR_MODELS:
+        for paradigm in ("cr", "mm"):
+            if model == "two-sector":
+                for alpha, beta in _TWO_SECTOR_MENU:
+                    yield model, paradigm, 2, alpha, beta
+            else:
+                for p in range(1, 5):
+                    yield model, paradigm, p, 1.0, 0.5
+
+
+@pytest.mark.parametrize("model, paradigm, p, alpha, beta", list(_bounds_cases()))
+def test_bounds_rows_are_the_rows_the_command_prints(model, paradigm, p, alpha, beta):
+    argv = ["bounds", "--model", model, "--paradigm", paradigm, "--p", str(p), "--n", "7",
+            "--alpha", repr(alpha), "--beta", repr(beta)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if model == "two-sector" and paradigm == "mm":
+        assert code == 2 and "CR paradigm only" in err.getvalue()
+        with pytest.raises(InvalidArgumentError, match="CR paradigm only"):
+            bounds_rows(model, paradigm, p, 7, alpha, beta)
+        return
+    assert code == 0, err.getvalue()
+    rows = [est.row() for est in bounds_rows(model, paradigm, p, 7, alpha, beta)]
+    assert json.loads(out.getvalue()) == rows
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_free_atom_mm_bracket_rows_are_the_registry_entries(p):
+    rows = {est.variant: est for est in bounds_rows("free-atoms", "mm", p, 100, 1.0, 0.5)}
+    registry = {e.estimate.variant: e.at(p, 100) for e in get_model("free_atoms").entries
+                if e.estimate.paradigm == "mm" and e.estimate.strategy == "jnt"}
+    for row, entry in (("airy_lower", "lower"), ("ball_limit_upper", "upper")):
+        got, want = rows[row], registry[entry]
+        assert (got.constant, got.status, got.provenance) == \
+            (want.constant, want.status, want.provenance)

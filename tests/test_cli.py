@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import csv
 import io
 import itertools
@@ -12,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import hlbounds
 import hlbounds.bounds as bounds_module
@@ -184,6 +187,9 @@ def test_readme_and_small_bounds_commands_load_no_scipy(tmp_path):
                                  "--paradigm", paradigm])
     for paradigm in ("cr", "mm"):  # MM is refused after parsing
         commands.append(["bounds", "--model", "two-sector", "--paradigm", paradigm])
+    # a strength out of range is refused before the search
+    commands.append(["bounds", "--model", "two-sector", "--paradigm", "cr",
+                     "--alpha", "inf", "--beta", "0.5"])
     code = f"""
 import contextlib, io, json, sys
 import hlbounds.cli as cli
@@ -217,6 +223,23 @@ def test_no_module_level_scipy_import():
                 continue
             found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_cli_builds_no_bounds_rows():
+    # the rows of every model are built in catalog.bounds_rows; the command
+    # line only parses flags and formats them
+    tree = ast.parse((Path(hlbounds.__file__).resolve().parent / "cli.py").read_text())
+    imported, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update([node.module or ""] + [alias.name for alias in node.names])
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    assert {name.rsplit(".", 1)[-1] for name in imported} & {"bounds", "operators"} == set()
+    assert "CostEstimate" not in called
 
 
 @pytest.mark.parametrize("argv", [["table"], ["bounds", "--model", "pauli3", "--paradigm", "mm"]],
@@ -267,6 +290,72 @@ def test_variational_phase_bad_monte_carlo_input_fails_fast(capsys, flag, value)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Flags that take a float strength, seed or sample count, by command; each
+# value below is a non-finite, a sign or an extreme magnitude.
+_EDGE_FLAGS = (
+    (("qfi", "--model", "two-sector"), ("--alpha", "--beta")),
+    (("bounds", "--model", "two-sector", "--paradigm", "cr"), ("--alpha", "--beta")),
+    (("figure", "ratio", "--beta-steps", "3"), ("--alpha",)),
+    (("variational", "phase"), ("--seed", "--mc-samples")),
+    (("variational", "simplex", "--p", "2", "--grid", "20"), ("--seed", "--mc-samples")),
+)
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e200", "1e-200", "5e-324")
+
+# inputs that crashed, printed a wrong number or passed a negative seed; each
+# now ends in one error line
+_MUST_FAIL = [
+    ["bounds", "--model", "two-sector", "--paradigm", "cr", "--alpha=inf", "--beta=0.5"],
+    *([*command, f"--alpha={a}"] for command, _ in _EDGE_FLAGS[:3] for a in ("1e308", "1e200")),
+    ["qfi", "--model", "two-sector", "--alpha=inf"],
+    ["figure", "ratio", "--beta-steps", "3", "--alpha=1e-200"],
+    ["figure", "ratio", "--beta-steps", "3", "--alpha=1e100"],
+    ["variational", "phase", "--seed=-1"],
+    ["variational", "simplex", "--p", "2", "--grid", "20", "--seed=-5"],
+]
+
+
+@st.composite
+def _edge_argv(draw):
+    command, flags = draw(st.sampled_from(_EDGE_FLAGS))
+    argv = list(command)
+    for flag in flags:
+        value = draw(st.none() | st.sampled_from(_EDGE_VALUES))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_edge_argv())
+def _edge_property(argv):
+    code, err = _exit_code(argv)
+    assert code in (0, 2), (argv, code)
+    if argv in _MUST_FAIL:
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+for _argv in _MUST_FAIL:
+    _edge_property = example(argv=_argv)(_edge_property)
+
+
+def test_edge_values_exit_0_or_2():
+    # no exception escapes main on any edge value; an argparse exit counts as 2
+    t0 = time.perf_counter()
+    _edge_property()
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_table_contents(capsys):

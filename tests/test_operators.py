@@ -16,6 +16,7 @@ from hlbounds import (
     ResourceLimitError,
     SaturabilityReport,
     SimplexSpectrum,
+    allocate,
     build_fixed_atom_generators,
     build_free_atom_generators,
     build_pauli_generators,
@@ -31,6 +32,9 @@ from hlbounds import (
     walsh_hadamard,
 )
 import hlbounds.operators as operators_module
+from hlbounds.catalog import figure_ratio_data
+from hlbounds.bounds import orthogonal_restricted_sep_plus
+from hlbounds.states import PhaseStateCoefficients, PureState
 
 SQ2 = math.sqrt(2.0)
 
@@ -145,6 +149,52 @@ def test_pauli_generators():
 def test_two_sector_requires_ordered_strengths():
     with pytest.raises(InvalidArgumentError):
         build_two_sector_generators(0.5, 1.0)
+
+
+_BAD_STRENGTHS = [
+    (math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf), (1.0, -math.inf),
+    (1.0, 0.0), (1.0, 1.0), (1e76, 0.5), (1e308, 0.5), (1e-76, 1e-77), (1e-200, 1e-201),
+]
+
+
+@pytest.mark.parametrize("alpha, beta", _BAD_STRENGTHS)
+def test_two_sector_strengths_are_checked_before_any_square(alpha, beta):
+    # past 1e75 (or below 1e-75) alpha^4 overflows (or underflows): the
+    # closed form would read inf, 0 or nan instead of failing
+    with pytest.raises(InvalidArgumentError):
+        operators_module.check_two_sector_strengths(alpha, beta)
+    with pytest.raises(InvalidArgumentError):
+        build_two_sector_generators(alpha, beta)
+    with pytest.raises(InvalidArgumentError):
+        orthogonal_restricted_sep_plus((alpha, beta))
+    with pytest.raises(InvalidArgumentError):
+        figure_ratio_data(alpha, [beta])
+
+
+@pytest.mark.parametrize("alpha", [1e-75, 1e75])
+def test_two_sector_strength_range_ends_are_accepted(alpha):
+    rows = figure_ratio_data(alpha, [alpha / 4, alpha / 2, 3 * alpha / 4])
+    assert [r["ratio"] for r in rows] == pytest.approx([1.3840830449826989, 1.44, 1.2544])
+    assert build_two_sector_generators(alpha, alpha / 2).p == 2
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PhaseStateCoefficients(1, [_NAN, 0]),
+    lambda: PureState([_NAN, 1]),
+    lambda: HermitianOperator([[_NAN, 0], [0, 1]]),
+    lambda: QfiMatrix([[_NAN]]),
+    lambda: allocate([1, _NAN], 1),
+    lambda: GeneratorSet((np.diag([_NAN, 1.0]),)),
+    lambda: SimplexSpectrum(2, 0.1, 1.0, 1, _NAN, np.zeros((1, 2)), np.ones(1)),
+], ids=["phase_coefficients", "pure_state", "hermitian", "qfi", "allocate", "generator_set",
+        "simplex_residual"])
+def test_constructors_reject_nan(build):
+    # each check is written so that a NaN fails it
+    with pytest.raises(InvalidArgumentError):
+        build()
 
 
 # ---------------------------------------------------------------------------
