@@ -128,8 +128,8 @@ class AllocationPlan:
         c = np.array(self.c, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise InvalidArgumentError("c must be a nonempty vector")
-        if not np.all(c > 0):
-            raise InvalidArgumentError("all allocation constants must be positive")
+        if not np.all((c > 0) & (c < np.inf)):
+            raise InvalidArgumentError("all allocation constants must be positive and finite")
         if self.alpha not in (1, 2):
             raise InvalidArgumentError("alpha must be 1 (CR) or 2 (MM)")
         roots = c ** (1.0 / (self.alpha + 1))

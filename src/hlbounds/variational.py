@@ -6,16 +6,17 @@ The ground energy E of -Laplacian on {sum_i |mu_i| <= 1/2} with zero
 boundary values estimates the joint minimax cost constant via cost = E/N^2.
 Discretization is second-order central differences on a uniform
 vertex-aligned grid; Dirichlet data is enforced by excluding boundary and
-exterior nodes, and the smallest eigenvalue is found by inverse power
-iteration with matrix-free conjugate-gradient inner solves.  The ground
-state is even in every mu_i, so the iteration runs on the orthant
-mu_i >= 0 alone (2^p times fewer unknowns): mirror rows on the coordinate
-planes, node weights w = number of full-grid copies, and the symmetric
-operator W^(1/2) R W^(-1/2), whose norms and residuals are those of the
-full grid.  The eigenvector is unfolded onto the full grid on return (see
-``simplex_ground_energy``).  One DEBUG record per solve on this module's
-logger gives p, M, full-grid nodes, orthant unknowns, outer iterations, E,
-the residual and the number of matvecs.
+exterior nodes, and the smallest eigenvalue is found by inexact inverse
+power iteration with matrix-free conjugate-gradient inner solves.  The
+ground state is invariant under every sign flip and permutation of the
+mu_i, so the iteration runs on the wedge 0 <= mu_1 <= ... <= mu_p alone
+(up to 2^p p! times fewer unknowns): neighbours fold back by reflection
+and sorting, node weights w = number of full-grid copies, and the
+symmetric operator W^(1/2) R W^(-1/2), whose norms and residuals are those
+of the full grid.  The eigenvector is unfolded onto the full grid on
+return (see ``simplex_ground_energy``).  One DEBUG record per solve on this
+module's logger gives p, M, full-grid nodes, wedge unknowns, outer
+iterations, E, the residual and the number of matvecs.
 
 The Airy lower bound is a closed form in the first zero a0 of Ai' and
 Ai(a0); no quadrature is run (see ``airy_lower_bound``).
@@ -96,7 +97,7 @@ def _interior_mask(p: int, m: int):
     for d in range(p):
         shape = [1] * p
         shape[d] = m + 1
-        total = total + radial.reshape(shape)
+        total += radial.reshape(shape)
     mask = total < 0.5 - 1e-9 / m
     return axes, mask
 
@@ -109,24 +110,28 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     the discrete eigenvalue approaches the continuum limit from below at
     rate O(h^2).
 
-    The ground state is even under every sign flip mu_d -> -mu_d, so the
-    solve runs on the orthant of grid indices i_d >= ceil(M/2), which holds
-    2^p times fewer unknowns, with mirror rows on the coordinate planes: a
-    neighbour index i folds to max(i, M - i).  For odd M no node lies on
-    mu_d = 0 and the -1 neighbour of the first node (mu_d = h/2) is the node
-    itself.  For even M the -1 neighbour of the node on mu_d = 0 folds onto
-    its +1 neighbour, so the folded operator R is not symmetric.  With w the
-    number of full-grid copies of a node (the product over axes of 1 on
-    mu_d = 0, else 2), inverse iteration runs on the symmetric
-    S = W^(1/2) R W^(-1/2) in z = W^(1/2) u.  Norms, Rayleigh quotients
-    and residuals in z equal those of the symmetric full-grid vector, so E,
-    ``residual`` and the stopping rule are the full grid's.  On return
+    The ground state is invariant under the sign flips mu_d -> -mu_d and
+    the permutations of the mu_d, so the solve runs on the wedge of sorted
+    grid indices ceil(M/2) <= i_1 <= ... <= i_p: a neighbour index i
+    reflects to max(i, M - i) and the neighbour's indices are sorted.  For
+    odd M no node lies on mu_d = 0 and the -1 neighbour of the first node
+    (mu_d = h/2) is the node itself.  For even M the -1 neighbour of the
+    node on mu_d = 0 folds onto its +1 neighbour, and on a diagonal
+    i_d = i_e the +1 neighbours along d and e sort to one node, so the
+    folded operator R is not symmetric.  With w the orbit size of a
+    node (the product over axes of 1 on mu_d = 0, else 2, times
+    p!/prod(multiplicity of each index value)!), inverse iteration runs on
+    the symmetric S = W^(1/2) R W^(-1/2) in z = W^(1/2) u.  Norms, Rayleigh
+    quotients and residuals in z equal those of the symmetric full-grid
+    vector, so E, ``residual`` and the stopping rule are the full grid's.
+    Each CG solve stops at rtol min(1e-2, max(1e-13, 0.05 r/E)), with r and
+    E the previous outer step's residual and energy, and at 1e-2 on the
+    first step (inexact inverse iteration, Golub and Ye 2000); the
+    residual of the stopping rule comes from a true matvec.  On return
     u = z/sqrt(w) is unfolded onto every interior node, in C order of the
     full grid, so ``nodes`` and the unit-norm ``eigenvector`` cover the
     whole cross-polytope.  The neighbour table is a contiguous (2p, n)
-    array, gathered with one ``take`` and summed down its columns in the
-    order numpy adds a row of 2p values (left to right below 8, a pairwise
-    tree at 8), so every CG iterate equals that of the (n, 2p) row sum.
+    array, gathered with one ``take`` and summed down its columns.
     """
     if p not in (1, 2, 3, 4):
         raise InvalidArgumentError("the simplex solver supports p in {1, 2, 3, 4}")
@@ -141,19 +146,30 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
 
     lo = (m + 1) // 2  # first orthant index, ceil(M/2)
     orthant = mask[(slice(lo, None),) * p]
-    n = int(np.count_nonzero(orthant))
-    compact_of_orthant = np.full(orthant.shape, n, dtype=np.int64)  # n = padded zero slot
-    compact_of_orthant[orthant] = np.arange(n)
+    wedge_idx = np.argwhere(orthant)
+    wedge_idx = wedge_idx[np.all(wedge_idx[:, 1:] >= wedge_idx[:, :-1], axis=1)]
+    n = len(wedge_idx)
+    compact_of_wedge = np.full(orthant.shape, n, dtype=np.int64)  # n = padded zero slot
+    compact_of_wedge[tuple(wedge_idx.T)] = np.arange(n)
 
     def fold(idx):
-        """Compact orthant index of full-grid indices ``idx`` (k, p); n outside the domain."""
-        return compact_of_orthant[tuple((np.maximum(idx, m - idx) - lo).T)]
+        """Compact wedge index of full-grid indices ``idx`` (k, p); n outside the domain."""
+        f = np.maximum(idx, m - idx)
+        f -= lo
+        f.sort(axis=1)
+        return compact_of_wedge[tuple(f.T)]
 
     # interior nodes have 1 <= i_d <= M - 1, so every neighbour is on the grid
-    orthant_idx = np.argwhere(orthant) + lo
+    wedge_idx += lo
     unit = np.eye(p, dtype=np.int64)
-    neighbors = np.stack([fold(orthant_idx + step * unit[d]) for d in range(p) for step in (-1, 1)])
-    sqrt_w = np.sqrt(np.prod(np.where(2 * orthant_idx == m, 1.0, 2.0), axis=1))
+    neighbors = np.stack([fold(wedge_idx + step * unit[d]) for d in range(p) for step in (-1, 1)])
+    run = np.ones(n)  # run[k] = position of index k within its run of equal indices
+    stabilizer = np.ones(n)  # prod(multiplicity!) = prod of the run positions
+    for d in range(1, p):
+        run = np.where(wedge_idx[:, d] == wedge_idx[:, d - 1], run + 1, 1.0)
+        stabilizer *= run
+    signs = np.prod(np.where(2 * wedge_idx == m, 1.0, 2.0), axis=1)
+    sqrt_w = np.sqrt(signs * math.factorial(p) / stabilizer)
 
     inv_h2 = 1.0 / (h * h)
     diag = 2.0 * p * inv_h2
@@ -164,18 +180,16 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
         nonlocal matvecs
         matvecs += 1
         g = np.concatenate([z / sqrt_w, [0.0]]).take(neighbors)
-        if p == 4:  # numpy adds a row of 8 as ((g0+g1)+(g2+g3))+((g4+g5)+(g6+g7))
-            g = g[0::2] + g[1::2]
-            g = g[0::2] + g[1::2]
         return diag * z - off_scale * g.sum(axis=0)
 
-    x = (0.5 - np.sum(np.abs(axes[orthant_idx]), axis=1)) * sqrt_w  # tent profile start
+    x = (0.5 - np.sum(np.abs(axes[wedge_idx]), axis=1)) * sqrt_w  # tent profile start
     x /= np.linalg.norm(x)
 
     energy = residual = math.inf
+    rtol = 1e-2
     iterations = 0
     for iterations in range(1, MAX_POWER_ITERATIONS + 1):
-        y = cg(matvec, x, rtol=1e-12, atol=0.0, maxiter=20000)[0]
+        y = cg(matvec, x, rtol=rtol, atol=0.0, maxiter=20000)[0]
         y /= np.linalg.norm(y)
         ay = matvec(y)
         energy = float(y @ ay)
@@ -183,6 +197,7 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
         x = y
         if residual <= RESIDUAL_RTOL * energy:
             break
+        rtol = min(1e-2, max(1e-13, 0.05 * residual / energy))
     else:
         raise ConvergenceError(
             f"inverse iteration did not converge (residual {residual:.3e})",

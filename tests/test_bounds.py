@@ -103,6 +103,15 @@ def test_allocate_rejects_nonpositive():
         allocate([1.0, 0.0], 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [[1.0, math.inf], [math.inf, math.inf], [1.0, math.nan]])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_allocate_rejects_nonfinite(c, alpha):
+    # inf/inf shares would be NaN; the check comes before any arithmetic
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        allocate(c, alpha)
+
+
 def test_allocate_matches_grid_oracle():
     # brute-force nested-grid minimization of sum c_i / x_i^alpha on the simplex
     rng = np.random.default_rng(31)

@@ -150,8 +150,9 @@ def test_variational_airy(capsys):
     assert data["constant"] == pytest.approx(0.63, abs=0.01)
 
 
-def _run_python(code, cwd=None):
-    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]))
+def _run_python(code, cwd=None, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]),
+               **env_vars)
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, cwd=cwd, check=True).stdout
 
@@ -167,6 +168,15 @@ _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 def test_cli_import_loads_no_scipy():
     assert _run_python(f"import sys, hlbounds.cli; print({_SCIPY_MODULES})") == "[]\n"
+
+
+def test_simplex_output_is_the_same_at_one_and_two_blas_threads():
+    # 2,128 wedge unknowns: too few for OpenBLAS to split the CG dot products
+    argv = ["variational", "simplex", "--p", "3", "--grid", "80"]
+    code = f"from hlbounds.cli import main; main({argv!r})"
+    outputs = [_run_python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["E"] == pytest.approx(94.35108275932373, rel=1e-12, abs=0)
 
 
 def _readme_commands():

@@ -131,17 +131,33 @@ def test_simplex_logs_one_debug_record(caplog, monkeypatch):
     msg = messages[0]
     assert msg.startswith(f"simplex_ground_energy p=3 M=20: nodes={spec.nodes.shape[0]} ")
     _, mask = _interior_mask(3, 20)
-    assert f" unknowns={np.count_nonzero(mask[10:, 10:, 10:])} " in msg  # the orthant i_d >= M/2
+    orbits = {tuple(sorted(np.abs(i - 10))) for i in np.argwhere(mask)}  # one per wedge node
+    assert f" unknowns={len(orbits)} " in msg
     assert f"iterations={spec.iterations} E={spec.E!r} residual={spec.residual:.3e}" in msg
     # one matvec per CG iteration and one Rayleigh quotient per outer iteration
     assert len(cg_iterations) == spec.iterations
     assert msg.endswith(f" matvecs={sum(cg_iterations) + spec.iterations}")
 
 
-# exact E, outer iterations and residual: any reordering of the floating-point sums
-# in the matvec or CG moves them; both parities of M, and p = 4, whose neighbour sum
-# follows numpy's pairwise order
-@pytest.mark.parametrize("p, m, energy, iterations, residual", [
+# exact E, outer iterations and residual of the wedge solver: any reordering of the
+# floating-point sums in the matvec or CG, or any change of the inner tolerances,
+# moves them; both parities of M and every supported p
+WEDGE_PINS = {
+    (1, 200): (9.869401467148732, 10, 2.799145070009255e-09),
+    (2, 40): (39.39731009555966, 10, 1.3172107152179062e-08),
+    (2, 41): (37.55076223111739, 12, 1.9365367504075464e-08),
+    (3, 16): (91.93017369364878, 16, 4.2041906101610254e-08),
+    (3, 17): (92.32061228112659, 16, 3.1644591694198467e-08),
+    (4, 11): (141.31721984881523, 18, 7.848634510261297e-08),
+    (4, 12): (165.35399441550535, 20, 9.512123480051536e-08),
+}
+
+
+# the cases are named by the orthant solver's exact values, with 1e-12 rtol CG
+# solves: the wedge holds the same discrete eigenproblem, so E agrees to rounding,
+# and the inexact inner solves leave the outer convergence in place (within one
+# outer step and a factor of two in the final residual)
+@pytest.mark.parametrize("p, m, orthant_energy, orthant_iterations, orthant_residual", [
     (1, 200, 9.869401467147968, 10, 2.5209051074378338e-09),
     (2, 40, 39.39731009555941, 10, 1.1818786534086902e-08),
     (2, 41, 37.5507622311179, 12, 1.5159731533378204e-08),
@@ -150,11 +166,15 @@ def test_simplex_logs_one_debug_record(caplog, monkeypatch):
     (4, 11, 141.31721984881514, 17, 1.3421294000345863e-07),
     (4, 12, 165.35399441550533, 20, 8.563681527096558e-08),
 ])
-def test_simplex_is_bit_identical(p, m, energy, iterations, residual):
+def test_simplex_is_bit_identical(p, m, orthant_energy, orthant_iterations, orthant_residual):
     spec = simplex_ground_energy(p, m)
+    energy, iterations, residual = WEDGE_PINS[p, m]
     assert spec.E == energy
     assert spec.iterations == iterations
     assert spec.residual == residual
+    assert spec.E == pytest.approx(orthant_energy, rel=1e-12, abs=0)
+    assert abs(spec.iterations - orthant_iterations) <= 1
+    assert 0.5 <= spec.residual / orthant_residual <= 2.0
 
 
 def test_simplex_runs_under_a_tracing_cg(monkeypatch):
@@ -177,9 +197,27 @@ def test_simplex_runs_under_a_tracing_cg(monkeypatch):
 
     monkeypatch.setattr(variational_module, "cg", traced)
     spec = simplex_ground_energy(2, 40)
-    assert spec.E == 39.39731009555941
+    assert spec.E == 39.39731009555966
     assert len(per_solve) == spec.iterations
     assert all(c["callbacks"] == c["matvecs"] > 0 for c in per_solve)
+
+
+# the four perfbench sizes: wedge unknowns, outer iterations and matvecs from the
+# DEBUG record, and E within 1e-12 of the orthant solver's
+@pytest.mark.parametrize("p, m, unknowns, iterations, matvecs, orthant_energy", [
+    (2, 160, 1640, 10, 347, 39.47334447498618),
+    (3, 60, 950, 15, 263, 94.27327848853429),
+    (3, 80, 2128, 15, 348, 94.35108275932373),
+    (4, 30, 241, 18, 148, 177.8736874526231),
+])
+def test_simplex_work_is_pinned(caplog, p, m, unknowns, iterations, matvecs, orthant_energy):
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.variational"):
+        spec = simplex_ground_energy(p, m)
+    (msg,) = [r.getMessage() for r in caplog.records if r.name == "hlbounds.variational"]
+    assert f" unknowns={unknowns} iterations={iterations} " in msg
+    assert msg.endswith(f" matvecs={matvecs}")
+    assert spec.E == pytest.approx(orthant_energy, rel=1e-12, abs=0)
+    assert spec.residual <= 1e-9 * spec.E
 
 
 def test_simplex_validation():
