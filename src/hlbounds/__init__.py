@@ -8,9 +8,8 @@ variational machinery (cross-polytope ground state, Airy bound, inscribed
 ball, covariant phase costs) behind the joint minimax constants.
 """
 
-# numpy imports these on first use: the searches seed numpy.random and
-# np.unique loads numpy.ma.  Loading them here keeps that out of each command.
-import numpy.ma  # noqa: F401
+# numpy imports numpy.random on first use, and the searches and the phase
+# Monte-Carlo seed it: loading it here keeps that out of each command.
 import numpy.random  # noqa: F401
 
 from .bounds import (

@@ -37,11 +37,12 @@ from .operators import (
     difference_body,
     distinct_patterns,
     exact_max_spread,
+    generator_spreads,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
     rotated_spread_kernel,
-    spread,
     spread_tolerance,
+    unique,
     walsh_hadamard,
 )
 from .solvers import minimize
@@ -244,7 +245,7 @@ def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
 def per_parameter_spread_constants(gens: GeneratorSet, paradigm: str) -> np.ndarray:
     """Single-shot constants 1/lambda_i^2 (CR) or pi^2/lambda_i^2 (MM)."""
     _, factor = paradigm_constants(paradigm)
-    lams = np.array([spread(g) for g in gens.generators])
+    lams = generator_spreads(gens)
     if np.any(lams <= spread_tolerance(gens)):
         raise InvalidArgumentError("a generator has degenerate spectrum")
     return factor / lams ** 2
@@ -398,7 +399,7 @@ def _difference_seed(gens: GeneratorSet, alpha: int) -> list:
     # a direction's key: its unit vector at 12 decimals, first nonzero entry > 0
     keys = np.round(diffs / np.linalg.norm(diffs, axis=1)[:, None], 12)
     sign = np.sign(keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)])[:, None]
-    dirs = (sign * diffs)[np.unique(sign * keys, axis=0, return_index=True)[1]]
+    dirs = (sign * diffs)[unique(sign * keys)[1]]
     if math.comb(len(dirs), gens.p) > _SEED_SUBSETS:
         return []
     subsets = np.array(list(combinations(range(len(dirs)), gens.p)))

@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,42 +80,59 @@ class HermitianOperator:
         return bool(np.max(np.abs(off)) <= 1e-14)
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """The vector of generators of a unitary model exp(i theta . Lambda).
 
     ``diagonal`` (every generator diagonal) and ``commuting`` (every pairwise
     commutator of max-norm <= 1e-10) are computed at construction.
     Generators must be linearly independent as vectors in matrix space.
+    A diagonal set is held as ``patterns`` alone, the real (d, p) matrix of
+    its joint eigenvalue patterns (row s holds the s-th diagonal entries,
+    imaginary parts and off-diagonal entries below 1e-14 dropped); its dense
+    ``generators`` and ``matrices()`` are built on request.  Other sets have
+    ``patterns`` None.
     """
 
-    generators: tuple
-    diagonal: bool = field(init=False)
-    commuting: bool = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, generators):
         gens = tuple(
             g if isinstance(g, HermitianOperator) else HermitianOperator(g)
-            for g in self.generators
+            for g in generators
         )
         if not gens:
             raise InvalidArgumentError("a generator set needs at least one generator")
-        dim = gens[0].dim
-        if any(g.dim != dim for g in gens):
+        if any(g.dim != gens[0].dim for g in gens):
             raise InvalidArgumentError("all generators must share one dimension")
-        _check_linear_independence(gens)
-        diagonal = all(g.is_diagonal() for g in gens)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "commuting", diagonal or _all_commuting(gens))
+        if all(g.is_diagonal() for g in gens):
+            self._hold_patterns(np.stack([np.real(np.diag(g.entries)) for g in gens], axis=1))
+            return
+        stacked = np.stack([g.entries for g in gens])
+        _check_linear_independence(np.real(np.einsum("aij,bij->ab", stacked.conj(), stacked)))
+        self.generators, self.patterns = gens, None
+        self.p, self.dim = len(gens), gens[0].dim
+        self.diagonal, self.commuting = False, _all_commuting(gens)
 
-    @property
-    def p(self) -> int:
-        return len(self.generators)
+    @classmethod
+    def from_patterns(cls, patterns) -> GeneratorSet:
+        """The diagonal set whose joint eigenvalue patterns are the rows of the
+        real (d, p) array ``patterns``: Lambda_i = diag(patterns[:, i])."""
+        gens = cls.__new__(cls)
+        gens._hold_patterns(patterns)
+        return gens
 
-    @property
-    def dim(self) -> int:
-        return self.generators[0].dim
+    def _hold_patterns(self, patterns):
+        x = np.array(patterns, dtype=float)
+        if x.ndim != 2 or 0 in x.shape or not np.all(np.isfinite(x)):
+            raise InvalidArgumentError("expected a nonempty, finite (d, p) pattern matrix")
+        _check_linear_independence(x.T @ x)
+        x.flags.writeable = False
+        self.patterns, self.dim, self.p = x, *x.shape
+        self.diagonal = self.commuting = True
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The generators as ``HermitianOperator``s (built on first use for a
+        diagonal set)."""
+        return tuple(HermitianOperator(np.diag(col)) for col in self.patterns.T)
 
     def matrices(self) -> np.ndarray:
         """Stacked (p, dim, dim) array of generator entries."""
@@ -169,9 +186,8 @@ def _all_commuting(gens) -> bool:
     return True
 
 
-def _check_linear_independence(gens):
-    stacked = np.stack([g.entries for g in gens])
-    gram = np.real(np.einsum("aij,bij->ab", stacked.conj(), stacked))
+def _check_linear_independence(gram: np.ndarray):
+    """Raise unless the real Gram matrix of the generators is nonsingular."""
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] <= INDEPENDENCE_TOL * max(sv[0], 1e-300):
         raise InvalidArgumentError("generators are not linearly independent")
@@ -190,10 +206,17 @@ def spread(op: HermitianOperator) -> float:
     return float(w[-1] - w[0])
 
 
+def generator_spreads(gens: GeneratorSet) -> np.ndarray:
+    """The ``spread`` of each generator, from the patterns of a diagonal set."""
+    if gens.diagonal:
+        return np.max(gens.patterns, axis=0) - np.min(gens.patterns, axis=0)
+    return np.array([spread(g) for g in gens.generators])
+
+
 def spread_tolerance(gens: GeneratorSet) -> float:
     """DEGENERATE_SPREAD_TOL times the largest generator spread: a spread at
     or below it is degenerate (only 0 when every generator is a multiple of I)."""
-    return DEGENERATE_SPREAD_TOL * max(spread(g) for g in gens.generators)
+    return DEGENERATE_SPREAD_TOL * float(np.max(generator_spreads(gens)))
 
 
 def combine(gens: GeneratorSet, a) -> HermitianOperator:
@@ -203,8 +226,9 @@ def combine(gens: GeneratorSet, a) -> HermitianOperator:
         raise InvalidArgumentError(
             f"coefficient vector has length {a.shape}, expected ({gens.p},)"
         )
-    total = np.tensordot(a, gens.matrices(), axes=(0, 0))
-    return HermitianOperator(total)
+    if gens.diagonal:
+        return HermitianOperator(np.diag(gens.patterns @ a))
+    return HermitianOperator(np.tensordot(a, gens.matrices(), axes=(0, 0)))
 
 
 @lru_cache(maxsize=None)
@@ -212,20 +236,15 @@ def build_fixed_atom_generators(p: int) -> GeneratorSet:
     """Single layer of p spin-1/2 sensors at fixed positions.
 
     Lambda_i acts as sigma_z/2 on atom i of a 2^p-dimensional register and
-    trivially elsewhere; all generators are diagonal and commute.
+    trivially elsewhere; all generators are diagonal and commute.  The
+    patterns are {+1/2, -1/2}^p, atom 1 the most significant.
     """
     if p < 1:
         raise InvalidArgumentError("p must be >= 1")
     if 2 ** p > DIMENSION_CAP:
         raise ResourceLimitError(f"2^{p} exceeds the dimension cap {DIMENSION_CAP}")
-    sz = np.diag([0.5, -0.5])
-    gens = []
-    for i in range(p):
-        m = np.eye(2 ** i)
-        m = np.kron(m, sz)
-        m = np.kron(m, np.eye(2 ** (p - i - 1)))
-        gens.append(m)
-    return GeneratorSet(tuple(gens))
+    bits = (np.arange(2 ** p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
+    return GeneratorSet.from_patterns(0.5 - bits)
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +252,16 @@ def build_free_atom_generators(p: int) -> GeneratorSet:
     """Spin-1/2 sensors freely distributed over p sites (2p single-atom levels).
 
     Lambda_i = (|i,+><i,+| - |i,-><i,-|)/2; the nonzero eigenspaces of
-    different generators are mutually orthogonal.
+    different generators are mutually orthogonal.  The patterns are
+    +-e_i / 2.
     """
     if p < 1:
         raise InvalidArgumentError("p must be >= 1")
-    gens = []
-    for i in range(p):
-        d = np.zeros(2 * p)
-        d[2 * i] = 0.5
-        d[2 * i + 1] = -0.5
-        gens.append(np.diag(d))
-    return GeneratorSet(tuple(gens))
+    if 2 * p > DIMENSION_CAP:
+        raise ResourceLimitError(f"2*{p} exceeds the dimension cap {DIMENSION_CAP}")
+    patterns = np.zeros((p, 2, p))
+    patterns[np.arange(p), :, np.arange(p)] = 0.5, -0.5
+    return GeneratorSet.from_patterns(patterns.reshape(2 * p, p))
 
 
 _PAULI = {
@@ -279,9 +297,8 @@ def build_two_sector_generators(alpha: float, beta: float) -> GeneratorSet:
     individual-measurement reparametrization is non-orthogonal.
     """
     check_two_sector_strengths(alpha, beta)
-    l1 = 0.5 * np.diag([alpha, -alpha, beta, -beta])
-    l2 = 0.5 * np.diag([beta, -beta, alpha, -alpha])
-    return GeneratorSet((l1, l2))
+    return GeneratorSet.from_patterns(
+        0.5 * np.array([[alpha, beta], [-alpha, -beta], [beta, alpha], [-beta, -alpha]]))
 
 
 def walsh_hadamard(r: int) -> ReparamMatrix:
@@ -305,14 +322,15 @@ def rotated_spread_kernel(gens: GeneratorSet):
     stays diagonal: its spreads are the ranges of the rotated real diagonals
     (as in ``spread``); otherwise one batched ``eigvalsh`` gives them all.
     """
-    mats = gens.matrices()
     if gens.diagonal:
-        diagonals = np.real(np.diagonal(mats, axis1=1, axis2=2))
+        diagonals = np.ascontiguousarray(gens.patterns.T)
 
         def spreads(a: np.ndarray) -> np.ndarray:
             rotated = np.tensordot(a.T, diagonals, axes=(1, 0))
             return np.max(rotated, axis=1) - np.min(rotated, axis=1)
     else:
+        mats = gens.matrices()
+
         def spreads(a: np.ndarray) -> np.ndarray:
             w = np.linalg.eigvalsh(np.tensordot(a.T, mats, axes=(1, 0)))
             return w[:, -1] - w[:, 0]
@@ -336,9 +354,9 @@ def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:
     """
     if not gens.commuting:
         raise InvalidArgumentError("eigenvalue patterns require a commuting set")
-    mats = gens.matrices()
     if gens.diagonal:
-        return np.real(np.diagonal(mats, axis1=1, axis2=2)).T.copy()
+        return gens.patterns.copy()
+    mats = gens.matrices()
     # Generic weights keep distinct joint patterns non-degenerate.
     weights = np.sqrt(np.arange(2, gens.p + 2, dtype=float))
     probe = np.tensordot(weights, mats, axes=(0, 0))
@@ -353,11 +371,26 @@ def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:
     return patterns
 
 
+def unique(x: np.ndarray):
+    """``np.unique(x)`` of a nonempty 1-D ``x``, ``np.unique(x, axis=0,
+    return_index=True)`` of a 2-D one, without the ``numpy.ma`` import that
+    ``np.unique`` makes.  Values are sorted as ``np.unique`` sorts them;
+    rows by a stable lexicographic sort, each class of equal rows (0.0 ==
+    -0.0) given by its first occurrence and that occurrence's index."""
+    if x.ndim == 1:
+        s = np.sort(x)
+        return s[np.r_[True, s[1:] != s[:-1]]]
+    order = np.lexsort(x.T[::-1])
+    s = x[order]
+    first = np.r_[True, np.any(s[1:] != s[:-1], axis=1)]
+    return s[first], order[first]
+
+
 def _distinct_rows(x: np.ndarray, scale: float) -> np.ndarray:
     """One row of ``x`` (the first) per class of rows that agree to 12
     decimals of ``scale``, in lexicographic order of the rounded rows."""
     digits = 12 - math.floor(math.log10(scale)) if scale > 0 else 12
-    return x[np.unique(np.round(x, digits), axis=0, return_index=True)[1]]
+    return x[unique(np.round(x, digits))[1]]
 
 
 def distinct_patterns(gens: GeneratorSet) -> np.ndarray:
@@ -426,10 +459,14 @@ def spread_ceiling(gens: GeneratorSet) -> float:
     and otherwise 0, as every traceless 2 x 2 matrix has: spin-1/2 sets
     meet it.
     """
-    mats = gens.matrices()
-    shift = np.trace(mats, axis1=1, axis2=2) / gens.dim
-    traceless = mats - shift[:, None, None] * np.eye(gens.dim)
-    gram = np.real(np.einsum("aij,bij->ab", traceless.conj(), traceless))
+    if gens.diagonal:
+        traceless = gens.patterns - np.sum(gens.patterns, axis=0) / gens.dim
+        gram = traceless.T @ traceless
+    else:
+        mats = gens.matrices()
+        shift = np.trace(mats, axis1=1, axis2=2) / gens.dim
+        traceless = mats - shift[:, None, None] * np.eye(gens.dim)
+        gram = np.real(np.einsum("aij,bij->ab", traceless.conj(), traceless))
     return math.sqrt(2.0 * float(np.linalg.eigvalsh(gram)[-1]))
 
 
@@ -530,7 +567,7 @@ def difference_body(gens: GeneratorSet):
         if hull is None:
             return None
         # n . y + c <= 0 with unit n and c < 0; the triangles of a facet share it
-        equations = np.unique(hull.equations, axis=0)
+        equations = unique(hull.equations)[0]
         facets = equations[:, :-1] / -equations[:, -1:]
     return (diffs, facets) if len(facets) else None
 
@@ -558,7 +595,7 @@ def _closed_form_facets(pts: np.ndarray, diffs: np.ndarray, scale: float):
     - In the plane, the convex polygon of the differences.
     """
     p = pts.shape[1]
-    values = [np.unique(pts[:, k]) for k in range(p)]
+    values = [unique(pts[:, k]) for k in range(p)]
     if math.prod(map(len, values)) == len(pts):
         if min(map(len, values)) < 2:
             return np.empty((0, p))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedConfigurationError
-from .operators import GeneratorSet, spread
+from .operators import GeneratorSet, generator_spreads
 from .states import PureState, evolve
 
 SYMMETRY_TOL = 1e-10
@@ -95,11 +95,18 @@ def _overlap_matrix(gens: GeneratorSet, theta0, psi_in: PureState):
     at the evolved point psi.  Callers scale its real or imaginary part by 4:
     4.0 times the complex matrix can flip the sign of a zero real part."""
     psi0 = evolve(gens, theta0, psi_in).amplitudes
-    means = [np.real(np.vdot(psi0, g.entries @ psi0)) for g in gens.generators]
     # centre the generator, not the product: a multiple of the identity
     # in Lambda_i would otherwise cancel catastrophically
-    eye = np.eye(gens.dim)
-    ds = np.stack([(g.entries - mu * eye) @ psi0 for g, mu in zip(gens.generators, means)])
+    if gens.diagonal:
+        # Lambda_i psi elementwise; adding 0.0 turns a -0.0 product into the
+        # +0.0 that a matvec's sum gives
+        lams = gens.patterns.T
+        means = np.array([np.real(np.vdot(psi0, lam * psi0)) for lam in lams])
+        ds = (lams - means[:, None]) * psi0 + 0.0
+    else:
+        means = [np.real(np.vdot(psi0, g.entries @ psi0)) for g in gens.generators]
+        eye = np.eye(gens.dim)
+        ds = np.stack([(g.entries - mu * eye) @ psi0 for g, mu in zip(gens.generators, means)])
     return ds.conj() @ ds.T
 
 
@@ -114,7 +121,7 @@ def qfi_pure(gens: GeneratorSet, theta0, psi_in: PureState, n: int = 1) -> QfiMa
     theta0 = _validate_inputs(gens, theta0, psi_in)
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    scale = n * n * max(spread(g) for g in gens.generators) ** 2 or 1.0
+    scale = n * n * float(np.max(generator_spreads(gens))) ** 2 or 1.0
     return QfiMatrix((n * n) * (4.0 * np.real(_overlap_matrix(gens, theta0, psi_in))), scale)
 
 

@@ -80,7 +80,8 @@ def sin_coefficients(N: int) -> PhaseStateCoefficients:
 
 
 def evolve(gens: GeneratorSet, theta, psi: PureState) -> PureState:
-    """Apply exp(i theta . Lambda) to ``psi`` via eigendecomposition."""
+    """Apply exp(i theta . Lambda) to ``psi``: the phases exp(i patterns @
+    theta) of a diagonal set, else via eigendecomposition."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (gens.p,):
         raise InvalidArgumentError(f"theta has shape {theta.shape}, expected ({gens.p},)")
@@ -88,6 +89,8 @@ def evolve(gens: GeneratorSet, theta, psi: PureState) -> PureState:
         raise InvalidArgumentError(
             f"state dimension {psi.dim} does not match generators ({gens.dim})"
         )
+    if gens.diagonal:
+        return PureState(np.exp(1j * (gens.patterns @ theta)) * psi.amplitudes)
     h = combine(gens, theta).entries
     if np.max(np.abs(h - np.diag(np.diag(h)))) <= 1e-15:
         phases = np.exp(1j * np.real(np.diag(h)))

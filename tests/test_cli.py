@@ -215,6 +215,28 @@ print(json.dumps(loaded))
     assert {cmd: mods for cmd, mods in loaded.items() if mods} == {}
 
 
+def test_table_and_bounds_leave_out_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 15 ms per command; operators.unique does not
+    code = """
+import contextlib, io, sys
+import hlbounds.cli as cli
+for argv in (["table"], ["bounds", "--model", "fixed-atoms", "--p", "3", "--paradigm", "cr"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print("numpy.ma" in sys.modules)
+"""
+    assert _run_python(code, cwd=tmp_path) == "False\n"
+
+
+def test_qfi_at_the_atom_caps(capsys):
+    # fixed atoms at p = 12 fill the 2^12 cap; free atoms at p = 2049 pass it
+    code, out, err = run_cli(capsys, "qfi", "--model", "fixed-atoms", "--p", "12")
+    assert code == 0 and json.loads(out)["trace_inverse"] == pytest.approx(12.0, rel=1e-12)
+    code, out, err = run_cli(capsys, "qfi", "--model", "free-atoms", "--p", "2049")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_no_module_level_scipy_import():
     src = Path(hlbounds.__file__).resolve().parent
     found = []

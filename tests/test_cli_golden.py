@@ -64,6 +64,10 @@ COMMANDS = {
     "state_basis0": ["qfi", "--model", "free-atoms", "--p", "2", "--n", "3",
                      "--state", "basis0"],
     "qfi_pauli3_n4": ["qfi", "--model", "pauli3", "--n", "4"],
+    "qfi_pauli1": ["qfi", "--model", "pauli1"],
+    "qfi_fixed_p8": ["qfi", "--model", "fixed-atoms", "--p", "8"],
+    "qfi_fixed_p3_plus_product_n2": ["qfi", "--model", "fixed-atoms", "--p", "3",
+                                     "--state", "plus-product", "--n", "2"],
     "simplex_p3_grid60": ["variational", "simplex", "--p", "3", "--grid", "60"],
     "simplex_p4_grid30": ["variational", "simplex", "--p", "4", "--grid", "30"],
     "error_two_sector_mm": ["bounds", "--model", "two-sector", "--paradigm", "mm"],

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from hlbounds import (
 import hlbounds.operators as operators_module
 from hlbounds.catalog import figure_ratio_data
 from hlbounds.bounds import orthogonal_restricted_sep_plus
-from hlbounds.states import PhaseStateCoefficients, PureState
+from hlbounds.qfi import qfi_pure, saturability
+from hlbounds.states import PhaseStateCoefficients, PureState, evolve, uniform_state
 
 SQ2 = math.sqrt(2.0)
 
@@ -115,9 +117,113 @@ def test_fixed_atoms_p3_second_generator():
     np.testing.assert_allclose(np.diag(gens.generators[1].entries).real, expected)
 
 
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_fixed_atom_patterns_match_the_kronecker_products(p):
+    # reference: sigma_z / 2 on atom i as a Kronecker product
+    sz = np.diag([0.5, -0.5])
+    dense = [np.kron(np.kron(np.eye(2 ** i), sz), np.eye(2 ** (p - i - 1))) for i in range(p)]
+    np.testing.assert_array_equal(build_fixed_atom_generators(p).matrices(), dense)
+
+
 def test_fixed_atoms_cap():
     with pytest.raises(ResourceLimitError):
         build_fixed_atom_generators(13)
+
+
+def _peak_bytes(fn):
+    """The tracemalloc peak while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_free_atoms_cap_fails_before_any_allocation():
+    def build():
+        with pytest.raises(ResourceLimitError):
+            build_free_atom_generators(2049)
+
+    assert _peak_bytes(build) < 100_000
+
+
+def test_fixed_atoms_p10_patterns_take_under_10_mb():
+    # a fresh build (past the cache) and its distinct patterns
+    build = build_fixed_atom_generators.__wrapped__
+    assert _peak_bytes(lambda: operators_module.distinct_patterns(build(10))) < 10 * 2 ** 20
+
+
+def test_diagonal_sets_hold_only_their_patterns():
+    gens = build_fixed_atom_generators.__wrapped__(6)
+    psi = uniform_state(64)
+    qfi_pure(gens, np.zeros(6), psi)
+    saturability(gens, np.zeros(6), psi)
+    optimize_orthogonal_bound(gens)
+    assert "generators" not in vars(gens)
+    assert gens.patterns.shape == (64, 6) and not gens.patterns.flags.writeable
+    # the dense matrices are built on request and hold the same patterns
+    mats = gens.matrices()
+    np.testing.assert_array_equal(np.diagonal(mats, axis1=1, axis2=2).T, gens.patterns)
+    assert np.count_nonzero(mats) == 6 * 64
+
+
+def test_dense_diagonal_input_becomes_patterns():
+    dense = GeneratorSet((np.diag([0.5, -0.5, 0.0, 0.0]), np.diag([0.0, 0.0, 0.5, -0.5])))
+    built = build_free_atom_generators(2)
+    assert dense.diagonal and dense.commuting
+    np.testing.assert_array_equal(dense.patterns, built.patterns)
+    assert np.all(np.signbit(built.patterns) == (built.patterns < 0))  # no -0.0
+    assert not build_pauli_generators("xy").diagonal
+    assert build_pauli_generators("xy").patterns is None
+    np.testing.assert_array_equal(build_pauli_generators("z").patterns, [[0.5], [-0.5]])
+
+
+def test_pattern_paths_match_the_dense_paths_in_a_rotated_basis():
+    # U Lambda U^dagger is the same model in another basis and takes the dense
+    # branches of spread_ceiling, combine, evolve and the QFI overlap
+    rng = np.random.default_rng(8)
+    diag = GeneratorSet(tuple(np.diag(rng.standard_normal(5)) for _ in range(3)))
+    u = random_unitary(5, rng)
+    dense = GeneratorSet(tuple(u @ m @ u.conj().T for m in diag.matrices()))
+    assert diag.diagonal and not dense.diagonal and dense.commuting
+    assert operators_module.spread_ceiling(diag) == pytest.approx(
+        operators_module.spread_ceiling(dense), rel=1e-12)
+    a, theta = rng.standard_normal(3), rng.standard_normal(3)
+    np.testing.assert_allclose(np.sort(np.diag(combine(diag, a).entries).real),
+                               np.linalg.eigvalsh(combine(dense, a).entries), atol=1e-12)
+    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    v /= np.linalg.norm(v)
+    np.testing.assert_allclose(u @ evolve(diag, theta, PureState(v)).amplitudes,
+                               evolve(dense, theta, PureState(u @ v)).amplitudes, atol=1e-12)
+    np.testing.assert_allclose(qfi_pure(diag, theta, PureState(v)).entries,
+                               qfi_pure(dense, theta, PureState(u @ v)).entries, atol=1e-12)
+
+
+@pytest.mark.parametrize("patterns", [
+    [[math.nan]], [[math.inf, 1.0]], [[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0],
+    np.zeros((0, 2)),
+], ids=["nan", "inf", "dependent", "one-dimensional", "empty"])
+def test_from_patterns_rejects_bad_input(patterns):
+    with pytest.raises(InvalidArgumentError):
+        GeneratorSet.from_patterns(patterns)
+
+
+_ROUNDED = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 0.25, -0.25, 1.0, 1.0 + 1e-13, -1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(_ROUNDED, min_size=k, max_size=k), min_size=1, max_size=20)))
+def test_unique_matches_numpy(rows):
+    # np.round turns the +-1e-13 entries into +-0.0, which are equal
+    x = np.round(np.array(rows), 12)
+    got, got_index = operators_module.unique(x)
+    want, want_index = np.unique(x, axis=0, return_index=True)
+    assert got.tobytes() == want.tobytes()
+    assert got_index.tolist() == want_index.tolist()
+    for column in x.T:
+        assert operators_module.unique(column).tobytes() == np.unique(column).tobytes()
 
 
 def test_free_atoms():
