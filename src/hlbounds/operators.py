@@ -152,17 +152,7 @@ class ReparamMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
-        # The test |det A| > DET_TOL prod_j |a_j| is scale-free.  Where a
-        # square, the norm product or the determinant would leave the double
-        # range (or an entry is not finite), the columns are first brought to
-        # unit size by powers of two, which is exact; any other A is tested
-        # as given.
-        t = m
-        scale = _norm_product(t) if np.vdot(t, t) < 2.0 ** 1000 else math.inf
-        if not 2.0 ** -900 < scale < 2.0 ** 900:
-            t = np.ldexp(m, -np.frexp(np.maximum.reduce(abs(m), 0, initial=0.0))[1])
-            scale = _norm_product(t)
-        if not (0.0 < scale < math.inf and abs(np.linalg.det(t)) > DET_TOL * scale):
+        if not nonsingular(m[None])[0]:
             raise InvalidArgumentError("reparametrization matrix is singular")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -170,6 +160,34 @@ class ReparamMatrix:
     @property
     def p(self) -> int:
         return self.entries.shape[0]
+
+
+def nonsingular(stack: np.ndarray) -> np.ndarray:
+    """The scale-free test |det A| > DET_TOL prod_j |a_j| of ``ReparamMatrix``
+    on each A of a (k, p, p) stack, as k booleans: at once where every A has
+    finite entries, a sum of squares below 2^999 and a norm product within
+    2^+-900 (where ``_nonsingular_alone`` takes A as given), else one by one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.add.reduce(stack * stack, 1)
+        # a sequential product in column order, as ``_norm_product`` takes it
+        scale = np.multiply.reduce(np.sqrt(squares), 1)
+        plain = (np.add.reduce(squares, 1) < 2.0 ** 999) & (2.0 ** -900 < scale) & (
+            scale < 2.0 ** 900)
+    if not plain.all():
+        return np.array([_nonsingular_alone(m) for m in stack], dtype=bool)
+    return abs(np.linalg.det(stack)) > DET_TOL * scale
+
+
+def _nonsingular_alone(m: np.ndarray) -> bool:
+    # Where a square, the norm product or the determinant would leave the double
+    # range (or an entry is not finite), the columns are first brought to unit
+    # size by powers of two, which is exact; any other A is tested as given.
+    t = m
+    scale = _norm_product(t) if np.vdot(t, t) < 2.0 ** 1000 else math.inf
+    if not 2.0 ** -900 < scale < 2.0 ** 900:
+        t = np.ldexp(m, -np.frexp(np.maximum.reduce(abs(m), 0, initial=0.0))[1])
+        scale = _norm_product(t)
+    return 0.0 < scale < math.inf and abs(np.linalg.det(t)) > DET_TOL * scale
 
 
 def _norm_product(m: np.ndarray) -> float:
@@ -241,7 +259,7 @@ def build_fixed_atom_generators(p: int) -> GeneratorSet:
     """
     if p < 1:
         raise InvalidArgumentError("p must be >= 1")
-    if 2 ** p > DIMENSION_CAP:
+    if p >= DIMENSION_CAP.bit_length():  # 2^p > DIMENSION_CAP, without forming 2^p
         raise ResourceLimitError(f"2^{p} exceeds the dimension cap {DIMENSION_CAP}")
     bits = (np.arange(2 ** p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
     return GeneratorSet.from_patterns(0.5 - bits)

@@ -121,8 +121,12 @@ def qfi_pure(gens: GeneratorSet, theta0, psi_in: PureState, n: int = 1) -> QfiMa
     theta0 = _validate_inputs(gens, theta0, psi_in)
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    scale = n * n * float(np.max(generator_spreads(gens))) ** 2 or 1.0
-    return QfiMatrix((n * n) * (4.0 * np.real(_overlap_matrix(gens, theta0, psi_in))), scale)
+    try:
+        n2 = float(n * n)
+    except OverflowError:
+        raise InvalidArgumentError("n^2 is beyond the double range") from None
+    scale = n2 * float(np.max(generator_spreads(gens))) ** 2 or 1.0
+    return QfiMatrix(n2 * (4.0 * np.real(_overlap_matrix(gens, theta0, psi_in))), scale)
 
 
 def saturability(gens: GeneratorSet, theta0, psi_in: PureState) -> SaturabilityReport:

@@ -458,16 +458,16 @@ def test_reused_oracle_equals_a_fresh_one(factory):
 
 @pytest.fixture
 def minimize_runs(monkeypatch):
-    """Every Nelder-Mead result of ``sep_plus_optimize``, in call order."""
+    """Every Nelder-Mead result of ``sep_plus_optimize``, in start order."""
     runs = []
-    minimize = bounds_module.minimize
+    lockstep = bounds_module.minimize_lockstep
 
-    def counting_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        runs.append(res)
-        return res
+    def counting_lockstep(*args, **kwargs):
+        results, rounds = lockstep(*args, **kwargs)
+        runs.extend(results)
+        return results, rounds
 
-    monkeypatch.setattr(bounds_module, "minimize", counting_minimize)
+    monkeypatch.setattr(bounds_module, "minimize_lockstep", counting_lockstep)
     return runs
 
 
@@ -477,8 +477,15 @@ def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
         sep_plus_optimize(build_pauli_generators("xy"), "cr")
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
-    assert len(messages) == len(runs) >= 5
-    for start, (msg, res) in enumerate(zip(messages, runs)):
+    assert len(messages) == len(runs) + 1 and len(runs) >= 5
+    # each round scores one point of every unfinished start, so the rounds
+    # are the largest start's evaluations
+    assert messages[0] == (
+        f"sep_plus_optimize searched {len(runs)} starts in "
+        f"{max(res.nfev for res in runs)} batched rounds: "
+        f"nfev={sum(res.nfev for res in runs)}, "
+        f"{sum(not res.success for res in runs)} unconverged")
+    for start, (msg, res) in enumerate(zip(messages[1:], runs)):
         assert msg.startswith(f"sep_plus_optimize start {start}: nfev={res.nfev} ")
         assert f"success={res.success}" in msg
 
@@ -549,6 +556,29 @@ def test_search_runs_every_start_below_the_floor(minimize_runs):
     _, est = sep_plus_optimize(gens, "cr")
     assert len(minimize_runs) == 5
     assert est.constant <= (2 + math.sqrt(3)) * (1 + 1e-15)
+
+
+def test_search_certified_by_its_first_start(caplog, monkeypatch, minimize_runs):
+    # Fixed atoms at p=3 in CR without the difference seed (whose value, 2 +
+    # sqrt(3), is below anything start 0 reaches), under a floor at the
+    # value start 0 reaches: the fold logs start 0 and stops there, as the
+    # sequential search did; starts 1-3 ran in lockstep and are dropped
+    # unlogged
+    gens = build_fixed_atom_generators(3)
+    reached = 5.861017221722964
+    monkeypatch.setattr(bounds_module, "_difference_seed", lambda *_: [])
+    monkeypatch.setattr(bounds_module, "_certified_search_floor", lambda *_: reached)
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
+        _, est = sep_plus_optimize(gens, "cr")
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
+    assert len(minimize_runs) == 4 and minimize_runs[0].fun == reached
+    assert messages[0].startswith("sep_plus_optimize searched 4 starts in ")
+    assert messages[1:] == [
+        f"sep_plus_optimize start 0: nfev=1072 nit=618 success=True fun={reached!r}",
+        "sep_plus_optimize certified by the search from start 0: "
+        f"value={reached!r} floor={reached!r}; starts 1-3 skipped",
+    ]
+    assert est.constant == reached
 
 
 @pytest.mark.parametrize("paradigm,value", [("cr", 2 + math.sqrt(3)), ("mm", 110.32808106595)])

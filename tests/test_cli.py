@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -280,8 +281,8 @@ def test_registry_commands_run_no_search(monkeypatch, capsys, argv):
     # the Pauli SEP+ floors take L* = 1 from the certified stop of the sphere
     # search, and no other registry row searches
     calls = []
-    for module in (bounds_module, operators_module):
-        monkeypatch.setattr(module, "minimize",
+    for module, name in ((bounds_module, "minimize_lockstep"), (operators_module, "minimize")):
+        monkeypatch.setattr(module, name,
                             lambda *args, _name=module.__name__, **kwargs: calls.append(_name))
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -326,17 +327,43 @@ def test_variational_phase_bad_monte_carlo_input_fails_fast(capsys, flag, value)
 
 # Flags that take a float strength, seed or sample count, by command; each
 # value below is a non-finite, a sign or an extreme magnitude.
-_EDGE_FLAGS = (
-    (("qfi", "--model", "two-sector"), ("--alpha", "--beta")),
-    (("bounds", "--model", "two-sector", "--paradigm", "cr"), ("--alpha", "--beta")),
-    (("figure", "ratio", "--beta-steps", "3"), ("--alpha",)),
-    (("variational", "phase"), ("--seed", "--mc-samples")),
-    (("variational", "simplex", "--p", "2", "--grid", "20"), ("--seed", "--mc-samples")),
-)
 _EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e200", "1e-200", "5e-324")
+# Values of the integer size flags: argparse refuses the first two.
+_INT_EDGES = ("nan", "1e3", "0", "-1")
+# Each capped size flag, by command, with its cap: cap + 1 and 10^200 must
+# fail, and do so before any large allocation
+_CAPS = (
+    (("qfi", "--model", "fixed-atoms"), "--p", 12),
+    # the largest n whose n^2 rounds to a finite double
+    (("qfi", "--model", "fixed-atoms"), "--n", math.isqrt(2 ** 1024 - 2 ** 970 - 1)),
+    (("qfi", "--model", "free-atoms"), "--p", 2048),
+    (("bounds", "--model", "fixed-atoms", "--paradigm", "mm"), "--p", 12),
+    (("bounds", "--model", "free-atoms", "--paradigm", "cr"), "--p", 2048),
+    (("variational", "simplex", "--grid", "20"), "--p", 4),
+    (("variational", "simplex", "--p", "2"), "--grid", 4471),
+    (("variational", "ball"), "--p", 1000),
+    (("figure", "ball"), "--p-max", 1000),
+)
+_EDGE_FLAGS = (
+    (("qfi", "--model", "two-sector"), dict.fromkeys(("--alpha", "--beta"), _EDGE_VALUES)),
+    (("bounds", "--model", "two-sector", "--paradigm", "cr"),
+     dict.fromkeys(("--alpha", "--beta"), _EDGE_VALUES)),
+    (("figure", "ratio", "--beta-steps", "3"), {"--alpha": _EDGE_VALUES}),
+    (("variational", "phase"), dict.fromkeys(("--seed", "--mc-samples"), _EDGE_VALUES)),
+    (("variational", "simplex", "--p", "2", "--grid", "20"),
+     dict.fromkeys(("--seed", "--mc-samples"), _EDGE_VALUES)),
+    # bounds --n, phase --N and ratio --beta-steps have no cap: a large value
+    # is not drawn, since it would be allocated
+    (("bounds", "--model", "fixed-atoms", "--paradigm", "mm"),
+     {"--n": _INT_EDGES + (str(10 ** 400),)}),
+    (("variational", "phase"), {"--N": _INT_EDGES}),
+    (("figure", "ratio"), {"--beta-steps": _INT_EDGES}),
+    *((command, {flag: _INT_EDGES + (str(cap + 1), str(10 ** 200))})
+      for command, flag, cap in _CAPS),
+)
 
-# inputs that crashed, printed a wrong number or passed a negative seed; each
-# now ends in one error line
+# inputs that crashed, printed a wrong number or passed a negative seed, and
+# each cap + 1; each now ends in one error line
 _MUST_FAIL = [
     ["bounds", "--model", "two-sector", "--paradigm", "cr", "--alpha=inf", "--beta=0.5"],
     *([*command, f"--alpha={a}"] for command, _ in _EDGE_FLAGS[:3] for a in ("1e308", "1e200")),
@@ -345,6 +372,8 @@ _MUST_FAIL = [
     ["figure", "ratio", "--beta-steps", "3", "--alpha=1e100"],
     ["variational", "phase", "--seed=-1"],
     ["variational", "simplex", "--p", "2", "--grid", "20", "--seed=-5"],
+    *([*command, f"{flag}={value}"] for command, flag, cap in _CAPS
+      for value in (cap + 1, 10 ** 200)),
 ]
 
 
@@ -352,8 +381,8 @@ _MUST_FAIL = [
 def _edge_argv(draw):
     command, flags = draw(st.sampled_from(_EDGE_FLAGS))
     argv = list(command)
-    for flag in flags:
-        value = draw(st.none() | st.sampled_from(_EDGE_VALUES))
+    for flag, values in flags.items():
+        value = draw(st.none() | st.sampled_from(values))
         if value is not None:
             argv.append(f"{flag}={value}")
     return argv
@@ -369,7 +398,7 @@ def _exit_code(argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
+@settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_edge_argv())
 def _edge_property(argv):
@@ -388,6 +417,16 @@ def test_edge_values_exit_0_or_2():
     t0 = time.perf_counter()
     _edge_property()
     assert time.perf_counter() - t0 < 5.0
+    # each cap + 1 and 10^200 fail before any large allocation
+    for command, flag, cap in _CAPS:
+        for value in (cap + 1, 10 ** 200):
+            tracemalloc.start()
+            try:
+                code, _ = _exit_code([*command, f"{flag}={value}"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and peak < 1_000_000, (command, flag, value, peak)
 
 
 def test_table_contents(capsys):

@@ -5,10 +5,12 @@ models, three on the Elfving oracle and one on the spread oracle, and the
 accept/reject decision of ``ReparamMatrix`` on a seeded batch of matrices
 whose determinant test sits within a few ulps of its ``DET_TOL`` threshold.
 Regenerate with ``python tests/test_objective_golden.py`` and review the diff
-of ``golden/objective_values.json``.
+of ``golden/objective_values.json``.  The batched kernel of the search
+objective is held to the one-matrix path with ``==`` on the same matrices.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from hlbounds import (
     elfving_variance_oracle,
     spread_variance_oracle,
 )
-from hlbounds.bounds import paradigm_constants, sep_plus_value
+from hlbounds.bounds import _sep_plus_values, paradigm_constants, sep_plus_value
+from hlbounds.operators import _nonsingular_alone, nonsingular
 
 GOLDEN = Path(__file__).parent / "golden" / "objective_values.json"
 
@@ -140,6 +143,69 @@ def test_singularity_decisions_at_the_threshold_are_unchanged(golden):
         assert got == case["accept"], case["t"]
     # the batch straddles the threshold: every case flips within its offsets
     assert all(not c["accept"][0] and c["accept"][-1] for c in cases)
+
+
+def _threshold_matrices():
+    """Each golden threshold case's matrices at its ``OFFSETS``, by size p."""
+    by_p = {}
+    for (u, rows, cols), case in zip(_threshold_family(), json.loads(GOLDEN.read_text())[
+            "reparam_threshold"]):
+        t = float.fromhex(case["t"])
+        by_p.setdefault(len(u), []).extend(
+            (_with_entry(u, rows, cols, _step(t, k)), want)
+            for k, want in zip(OFFSETS, case["accept"]))
+    return by_p
+
+
+def _edge_matrices(p: int):
+    """A beyond the plain double range, with a non-finite entry, or rank-deficient."""
+    a = np.eye(p) + 0.3 * np.random.default_rng(p).standard_normal((p, p))
+    mixed = a.copy()
+    mixed[:, 0] *= 2.0 ** 600
+    mixed[:, -1] *= 2.0 ** -600
+    # 2^+-400: the squares stay doubles, the norm product leaves 2^+-900 for p > 2
+    out = [a * 2.0 ** 600, a * 2.0 ** -600, a * 2.0 ** 400, a * 2.0 ** -400, mixed]
+    for bad in (math.inf, -math.inf, math.nan):
+        m = a.copy()
+        m[-1, 0] = bad
+        out.append(m)
+    repeated, zero = a.copy(), a.copy()
+    repeated[:, -1] = repeated[:, 0]
+    zero[:, -1] = 0.0
+    return out + [repeated, zero, np.outer(a[:, 0], a[0]), np.zeros((p, p))]
+
+
+def test_batched_singularity_test_decides_as_one_matrix_at_a_time():
+    for p, cases in _threshold_matrices().items():
+        stack = np.array([m for m, _ in cases])
+        want = [accept for _, accept in cases]
+        assert nonsingular(stack).tolist() == want, p
+        assert [_nonsingular_alone(m) for m in stack] == want, p
+        edges = np.array(_edge_matrices(p))
+        assert nonsingular(edges).tolist() == [accepts(m) for m in edges] == [
+            True] * 5 + [False] * 7
+        # one plain batch (tested at once) and one mixed batch (one by one)
+        for batch in (stack[[0, -1]], np.concatenate([stack, edges])):
+            assert nonsingular(batch).tolist() == [_nonsingular_alone(m) for m in batch]
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_batched_objective_equals_the_one_matrix_path(golden, name):
+    build, paradigm, factory = MODELS[name]
+    gens = build()
+    oracle = factory(gens, paradigm)
+    alpha, _ = paradigm_constants(paradigm)
+    random = list(_random_matrices(gens.p, seed=list(MODELS).index(name)))
+    threshold = [m for m, _ in _threshold_matrices()[gens.p]]
+    assert _sep_plus_values(np.array(random), oracle, alpha) == [
+        float.fromhex(v) for v in golden["sep_plus_value"][name]]
+    for stack in (random + _edge_matrices(gens.p), threshold):
+        # 2^+-600 columns over- and underflow A^T A in both paths alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [sep_plus_value(ReparamMatrix(m), oracle, alpha) if accepts(m) else math.inf
+                    for m in stack]
+            assert _sep_plus_values(np.array(stack), oracle, alpha) == want
+        assert sum(v < math.inf for v in want) > len(stack) // 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Golden Nelder-Mead trajectories of the searches.
 
-Every ``minimize`` call made by the SEP+ search, the orthogonal-rotation
-search and the sphere search is recorded (the calling module, nfev, nit,
-success and fun), together with the search's returned value.  A change that
-alters the objective's arithmetic in any way shows up here as a different
-nfev or fun.  nfev, nit and success must match exactly; fun and the value to
+Every Nelder-Mead run made by the SEP+ search (each start of its lockstep
+search), the orthogonal-rotation search and the sphere search is recorded
+(the calling module, nfev, nit, success and fun), together with the
+search's returned value.  A change that alters the objective's arithmetic
+in any way shows up here as a different nfev or fun.  nfev, nit and success must match exactly; fun and the value to
 1e-12 relative.  Regenerate cases with ``python tests/test_search_golden.py
 [name ...]`` (all cases when no name is given) and review the diff of
 ``golden/search_runs.json``.
@@ -46,26 +46,33 @@ CASES = {
 
 @contextlib.contextmanager
 def recorded_minimize(runs):
-    """Record every ``minimize`` result of the bounds and operators modules."""
-    originals = {mod: mod.minimize for mod in (bounds_module, operators_module)}
+    """Record every Nelder-Mead result of the bounds and operators modules:
+    each ``minimize`` call of operators, and each start of the lockstep
+    search of bounds, in start order."""
+    hooks = {(operators_module, "minimize"): False, (bounds_module, "minimize_lockstep"): True}
+    originals = {key: getattr(*key) for key in hooks}
 
-    def recording(mod, minimize):
+    def record(mod, res):
+        runs.append({"module": mod.__name__.rsplit(".", 1)[1], "nfev": int(res.nfev),
+                     "nit": int(res.nit), "success": bool(res.success),
+                     "fun": float(res.fun)})
+
+    def recording(mod, minimize, lockstep):
         def wrapper(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            runs.append({"module": mod.__name__.rsplit(".", 1)[1], "nfev": int(res.nfev),
-                         "nit": int(res.nit), "success": bool(res.success),
-                         "fun": float(res.fun)})
-            return res
+            out = minimize(*args, **kwargs)
+            for res in out[0] if lockstep else [out]:
+                record(mod, res)
+            return out
 
         return wrapper
 
     try:
-        for mod, minimize in originals.items():
-            mod.minimize = recording(mod, minimize)
+        for (mod, name), lockstep in hooks.items():
+            setattr(mod, name, recording(mod, originals[mod, name], lockstep))
         yield runs
     finally:
-        for mod, minimize in originals.items():
-            mod.minimize = minimize
+        for (mod, name), minimize in originals.items():
+            setattr(mod, name, minimize)
 
 
 def capture(name):

@@ -10,19 +10,20 @@ from scipy.sparse.linalg import cg as scipy_cg
 import hlbounds.bounds as bounds_module
 import hlbounds.variational as variational_module
 from hlbounds import build_fixed_atom_generators, sep_plus_optimize, simplex_ground_energy
-from hlbounds.solvers import cg, minimize
+from hlbounds.solvers import cg, minimize, minimize_lockstep
 
 
 def _sep_plus_search(monkeypatch):
     # the first search of sep_plus_optimize at fixed atoms p=3 in CR (from the
-    # identity), with the objective that function hands to minimize
+    # identity), with the batched objective that function hands to the
+    # lockstep search, scoring one point per call
     calls = []
 
-    def recording(fun, x0, **kwargs):
-        calls.append((fun, np.array(x0), (), kwargs["options"]))
-        return minimize(fun, x0, **kwargs)
+    def recording(fun_many, x0s, options):
+        calls.append((lambda x: fun_many([x])[0], np.array(x0s[0]), (), options[0]))
+        return minimize_lockstep(fun_many, x0s, options)
 
-    monkeypatch.setattr(bounds_module, "minimize", recording)
+    monkeypatch.setattr(bounds_module, "minimize_lockstep", recording)
     sep_plus_optimize(build_fixed_atom_generators(3), "cr")
     return calls[0]
 
@@ -62,6 +63,30 @@ def test_minimize_matches_scipy_nelder_mead(monkeypatch, name):
         assert not ours.success and ours.nit == 60
     else:
         assert ours.success
+
+
+def test_lockstep_searches_match_scipy_nelder_mead(monkeypatch):
+    # every case in one lockstep batch: the SEP+ search (9 variables, with
+    # shrink steps), the maxiter stop (4) and the 1e300 wall (2, with shrink
+    # steps); each point goes to its case's objective by its length
+    cases = [MINIMIZE_CASES[name](monkeypatch) for name in MINIMIZE_CASES]
+    by_length = {len(x0): (fun, args) for fun, x0, args, _ in cases}
+    assert len(by_length) == len(cases)
+    batches = []
+
+    def fun_many(points):
+        batches.append(len(points))
+        return [by_length[len(x)][0](x, *by_length[len(x)][1]) for x in points]
+
+    results, rounds = minimize_lockstep(fun_many, [c[1] for c in cases], [c[3] for c in cases])
+    assert rounds == len(batches) == max(res.nfev for res in results)
+    assert batches[0] == len(cases) and sum(batches) == sum(res.nfev for res in results)
+    for (fun, x0, args, options), ours in zip(cases, results):
+        ref = scipy_minimize(fun, x0, args=args, method="Nelder-Mead", options=options)
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.fun == ref.fun
+        assert (ours.nfev, ours.nit, ours.success) == (ref.nfev, ref.nit, ref.success)
+    assert [res.success for res in results] == [True, False, True]
 
 
 def test_minimize_takes_only_its_options():
