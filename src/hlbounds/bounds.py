@@ -43,11 +43,11 @@ from .operators import (
     optimize_orthogonal_bound,
     rotated_spread_kernel,
     spread_tolerance,
+    structured_seeds,
     unique,
-    walsh_hadamard,
 )
 # ``minimize`` stays bound here, where the benchmark's tracer finds it
-from .solvers import minimize, minimize_lockstep  # noqa: F401
+from .solvers import minimize, search_from_starts  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -387,10 +387,20 @@ def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
 
 def _sep_plus_values(stack: np.ndarray, variance_oracle, alpha: int) -> list[float]:
     """``sep_plus_value`` of each A of a (k, p, p) stack, +inf where A is
-    singular (``nonsingular``), from one ``variance_oracle.many`` call."""
-    ok = nonsingular(stack).tolist()
-    a = stack if all(ok) else stack[ok]
-    terms = iter((np.add.reduce(a * a, 1) * variance_oracle.many(a)).tolist())
+    singular (``nonsingular``), from one ``variance_oracle.many`` call.
+    A column whose sum of squares lies outside 2^+-900, where it or its
+    oracle value would leave the double range, is first brought to unit
+    size by a power of two: exact, and the term is invariant to it."""
+    squares = np.add.reduce(stack * stack, 1)
+    ok = nonsingular(stack, squares).tolist()
+    a, squares = (stack, squares) if all(ok) else (stack[ok], squares[ok])
+    flat = squares.ravel().tolist() or [1.0]  # [] when every A is singular
+    if not (2.0 ** -900 < min(flat) and max(flat) < 2.0 ** 900):
+        wide = ~((2.0 ** -900 < squares) & (squares < 2.0 ** 900))
+        shift = np.where(wide, -np.frexp(np.maximum.reduce(abs(a), 1))[1], 0)
+        a = np.ldexp(a, shift[:, None, :])
+        squares = np.add.reduce(a * a, 1)
+    terms = iter((squares * variance_oracle.many(a)).tolist())
     root, values = 1.0 / (alpha + 1), []
     for t in (next(terms) if good else [math.inf] for good in ok):
         if not all(map(math.isfinite, t)):
@@ -444,73 +454,36 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
     two), for commuting sets the best inverse of difference directions
     (``_difference_seed``), and fixed random starts, each refined by a
-    derivative-free simplex search; the searches run in lockstep, one
-    batched objective call per round (``minimize_lockstep``).  Every seed is
-    evaluated before the search.  Singular candidates are discarded.
-    Returns ``(A, CostEstimate)`` with status ``upper_bound`` on the true
-    reparametrized-separate optimum.
+    derivative-free simplex search (``search_from_starts``); singular
+    candidates score 1e300.  Returns ``(A, CostEstimate)`` with status
+    ``upper_bound`` on the true reparametrized-separate optimum.
 
-    No search runs when a seed is already within 1e-12 relative of a floor
-    no candidate can beat; else the searches' results are taken in start
-    order, up to the first that is within it.  The floor is the
-    ``sep_plus_lower_bound`` constant, or in CR the joint-design floor when
-    that is larger (see ``_certified_search_floor``), for commuting sets
-    whose largest combined spread is exact.  Free atoms reach it at the
-    identity seed, fixed atoms at the Walsh-Hadamard seed when p is a power
-    of two, and the two-sector model (CR) at the difference seed; fixed
-    atoms at p=3 reach 2 + sqrt(3) there, above the floor 3, and run every
-    start.  The stop is logged at DEBUG with the winning seed or search, its
-    value and the floor, and the search with its rounds, evaluations and
-    unconverged starts.
+    The search stops at a seed within 1e-12 relative of a floor no
+    candidate can beat: the ``sep_plus_lower_bound`` constant, or in CR the
+    joint-design floor when that is larger (see ``_certified_search_floor``),
+    for commuting sets whose largest combined spread is exact.  Free atoms
+    reach it at the identity seed, fixed atoms at the Walsh-Hadamard seed
+    when p is a power of two, and the two-sector model (CR) at the
+    difference seed; fixed atoms at p=3 reach 2 + sqrt(3) there, above the
+    floor 3, and run every start.
     """
     p = gens.p
     alpha, _ = paradigm_constants(paradigm)
     oracle_factory = elfving_variance_oracle if gens.commuting else spread_variance_oracle
     variance_oracle = oracle_factory(gens, paradigm)
-    floor = _certified_search_floor(gens, paradigm)
 
-    def objective(points: list) -> list[float]:
+    def objective(_, points: list) -> list[float]:
         # 1e300 where A is singular or the cost infinite
         values = _sep_plus_values(np.array(points).reshape(-1, p, p), variance_oracle, alpha)
         return [v if v < math.inf else 1e300 for v in values]
 
-    seeds = [np.eye(p)]
-    r = int(round(math.log2(p)))
-    if 2 ** r == p:
-        seeds.append(walsh_hadamard(r).entries)
-    seeds += _difference_seed(gens, alpha)
-    for seed in SEARCH_SEEDS:
-        rng = np.random.default_rng(seed)
-        seeds.append(np.eye(p) + 0.3 * rng.standard_normal((p, p)))
-
-    seeds = [np.asarray(s, dtype=float) for s in seeds]
-    starts = [s.ravel() for s in seeds]
-    best_a, best_val, best_origin = None, math.inf, None
-    for start, (s, v0) in enumerate(zip(seeds, objective(starts))):
-        if v0 < best_val - 1e-15:
-            best_a, best_val, best_origin = s, v0, f"seed {start}"
-    certified = -math.inf if floor is None else floor * (1 + 1e-12)
-    if best_val > certified:
-        # every start runs; a start that a certified stop would skip is dropped
-        options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": min(600 * p * p, 4000)}
-        runs, rounds = minimize_lockstep(objective, starts, [options] * len(starts))
-        logger.debug("sep_plus_optimize searched %d starts in %d batched rounds: "
-                     "nfev=%d, %d unconverged", len(runs), rounds,
-                     sum(res.nfev for res in runs), sum(not res.success for res in runs))
-    for start in range(len(seeds)):
-        if best_val <= certified:
-            logger.debug("sep_plus_optimize certified by %s: value=%r floor=%r; "
-                         "starts %d-%d skipped",
-                         best_origin, float(best_val), floor, start, len(seeds) - 1)
-            break
-        res = runs[start]
-        logger.debug("sep_plus_optimize start %d: nfev=%d nit=%d success=%s fun=%r",
-                     start, res.nfev, res.nit, res.success, float(res.fun))
-        if res.fun < best_val - 1e-15:
-            best_a, best_val = res.x.reshape(p, p), float(res.fun)
-            best_origin = f"the search from start {start}"
-    if best_a is None:
-        raise InvalidArgumentError("no invertible reparametrization candidate found")
+    seeds = structured_seeds(p) + _difference_seed(gens, alpha) + [
+        np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
+        for seed in SEARCH_SEEDS]
+    options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": min(600 * p * p, 4000)}
+    _, best_a, best_val = search_from_starts(
+        logger, "sep_plus_optimize", objective, [np.ravel(s) for s in seeds], options,
+        certified=_certified_search_floor(gens, paradigm))
     estimate = CostEstimate(
         paradigm=paradigm,
         strategy="sep_plus",
@@ -519,7 +492,7 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
         status="upper_bound",
         provenance="computed: reparametrization search over invertible A",
     )
-    return ReparamMatrix(best_a), estimate
+    return ReparamMatrix(best_a.reshape(p, p)), estimate
 
 
 def orthogonal_restricted_sep_plus(alpha_beta) -> float:

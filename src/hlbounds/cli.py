@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog
 from . import variational as vr
-from .errors import HlboundsError, InvalidArgumentError
+from .errors import HlboundsError, InvalidArgumentError, ResourceLimitError
 from .qfi import qfi_pure, saturability, trace_inverse
 from .states import (
     PureState,
@@ -30,6 +30,10 @@ from .states import (
     superposed_noon_state,
     uniform_state,
 )
+
+# The most grid points of ``figure ratio``; each is one output row.
+BETA_STEPS_CAP = 10_000
+
 
 def _build_state(name, gens, p, n):
     if name in ("uniform", "plus-product", "noon"):
@@ -211,6 +215,8 @@ def cmd_figure(args):
         ])
     else:  # ratio
         steps = args.beta_steps
+        if steps > BETA_STEPS_CAP:
+            raise ResourceLimitError(f"--beta-steps must be <= {BETA_STEPS_CAP}")
         grid = [args.alpha * (i + 1) / (steps + 1) for i in range(steps)]
         rows = catalog.figure_ratio_data(args.alpha, grid)
         _emit(rows, args, csv_columns=["beta_over_alpha", "ratio"])

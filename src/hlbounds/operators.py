@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .solvers import minimize
+from .solvers import search_from_starts
 
 logger = logging.getLogger(__name__)
 
@@ -162,13 +162,15 @@ class ReparamMatrix:
         return self.entries.shape[0]
 
 
-def nonsingular(stack: np.ndarray) -> np.ndarray:
+def nonsingular(stack: np.ndarray, squares=None) -> np.ndarray:
     """The scale-free test |det A| > DET_TOL prod_j |a_j| of ``ReparamMatrix``
     on each A of a (k, p, p) stack, as k booleans: at once where every A has
     finite entries, a sum of squares below 2^999 and a norm product within
-    2^+-900 (where ``_nonsingular_alone`` takes A as given), else one by one."""
+    2^+-900 (where ``_nonsingular_alone`` takes A as given), else one by one.
+    ``squares``: the column sums of squares, when the caller has them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.add.reduce(stack * stack, 1)
+        if squares is None:
+            squares = np.add.reduce(stack * stack, 1)
         # a sequential product in column order, as ``_norm_product`` takes it
         scale = np.multiply.reduce(np.sqrt(squares), 1)
         plain = (np.add.reduce(squares, 1) < 2.0 ** 999) & (2.0 ** -900 < scale) & (
@@ -331,6 +333,16 @@ def walsh_hadamard(r: int) -> ReparamMatrix:
     for _ in range(r):
         h = np.kron(h, block)
     return ReparamMatrix(h / math.sqrt(p))
+
+
+def structured_seeds(p: int) -> list:
+    """The identity and, when p is a power of two, the Walsh-Hadamard
+    transform: the first seeds of the rotation and SEP+ searches."""
+    seeds = [np.eye(p)]
+    r = int(round(math.log2(p)))
+    if 2 ** r == p:
+        seeds.append(walsh_hadamard(r).entries)
+    return seeds
 
 
 def rotated_spread_kernel(gens: GeneratorSet):
@@ -498,51 +510,25 @@ def max_spread_over_sphere(gens: GeneratorSet):
     evaluated and then refined by a simplex search, so the value is a
     certified lower bound on the true maximum.
 
-    After each candidate is evaluated, and before its search, the loop
-    stops once the best value is within 1e-12 relative of
+    No search runs when a candidate is within 1e-12 relative of
     ``spread_ceiling``, which no unit vector can exceed; the value is then
-    the certified maximum.  The Pauli sets meet the
-    ceiling 1 at the first axis; spin-3/2 (spread 3, ceiling sqrt 10) runs
-    every start.  The stop is logged at DEBUG with the winning candidate or
-    search, its value and the ceiling.
+    the certified maximum (``search_from_starts``).  The Pauli sets meet
+    the ceiling 1 at the first axis; spin-3/2 (spread 3, ceiling sqrt 10)
+    runs every start.
     """
     exact = exact_max_spread(gens)
     if exact is not None:
         return exact
     p = gens.p
     objective = _sphere_objective(gens)
-    candidates = [np.eye(p)[i] for i in range(p)]
-    candidates.append(np.full(p, 1.0 / math.sqrt(p)))
-    for seed in SEARCH_SEEDS:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(p)
-        candidates.append(v / np.linalg.norm(v))
-
-    ceiling = spread_ceiling(gens)
-    best_a, best_val, best_origin = None, -1.0, None
-    for start, a0 in enumerate(candidates):
-        val0 = objective(a0)
-        if val0 > best_val + 1e-12:
-            best_a, best_val = a0 / np.linalg.norm(a0), val0
-            best_origin = f"candidate {start}"
-        if best_val >= ceiling * (1 - 1e-12):
-            logger.debug("max_spread_over_sphere certified by %s: value=%r ceiling=%r; "
-                         "starts %d-%d skipped",
-                         best_origin, best_val, ceiling, start, len(candidates) - 1)
-            break
-        res = minimize(
-            lambda x: -objective(x),
-            a0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        )
-        logger.debug("max_spread_over_sphere start %d: nfev=%d nit=%d success=%s fun=%r",
-                     start, res.nfev, res.nit, res.success, float(res.fun))
-        nrm = np.linalg.norm(res.x)
-        if nrm > 1e-12 and -res.fun > best_val + 1e-12:
-            best_a, best_val = res.x / nrm, float(-res.fun)
-            best_origin = f"the search from start {start}"
-    return best_a, best_val
+    normals = [np.random.default_rng(seed).standard_normal(p) for seed in SEARCH_SEEDS]
+    candidates = [np.eye(p)[i] for i in range(p)] + [np.full(p, 1.0 / math.sqrt(p))]
+    candidates += [v / np.linalg.norm(v) for v in normals]
+    _, best_a, best_val = search_from_starts(
+        logger, "max_spread_over_sphere", lambda _, points: [objective(x) for x in points],
+        candidates, {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
+        certified=spread_ceiling(gens), maximize=True)
+    return best_a / np.linalg.norm(best_a), best_val
 
 
 def rotation_bound_value(gens: GeneratorSet, a: ReparamMatrix) -> float:
@@ -686,6 +672,8 @@ def _upper_indices(p: int):
 
 
 def _skew_to_orthogonal(x: np.ndarray, p: int) -> np.ndarray:
+    if not x.any():
+        return np.eye(p)  # exp(0), which the eigensolver also returns exactly
     s = np.zeros((p, p))
     s[_upper_indices(p)] = x
     s = s - s.T
@@ -698,66 +686,40 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     """Maximize sum_i 1/spread([O^T Lambda]_i)^2 over orthogonal O.
 
     Returns ``(ReparamMatrix, value)``.  The identity and (when p is a power
-    of two) the Walsh-Hadamard transform are always evaluated; local searches
-    over O = O_seed exp(skew) refine from fixed seeds.  The value is a
-    certified lower bound on the supremum.  Rotations producing a degenerate
-    spread are discarded with a warning.
+    of two) the Walsh-Hadamard transform are evaluated; local searches over
+    O = O_seed exp(skew) start from them and from fixed random seeds.  The
+    value is a certified lower bound on the supremum.  Rotations producing a degenerate
+    spread are discarded.
 
-    The searches stop early, before the next start, once the best value is
-    within 1e-12 relative of ``rotation_bound_ceiling``, which no rotation
-    can exceed; the value is then the certified optimum.  Fixed atoms meet
+    No search runs when a seed is within 1e-12 relative of
+    ``rotation_bound_ceiling``, which no rotation can exceed; the value is
+    then the certified optimum (``search_from_starts``).  Fixed atoms meet
     the ceiling p at the identity, free atoms the ceiling p^2 at the
-    Walsh-Hadamard seed when p is a power of two.  The stop is logged at
-    DEBUG with the winning seed or search, its value and the ceiling.
+    Walsh-Hadamard seed when p is a power of two.
     """
     p = gens.p
     if p < 2:
         raise InvalidArgumentError("the rotation bound needs p >= 2")
-    structured = [np.eye(p)]
-    r = int(round(math.log2(p)))
-    if 2 ** r == p:
-        structured.append(walsh_hadamard(r).entries)
-
-    ceiling = rotation_bound_ceiling(gens)
     spreads = rotated_spread_kernel(gens)
     tol = spread_tolerance(gens)
-    best_o, best_val, best_origin = None, -math.inf, None
-    for start, o in enumerate(structured):
-        val = _bound_sum(spreads(o), tol)
-        if val == -math.inf:
-            logger.warning("discarding rotation candidate with degenerate spread")
-        elif val > best_val + 1e-12:
-            best_o, best_val, best_origin = o, val, f"seed {start}"
-
     nvars = p * (p - 1) // 2
+    bases = structured_seeds(p)
+    starts = [np.zeros(nvars)] * len(bases) + [
+        0.5 * np.random.default_rng(seed).standard_normal(nvars) for seed in SEARCH_SEEDS]
+    bases += [np.eye(p)] * len(SEARCH_SEEDS)
 
-    def neg_bound(x, base):
-        value = _bound_sum(spreads(base @ _skew_to_orthogonal(x, p)), tol)
-        return -value if value > -math.inf else 1e300
+    def bound(indices, points):
+        # -1e300 where a rotated spread is degenerate
+        values = [_bound_sum(spreads(bases[i] @ _skew_to_orthogonal(x, p)), tol)
+                  for i, x in zip(indices, points)]
+        return [v if v > -math.inf else -1e300 for v in values]
 
-    starts = [(np.zeros(nvars), base) for base in structured]
-    for seed in SEARCH_SEEDS:
-        rng = np.random.default_rng(seed)
-        starts.append((0.5 * rng.standard_normal(nvars), np.eye(p)))
-    for start, (x0, base) in enumerate(starts):
-        if ceiling is not None and best_val >= ceiling * (1 - 1e-12):
-            logger.debug("optimize_orthogonal_bound certified by %s: value=%r ceiling=%r; "
-                         "starts %d-%d skipped",
-                         best_origin, best_val, ceiling, start, len(starts) - 1)
-            break
-        res = minimize(
-            neg_bound,
-            x0,
-            args=(base,),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-11, "maxiter": 400 * max(nvars, 1)},
-        )
-        logger.debug("optimize_orthogonal_bound start %d: nfev=%d nit=%d success=%s fun=%r",
-                     start, res.nfev, res.nit, res.success, float(res.fun))
-        # res.fun is the bound sum at res.x itself; 1e300 marks a degenerate one
-        if res.fun < 1e300 and -res.fun > best_val + 1e-12:
-            best_o, best_val = base @ _skew_to_orthogonal(res.x, p), float(-res.fun)
-            best_origin = f"the search from start {start}"
-    if best_o is None:
+    # only the structured starts are seeds, which need no eigensolver
+    start, x, best_val = search_from_starts(
+        logger, "optimize_orthogonal_bound", bound, starts,
+        {"xatol": 1e-9, "fatol": 1e-11, "maxiter": 400 * max(nvars, 1)},
+        certified=rotation_bound_ceiling(gens), maximize=True,
+        seeds=len(starts) - len(SEARCH_SEEDS))
+    if best_val == -1e300:
         raise InvalidArgumentError("every rotation candidate had a degenerate spread")
-    return ReparamMatrix(best_o), best_val
+    return ReparamMatrix(bases[start] @ _skew_to_orthogonal(x, p)), best_val

@@ -1,4 +1,5 @@
-"""The two iterative solvers of the package, in numpy alone.
+"""The two iterative solvers of the package, in numpy alone, and the
+multi-start search on the first.
 
 The Nelder-Mead simplex search (Nelder and Mead 1965) and the
 unpreconditioned conjugate-gradient solve ``cg`` (Hestenes and Stiefel 1952)
@@ -15,6 +16,9 @@ drives many independent searches together, scoring one pending point of
 each with a single batched call per round; ``minimize`` drives one search,
 one point per call.  Each search's trajectory, evaluation count and result
 are bit-identical to scipy's from the same start.
+
+``search_from_starts`` is the multi-start policy of the sphere, rotation
+and SEP+ searches, on ``minimize_lockstep``.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def minimize(fun, x0, args=(), method="Nelder-Mead", options=None) -> MinimizeRe
     """
     if method != "Nelder-Mead":
         raise ValueError(f"only the Nelder-Mead method is available, not {method!r}")
-    def fun_many(points):
+    def fun_many(_, points):
         fx = fun(points[0], *args)
         return [fx if np.isscalar(fx) else np.asarray(fx).item()]
 
@@ -65,21 +69,69 @@ def minimize(fun, x0, args=(), method="Nelder-Mead", options=None) -> MinimizeRe
 def minimize_lockstep(fun_many, x0s, options) -> tuple[list[MinimizeResult], int]:
     """The ``minimize`` search from each start of ``x0s``, with the ``options``
     dict of its index, in lockstep: each round scores the next point of every
-    unfinished search with one call ``fun_many(points) -> values``, a list of
-    1-D arrays (of any lengths) to a list of floats.  Returns the results in
-    start order and the number of rounds."""
+    unfinished search with one call ``fun_many(starts, points) -> values``,
+    the start indices and 1-D arrays (of any lengths) of those searches to a
+    list of floats.  Returns the results in start order and the number of
+    rounds."""
     searches = [_nelder_mead(x0, **opts) for x0, opts in zip(x0s, options, strict=True)]
     pending = {i: next(s) for i, s in enumerate(searches)}
     results, rounds = [None] * len(searches), 0
     while pending:
         rounds += 1
-        for i, fx in zip(list(pending), fun_many(list(pending.values()))):
+        starts = list(pending)
+        for i, fx in zip(starts, fun_many(starts, list(pending.values()))):
             try:
                 pending[i] = searches[i].send(fx)
             except StopIteration as stop:
                 results[i] = stop.value
                 del pending[i]
     return results, rounds
+
+
+def search_from_starts(logger, name, score, x0s, options, certified=None, maximize=False,
+                       seeds=None):
+    """The multi-start search ``name``: the best of the starts ``x0s`` and of
+    the Nelder-Mead searches (``options``) from them, as ``(start, x,
+    value)``, ``x`` from start index ``start``.
+
+    ``score(starts, points) -> values`` scores points of the given starts,
+    to be minimized, or maximized when ``maximize`` is set.  The first
+    ``seeds`` starts (every start by default) are scored in one call as
+    seeds; the search stops there when the best is within
+    1e-12 relative of ``certified``, a floor no value goes below (a ceiling
+    none exceeds when maximizing).  Otherwise every start runs in lockstep
+    (``minimize_lockstep``), and the results are taken in start order up to
+    the first that reaches the certificate.  A value replaces the best only
+    when better by more than 1e-12.  ``logger`` gets DEBUG records of the
+    lockstep search (rounds, evaluations, unconverged starts), of each
+    start taken and of the stop, with the winning seed or search.
+    """
+    sign = -1 if maximize else 1
+    target = -math.inf if certified is None else sign * certified * (1 + sign * 1e-12)
+    starts = list(range(len(x0s)))
+    best_cost, best = math.inf, None
+    for start, value in zip(starts, score(starts[:seeds], x0s[:seeds])):
+        if sign * value < best_cost - 1e-12:
+            best_cost, best, origin = sign * value, (start, x0s[start]), f"seed {start}"
+    if best_cost > target:
+        fun_many = (lambda s, points: [-v for v in score(s, points)]) if maximize else score
+        runs, rounds = minimize_lockstep(fun_many, x0s, [options] * len(x0s))
+        logger.debug("%s searched %d starts in %d batched rounds: nfev=%d, %d unconverged",
+                     name, len(runs), rounds, sum(res.nfev for res in runs),
+                     sum(not res.success for res in runs))
+    for start in starts:
+        if best_cost <= target:
+            logger.debug("%s certified by %s: value=%r %s=%r; starts %d-%d skipped",
+                         name, origin, float(sign * best_cost),
+                         "ceiling" if maximize else "floor", certified, start, len(x0s) - 1)
+            break
+        res = runs[start]
+        logger.debug("%s start %d: nfev=%d nit=%d success=%s fun=%r",
+                     name, start, res.nfev, res.nit, res.success, float(res.fun))
+        if res.fun < best_cost - 1e-12:
+            best_cost, best = float(res.fun), (start, res.x)
+            origin = f"the search from start {start}"
+    return (*best, sign * best_cost)
 
 
 def _nelder_mead(x0, xatol=1e-4, fatol=1e-4, maxiter=None):

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .operators import GeneratorSet, combine
 
 NORM_TOL = 1e-12
+PHASE_N_CAP = 100_000  # the largest N of a phase probe: a 2^19-point pdf grid
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ def noon_coefficients(n: int) -> PhaseStateCoefficients:
     """Equal superposition of the m = 0 and m = n excitation components."""
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
+    if n > PHASE_N_CAP:
+        raise ResourceLimitError(f"n must be <= {PHASE_N_CAP}")
     c = np.zeros(n + 1, dtype=complex)
     c[0] = c[n] = 1.0 / math.sqrt(2.0)
     return PhaseStateCoefficients(n, c)
@@ -74,6 +77,8 @@ def sin_coefficients(N: int) -> PhaseStateCoefficients:
     """
     if N < 1:
         raise InvalidArgumentError("N must be >= 1")
+    if N > PHASE_N_CAP:
+        raise ResourceLimitError(f"N must be <= {PHASE_N_CAP}")
     m = np.arange(N + 1)
     c = math.sqrt(2.0 / (N + 2)) * np.sin((m + 1) * math.pi / (N + 2))
     return PhaseStateCoefficients(N, c.astype(complex))

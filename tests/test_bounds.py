@@ -29,7 +29,6 @@ from hlbounds import (
     spread_variance_oracle,
 )
 import hlbounds.bounds as bounds_module
-import hlbounds.operators as operators_module
 from hlbounds.bounds import _GaugeSolver, sep_plus_value
 from hlbounds.operators import distinct_patterns, exact_max_spread, rotation_bound_ceiling
 
@@ -456,21 +455,6 @@ def test_reused_oracle_equals_a_fresh_one(factory):
         assert np.array_equal(oracle(a), factory(gens, "mm")(a))
 
 
-@pytest.fixture
-def minimize_runs(monkeypatch):
-    """Every Nelder-Mead result of ``sep_plus_optimize``, in start order."""
-    runs = []
-    lockstep = bounds_module.minimize_lockstep
-
-    def counting_lockstep(*args, **kwargs):
-        results, rounds = lockstep(*args, **kwargs)
-        runs.extend(results)
-        return results, rounds
-
-    monkeypatch.setattr(bounds_module, "minimize_lockstep", counting_lockstep)
-    return runs
-
-
 def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
     runs = minimize_runs
     # sigma_x, sigma_y do not commute, so there is no floor and every start runs
@@ -799,12 +783,18 @@ def test_paradigm_constants():
      sep_plus_lower_bound, jnt_lower_bound, sep_plus_optimize],
     ids=["sep_cost", "sep_plus_lower_bound", "jnt_lower_bound", "sep_plus_optimize"],
 )
-def test_unknown_paradigm_fails_before_any_search(monkeypatch, minimize_runs, bound):
-    operator_runs = []
-    monkeypatch.setattr(operators_module, "minimize", lambda *a, **k: operator_runs.append(a))
+def test_unknown_paradigm_fails_before_any_search(minimize_runs, bound):
     with pytest.raises(InvalidArgumentError, match="paradigm"):
         bound(build_pauli_generators("xyz"), "bayes")
-    assert minimize_runs == [] and operator_runs == []
+    assert minimize_runs == []
+
+
+@pytest.mark.parametrize("factory", [elfving_variance_oracle, spread_variance_oracle])
+def test_sep_plus_values_of_an_all_singular_stack(factory):
+    # a lockstep round can score singular matrices alone
+    oracle = factory(build_fixed_atom_generators(3), "cr")
+    stack = np.array([np.zeros((3, 3)), np.ones((3, 3))])
+    assert bounds_module._sep_plus_values(stack, oracle, 1) == [math.inf, math.inf]
 
 
 def test_sep_plus_value_scale_invariance():
@@ -812,5 +802,9 @@ def test_sep_plus_value_scale_invariance():
     oracle = elfving_variance_oracle(gens, "cr")
     a = np.array([[1.0, 0.2], [-0.3, 1.1]])
     v1 = sep_plus_value(ReparamMatrix(a), oracle, 1)
-    v2 = sep_plus_value(ReparamMatrix(a * np.array([2.0, 0.5])), oracle, 1)
-    assert v1 == pytest.approx(v2, rel=1e-9)
+    # columns scaled past the double range of their squares, 2^+-600, too;
+    # a 2^600 column's squares overflow before it is rescaled
+    for scale in ([2.0, 0.5], [2.0 ** 600, 1.0], [1.0, 2.0 ** -600], [2.0 ** 600, 2.0 ** -600]):
+        with np.errstate(over="ignore"):
+            v2 = sep_plus_value(ReparamMatrix(a * np.array(scale)), oracle, 1)
+        assert v1 == pytest.approx(v2, rel=1e-9)

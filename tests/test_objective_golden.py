@@ -200,7 +200,7 @@ def test_batched_objective_equals_the_one_matrix_path(golden, name):
     assert _sep_plus_values(np.array(random), oracle, alpha) == [
         float.fromhex(v) for v in golden["sep_plus_value"][name]]
     for stack in (random + _edge_matrices(gens.p), threshold):
-        # 2^+-600 columns over- and underflow A^T A in both paths alike
+        # 2^+-600 columns over- and underflow A^T A, and are rescaled, in both paths alike
         with np.errstate(over="ignore", invalid="ignore"):
             want = [sep_plus_value(ReparamMatrix(m), oracle, alpha) if accepts(m) else math.inf
                     for m in stack]

@@ -481,21 +481,6 @@ def test_orthogonal_bound_value_is_the_bound_sum_of_its_rotation(build):
 # the certified stop of the rotation-bound search
 
 
-@pytest.fixture
-def minimize_runs(monkeypatch):
-    """Every Nelder-Mead result of the ``operators`` searches, in call order."""
-    runs = []
-    minimize = operators_module.minimize
-
-    def counting_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        runs.append(res)
-        return res
-
-    monkeypatch.setattr(operators_module, "minimize", counting_minimize)
-    return runs
-
-
 @pytest.mark.parametrize(
     "gens,winner,closed_form",
     [(build_fixed_atom_generators(p), 0, p) for p in range(2, 7)]
@@ -559,7 +544,7 @@ def test_sphere_search_stops_at_the_first_axis_on_the_ceiling(caplog, minimize_r
     assert minimize_runs == []
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.operators"]
     assert messages == [
-        "max_spread_over_sphere certified by candidate 0: value=1.0 ceiling=1.0; "
+        "max_spread_over_sphere certified by seed 0: value=1.0 ceiling=1.0; "
         f"starts 0-{gens.p + 3} skipped"
     ]
     assert value == 1.0

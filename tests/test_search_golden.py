@@ -1,7 +1,7 @@
 """Golden Nelder-Mead trajectories of the searches.
 
-Every Nelder-Mead run made by the SEP+ search (each start of its lockstep
-search), the orthogonal-rotation search and the sphere search is recorded
+Every Nelder-Mead run made by the SEP+ search, the orthogonal-rotation
+search and the sphere search (each start of their lockstep search) is recorded
 (the calling module, nfev, nit, success and fun), together with the
 search's returned value.  A change that alters the objective's arithmetic
 in any way shows up here as a different nfev or fun.  nfev, nit and success must match exactly; fun and the value to
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import hlbounds.bounds as bounds_module
-import hlbounds.operators as operators_module
+import hlbounds.solvers as solvers_module
 from hlbounds import (
     build_fixed_atom_generators,
     build_free_atom_generators,
@@ -46,33 +46,27 @@ CASES = {
 
 @contextlib.contextmanager
 def recorded_minimize(runs):
-    """Record every Nelder-Mead result of the bounds and operators modules:
-    each ``minimize`` call of operators, and each start of the lockstep
-    search of bounds, in start order."""
-    hooks = {(operators_module, "minimize"): False, (bounds_module, "minimize_lockstep"): True}
-    originals = {key: getattr(*key) for key in hooks}
+    """Record every Nelder-Mead result of the searches: each start of each
+    ``minimize_lockstep`` call, in start order, with the module whose search
+    called ``search_from_starts``."""
+    lockstep = solvers_module.minimize_lockstep
 
-    def record(mod, res):
-        runs.append({"module": mod.__name__.rsplit(".", 1)[1], "nfev": int(res.nfev),
-                     "nit": int(res.nit), "success": bool(res.success),
-                     "fun": float(res.fun)})
-
-    def recording(mod, minimize, lockstep):
-        def wrapper(*args, **kwargs):
-            out = minimize(*args, **kwargs)
-            for res in out[0] if lockstep else [out]:
-                record(mod, res)
-            return out
-
-        return wrapper
+    def recording(*args, **kwargs):
+        out = lockstep(*args, **kwargs)
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == solvers_module.__name__:
+            frame = frame.f_back
+        module = frame.f_globals["__name__"].rsplit(".", 1)[1]
+        for res in out[0]:
+            runs.append({"module": module, "nfev": int(res.nfev), "nit": int(res.nit),
+                         "success": bool(res.success), "fun": float(res.fun)})
+        return out
 
     try:
-        for (mod, name), lockstep in hooks.items():
-            setattr(mod, name, recording(mod, originals[mod, name], lockstep))
+        solvers_module.minimize_lockstep = recording
         yield runs
     finally:
-        for (mod, name), minimize in originals.items():
-            setattr(mod, name, minimize)
+        solvers_module.minimize_lockstep = lockstep
 
 
 def capture(name):
