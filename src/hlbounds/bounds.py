@@ -212,7 +212,8 @@ def c_optimal_variance(gens: GeneratorSet, c) -> float:
 
 def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
     """Oracle A -> the p constants 1/lambda'_i^2 (CR) or pi^2/lambda'_i^2 (MM),
-    +inf where lambda'_i is degenerate (``spread_tolerance``).
+    +inf where lambda'_i is degenerate: at most ``spread_tolerance`` times the
+    largest |entry| of column i of A, as the cost is invariant to column scale.
 
     Ignores nuisance parameters; a valid constant only when parameter i can
     be sensed undisturbed in the A-parametrization, a certified lower bound
@@ -224,7 +225,8 @@ def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
 
     def many(stack: np.ndarray) -> np.ndarray:
         # scalar ``lam ** 2`` is pow(), which an array square does not round alike
-        return np.array([[factor / lam ** 2 if lam > tol else math.inf for lam in spreads(a)]
+        return np.array([[factor / lam ** 2 if lam > tol * size else math.inf
+                          for lam, size in zip(spreads(a), np.maximum.reduce(abs(a)).tolist())]
                          for a in stack]).reshape(stack.shape[:2])
 
     return _oracle(many)
@@ -391,7 +393,8 @@ def _sep_plus_values(stack: np.ndarray, variance_oracle, alpha: int) -> list[flo
     A column whose sum of squares lies outside 2^+-900, where it or its
     oracle value would leave the double range, is first brought to unit
     size by a power of two: exact, and the term is invariant to it."""
-    squares = np.add.reduce(stack * stack, 1)
+    with np.errstate(over="ignore"):  # an overflowing column is rescaled below
+        squares = np.add.reduce(stack * stack, 1)
     ok = nonsingular(stack, squares).tolist()
     a, squares = (stack, squares) if all(ok) else (stack[ok], squares[ok])
     flat = squares.ravel().tolist() or [1.0]  # [] when every A is singular

@@ -207,9 +207,9 @@ def _all_commuting(gens) -> bool:
 
 
 def _check_linear_independence(gram: np.ndarray):
-    """Raise unless the real Gram matrix of the generators is nonsingular."""
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= INDEPENDENCE_TOL * max(sv[0], 1e-300):
+    """Raise unless the real symmetric Gram matrix of the generators is nonsingular."""
+    w = abs(np.linalg.eigvalsh(gram))  # its singular values
+    if w.min() <= INDEPENDENCE_TOL * max(w.max(), 1e-300):
         raise InvalidArgumentError("generators are not linearly independent")
 
 

@@ -9,13 +9,12 @@ vertex-aligned grid; Dirichlet data is enforced by excluding boundary and
 exterior nodes, and the smallest eigenvalue is found by inexact inverse
 power iteration with matrix-free conjugate-gradient inner solves.  The
 ground state is invariant under every sign flip and permutation of the
-mu_i, so the iteration runs on the wedge 0 <= mu_1 <= ... <= mu_p alone
-(up to 2^p p! times fewer unknowns): neighbours fold back by reflection
-and sorting, node weights w = number of full-grid copies, and the
-symmetric operator W^(1/2) R W^(-1/2), whose norms and residuals are those
-of the full grid.  The eigenvector is unfolded onto the full grid on
-return (see ``simplex_ground_energy``).  One DEBUG record per solve on this
-module's logger gives p, M, full-grid nodes, wedge unknowns, outer
+mu_i, so the full grid is never built: the iteration runs on the wedge
+0 <= mu_1 <= ... <= mu_p alone (up to 2^p p! times fewer unknowns), whose
+nodes carry weights w = number of full-grid copies (see ``SimplexSpectrum``),
+with the symmetric operator W^(1/2) R W^(-1/2), whose norms and residuals
+are those of the full grid.  One DEBUG record per solve on this module's
+logger gives p, M, full-grid nodes (the sum of w), wedge unknowns, outer
 iterations, E, the residual and the number of matvecs.
 
 The Airy lower bound is a closed form in the first zero a0 of Ai' and
@@ -24,6 +23,7 @@ Ai(a0); no quadrature is run (see ``airy_lower_bound``).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -40,7 +40,7 @@ from .special import (
 )
 from .states import PhaseStateCoefficients
 
-NODE_CAP = 20_000_000
+INDEX_CAP = 10_000_000  # indices (tuples times p) the wedge enumeration may visit
 MC_SAMPLE_CAP = 50_000_000  # about 33 bytes per sample at peak: 1.7 GB at the cap
 RESIDUAL_RTOL = 1e-9
 MAX_POWER_ITERATIONS = 200
@@ -52,7 +52,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SimplexSpectrum:
-    """Converged ground-state data of the cross-polytope Dirichlet problem."""
+    """Converged ground-state data of the cross-polytope Dirichlet problem,
+    on the symmetry wedge: ``nodes`` (n, p) are the grid nodes with
+    0 <= mu_1 <= ... <= mu_p, ``eigenvector`` is u on them and ``weights``
+    their orbit sizes w, so sum(w u^2) = 1.  Unfolded, u takes a node's value
+    on every permutation and sign choice of its coordinates: w grid nodes."""
 
     p: int
     h: float
@@ -61,13 +65,14 @@ class SimplexSpectrum:
     residual: float
     nodes: np.ndarray
     eigenvector: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
         if not self.E > 0:
             raise InvalidArgumentError("ground energy must be positive")
         if not self.residual <= 1e-8 * self.E:
             raise InvalidArgumentError("eigen-residual exceeds 1e-8 * E")
-        for name in ("nodes", "eigenvector"):
+        for name in ("nodes", "eigenvector", "weights"):
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -90,18 +95,6 @@ class AiryBoundResult:
             raise NumericalError("Airy bound constant outside the expected window")
 
 
-def _interior_mask(p: int, m: int):
-    axes = np.linspace(-0.5, 0.5, m + 1)
-    radial = np.abs(axes)
-    total = np.zeros((m + 1,) * p)
-    for d in range(p):
-        shape = [1] * p
-        shape[d] = m + 1
-        total += radial.reshape(shape)
-    mask = total < 0.5 - 1e-9 / m
-    return axes, mask
-
-
 def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     """Smallest Dirichlet eigenvalue of -Laplacian on {sum|mu_i| <= 1/2}.
 
@@ -111,56 +104,57 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
     rate O(h^2).
 
     The ground state is invariant under the sign flips mu_d -> -mu_d and
-    the permutations of the mu_d, so the solve runs on the wedge of sorted
-    grid indices ceil(M/2) <= i_1 <= ... <= i_p: a neighbour index i
-    reflects to max(i, M - i) and the neighbour's indices are sorted.  For
-    odd M no node lies on mu_d = 0 and the -1 neighbour of the first node
-    (mu_d = h/2) is the node itself.  For even M the -1 neighbour of the
-    node on mu_d = 0 folds onto its +1 neighbour, and on a diagonal
-    i_d = i_e the +1 neighbours along d and e sort to one node, so the
-    folded operator R is not symmetric.  With w the orbit size of a
-    node (the product over axes of 1 on mu_d = 0, else 2, times
-    p!/prod(multiplicity of each index value)!), inverse iteration runs on
-    the symmetric S = W^(1/2) R W^(-1/2) in z = W^(1/2) u.  Norms, Rayleigh
-    quotients and residuals in z equal those of the symmetric full-grid
-    vector, so E, ``residual`` and the stopping rule are the full grid's.
-    Each CG solve stops at rtol min(1e-2, max(1e-13, 0.05 r/E)), with r and
-    E the previous outer step's residual and energy, and at 1e-2 on the
-    first step (inexact inverse iteration, Golub and Ye 2000); the
-    residual of the stopping rule comes from a true matvec.  On return
-    u = z/sqrt(w) is unfolded onto every interior node, in C order of the
-    full grid, so ``nodes`` and the unit-norm ``eigenvector`` cover the
-    whole cross-polytope.  The neighbour table is a contiguous (2p, n)
-    array, gathered with one ``take`` and summed down its columns.
+    the permutations of the mu_d, so the solve runs on the wedge: the sorted
+    index tuples ceil(M/2) <= i_1 <= ... <= i_p <= M - 1 inside the domain,
+    in lexicographic order (at most ``INDEX_CAP`` indices are enumerated).
+    A neighbour index i reflects to max(i, M - i), and the sorted neighbour
+    is looked up by an integer key.  For odd M no node lies on mu_d = 0 and
+    the -1 neighbour of the first node (mu_d = h/2) is the node itself.  For
+    even M the -1 neighbour of the node on mu_d = 0 folds onto its +1
+    neighbour, and on a diagonal i_d = i_e the +1 neighbours along d and e
+    sort to one node, so the folded operator R is not symmetric.  With w
+    the orbit size of a node (the product over axes of 1 on mu_d = 0, else
+    2, times p!/prod(multiplicity of each index value)!), inverse iteration
+    runs on the symmetric S = W^(1/2) R W^(-1/2) in z = W^(1/2) u.  Norms,
+    Rayleigh quotients and residuals in z equal those of the symmetric
+    full-grid vector, so E, ``residual`` and the stopping rule are the full
+    grid's.  Each CG solve stops at rtol min(1e-2, max(1e-13, 0.05 r/E)),
+    with r and E the previous outer step's residual and energy, and at 1e-2
+    on the first step (inexact inverse iteration, Golub and Ye 2000); the
+    residual of the stopping rule comes from a true matvec.
     """
-    if p not in (1, 2, 3, 4):
-        raise InvalidArgumentError("the simplex solver supports p in {1, 2, 3, 4}")
     m = int(grid_points_per_axis)
-    if m - 1 < 8:
-        raise InvalidArgumentError("grid too coarse: fewer than 8 interior points per axis")
-    if (m + 1) ** p > NODE_CAP:
-        raise InvalidArgumentError(f"grid exceeds the {NODE_CAP:.0e}-node cap")
-    h = 1.0 / m
-    axes, mask = _interior_mask(p, m)
-    coords_idx = np.argwhere(mask)  # interior nodes in C order of the full grid
-
+    if p < 1 or m - 1 < 8:
+        raise InvalidArgumentError("need p >= 1 and at least 8 interior grid points per axis")
     lo = (m + 1) // 2  # first orthant index, ceil(M/2)
-    orthant = mask[(slice(lo, None),) * p]
-    wedge_idx = np.argwhere(orthant)
-    wedge_idx = wedge_idx[np.all(wedge_idx[:, 1:] >= wedge_idx[:, :-1], axis=1)]
-    n = len(wedge_idx)
-    compact_of_wedge = np.full(orthant.shape, n, dtype=np.int64)  # n = padded zero slot
-    compact_of_wedge[tuple(wedge_idx.T)] = np.arange(n)
+    width = m - lo  # orthant indices of interior nodes: lo .. M - 1
+    # C(width + p - 1, p) >= width + p - 1, so the first test keeps math.comb small
+    if p * (width + p - 1) > INDEX_CAP or p * math.comb(width + p - 1, p) > INDEX_CAP:
+        raise InvalidArgumentError(f"the wedge enumeration exceeds the {INDEX_CAP:.0e}-index cap")
+    h = 1.0 / m
+    axes = np.linspace(-0.5, 0.5, m + 1)
+    tuples = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(lo, m), p)), np.int64).reshape(-1, p)
+    total = np.add.accumulate(np.abs(axes)[tuples], axis=1)[:, -1]  # in axis order
+    inside = total < 0.5 - 1e-9 / m
+    wedge_idx, n = tuples[inside], np.count_nonzero(inside)
+    if n == 0:
+        raise InvalidArgumentError("the grid has no interior node")
+
+    # a wedge node or folded neighbour has sum(i_d - lo) <= width, so only its last
+    # min(p, width) indices can exceed lo: base-(width + 1) keys on them, < 2^41 at the cap
+    tail = min(p, width)
+    powers = (width + 1) ** np.arange(tail - 1, -1, -1, dtype=np.int64)
+    keys = (wedge_idx[:, p - tail:] - lo) @ powers
 
     def fold(idx):
-        """Compact wedge index of full-grid indices ``idx`` (k, p); n outside the domain."""
-        f = np.maximum(idx, m - idx)
-        f -= lo
-        f.sort(axis=1)
-        return compact_of_wedge[tuple(f.T)]
+        """Compact wedge index of full-grid indices ``idx`` (rows); n outside the domain."""
+        f = np.sort(np.maximum(idx, m - idx), axis=1)
+        key = (f[:, p - tail:] - lo) @ powers
+        pos = np.minimum(np.searchsorted(keys, key), n - 1)
+        return np.where(keys[pos] == key, pos, n)
 
     # interior nodes have 1 <= i_d <= M - 1, so every neighbour is on the grid
-    wedge_idx += lo
     unit = np.eye(p, dtype=np.int64)
     neighbors = np.stack([fold(wedge_idx + step * unit[d]) for d in range(p) for step in (-1, 1)])
     run = np.ones(n)  # run[k] = position of index k within its run of equal indices
@@ -169,7 +163,8 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
         run = np.where(wedge_idx[:, d] == wedge_idx[:, d - 1], run + 1, 1.0)
         stabilizer *= run
     signs = np.prod(np.where(2 * wedge_idx == m, 1.0, 2.0), axis=1)
-    sqrt_w = np.sqrt(signs * math.factorial(p) / stabilizer)
+    weights = signs * math.factorial(p) / stabilizer
+    sqrt_w = np.sqrt(weights)
 
     inv_h2 = 1.0 / (h * h)
     diag = 2.0 * p * inv_h2
@@ -182,7 +177,7 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
         g = np.concatenate([z / sqrt_w, [0.0]]).take(neighbors)
         return diag * z - off_scale * g.sum(axis=0)
 
-    x = (0.5 - np.sum(np.abs(axes[wedge_idx]), axis=1)) * sqrt_w  # tent profile start
+    x = (0.5 - total[inside]) * sqrt_w  # tent profile start
     x /= np.linalg.norm(x)
 
     energy = residual = math.inf
@@ -204,7 +199,7 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
             residual=residual,
         )
     logger.debug("simplex_ground_energy p=%d M=%d: nodes=%d unknowns=%d iterations=%d "
-                 "E=%r residual=%.3e matvecs=%d", p, m, len(coords_idx), n, iterations, energy,
+                 "E=%r residual=%.3e matvecs=%d", p, m, int(weights.sum()), n, iterations, energy,
                  residual, matvecs)
     return SimplexSpectrum(
         p=p,
@@ -212,8 +207,9 @@ def simplex_ground_energy(p: int, grid_points_per_axis: int) -> SimplexSpectrum:
         E=energy,
         iterations=iterations,
         residual=residual,
-        nodes=axes[coords_idx],
-        eigenvector=(x / sqrt_w)[fold(coords_idx)],
+        nodes=axes[wedge_idx],
+        eigenvector=x / sqrt_w,
+        weights=weights,
     )
 
 

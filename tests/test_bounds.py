@@ -385,13 +385,15 @@ def test_spread_oracle_vs_elfving_oracle():
 
 def test_spread_oracle_scores_a_badly_scaled_matrix():
     # A's near-zero column makes the rotated pair numerically dependent; the
-    # oracle must score that parameter inf instead of raising
+    # oracle must score that parameter instead of raising, and its degeneracy
+    # test is relative to the column, so the SEP+ term is the scale-free 16
     gens = GeneratorSet((np.array([[0.0, 1.0], [1.0, 0.0]]) / 8, np.diag([1.0, -1.0]) / 8))
     a = ReparamMatrix(np.array([[0.0, 1.0], [8.4e-142, 0.0]]))
     np.testing.assert_allclose(rotated_spreads(gens, a), [2.1e-142, 0.25], rtol=1e-12)
     oracle = spread_variance_oracle(gens, "cr")
-    assert oracle(a)[0] == math.inf
+    assert oracle(a)[0] == pytest.approx(2.1e-142 ** -2, rel=1e-12)
     assert oracle(a)[1] == pytest.approx(16.0, rel=1e-12)
+    assert sep_plus_value(a, oracle, 1) == pytest.approx(64.0, rel=1e-12)
     assert rotation_bound_value(gens, a) == -math.inf
 
 
@@ -795,6 +797,16 @@ def test_sep_plus_values_of_an_all_singular_stack(factory):
     oracle = factory(build_fixed_atom_generators(3), "cr")
     stack = np.array([np.zeros((3, 3)), np.ones((3, 3))])
     assert bounds_module._sep_plus_values(stack, oracle, 1) == [math.inf, math.inf]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-40, -100, -449, -450, -600, 40, 600])
+def test_spread_oracle_degeneracy_is_relative_to_the_column(k):
+    # column 0 of A scaled by 2^k scales its spread alike: the Pauli xyz cost
+    # stays 9, with no overflow warning from the column's squares at 2^600
+    oracle = spread_variance_oracle(build_pauli_generators("xyz"), "cr")
+    a = np.diag([2.0 ** k, 1.0, 1.0])
+    assert sep_plus_value(ReparamMatrix(a), oracle, 1) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_sep_plus_value_scale_invariance():

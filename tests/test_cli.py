@@ -347,8 +347,9 @@ _CAPS = (
     (("qfi", "--model", "free-atoms"), "--p", 2048),
     (("bounds", "--model", "fixed-atoms", "--paradigm", "mm"), "--p", 12),
     (("bounds", "--model", "free-atoms", "--paradigm", "cr"), "--p", 2048),
-    (("variational", "simplex", "--grid", "20"), "--p", 4),
-    (("variational", "simplex", "--p", "2"), "--grid", 4471),
+    # the wedge enumeration's index cap: p * C(floor(grid/2) + p - 1, p) <= 10^7
+    (("variational", "simplex", "--grid", "20"), "--p", 13),
+    (("variational", "simplex", "--p", "2"), "--grid", 6323),
     (("variational", "ball"), "--p", 1000),
     (("figure", "ball"), "--p-max", 1000),
     (("variational", "phase"), "--N", 100_000),

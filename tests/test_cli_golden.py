@@ -70,6 +70,8 @@ COMMANDS = {
                                      "--state", "plus-product", "--n", "2"],
     "simplex_p3_grid60": ["variational", "simplex", "--p", "3", "--grid", "60"],
     "simplex_p4_grid30": ["variational", "simplex", "--p", "4", "--grid", "30"],
+    "simplex_p5_grid40": ["variational", "simplex", "--p", "5", "--grid", "40"],
+    "simplex_p6_grid30": ["variational", "simplex", "--p", "6", "--grid", "30"],
     "error_two_sector_mm": ["bounds", "--model", "two-sector", "--paradigm", "mm"],
 }
 

@@ -209,6 +209,19 @@ def test_from_patterns_rejects_bad_input(patterns):
         GeneratorSet.from_patterns(patterns)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+@pytest.mark.parametrize("eps, independent", [(1e-3, True), (1e-6, False)])
+def test_independence_test_is_relative(eps, independent, scale):
+    # the pattern Gram [[1, 1], [1, 1 + eps^2]] has eigenvalues of about eps^2 / 2
+    # and 2; the test rejects a ratio at or below 1e-10, at any scale of the set
+    patterns = scale * np.array([[1.0, 1.0], [0.0, eps], [0.0, 0.0]])
+    if independent:
+        assert GeneratorSet.from_patterns(patterns).p == 2
+    else:
+        with pytest.raises(InvalidArgumentError, match="not linearly independent"):
+            GeneratorSet.from_patterns(patterns)
+
+
 _ROUNDED = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 0.25, -0.25, 1.0, 1.0 + 1e-13, -1.0])
 
 
@@ -294,7 +307,7 @@ _NAN = math.nan
     lambda: QfiMatrix([[_NAN]]),
     lambda: allocate([1, _NAN], 1),
     lambda: GeneratorSet((np.diag([_NAN, 1.0]),)),
-    lambda: SimplexSpectrum(2, 0.1, 1.0, 1, _NAN, np.zeros((1, 2)), np.ones(1)),
+    lambda: SimplexSpectrum(2, 0.1, 1.0, 1, _NAN, np.zeros((1, 2)), np.ones(1), np.ones(1)),
 ], ids=["phase_coefficients", "pure_state", "hermitian", "qfi", "allocate", "generator_set",
         "simplex_residual"])
 def test_constructors_reject_nan(build):
@@ -825,13 +838,15 @@ def test_reparam_matrix_test_is_scale_free(scale):
         (QfiMatrix, "entries", np.array([[2.0, 0.5], [0.5, 1.0]])),
         (SaturabilityReport, "imag_parts", np.array([[0.0, 0.25], [-0.25, 0.0]])),
         (lambda c: AllocationPlan(1, c), "c", np.array([1.0, 4.0])),
-        (lambda x: SimplexSpectrum(2, 0.5, 1.0, 1, 0.0, x, np.ones(2)), "nodes",
+        (lambda x: SimplexSpectrum(2, 0.5, 1.0, 1, 0.0, x, np.ones(2), np.ones(2)), "nodes",
          np.array([[0.0, 0.5], [0.5, 0.0]])),
-        (lambda y: SimplexSpectrum(2, 0.5, 1.0, 1, 0.0, np.zeros((2, 2)), y), "eigenvector",
-         np.array([1.0, 2.0])),
+        (lambda y: SimplexSpectrum(2, 0.5, 1.0, 1, 0.0, np.zeros((2, 2)), y, np.ones(2)),
+         "eigenvector", np.array([1.0, 2.0])),
+        (lambda w: SimplexSpectrum(2, 0.5, 1.0, 1, 0.0, np.zeros((2, 2)), np.ones(2), w),
+         "weights", np.array([1.0, 4.0])),
     ],
     ids=["ReparamMatrix", "HermitianOperator", "QfiMatrix", "SaturabilityReport", "AllocationPlan",
-         "SimplexSpectrum.nodes", "SimplexSpectrum.eigenvector"],
+         "SimplexSpectrum.nodes", "SimplexSpectrum.eigenvector", "SimplexSpectrum.weights"],
 )
 def test_constructor_copies_caller_array(build, attr, array):
     obj = build(array)

@@ -26,7 +26,7 @@ from hlbounds import (
 )
 import hlbounds.variational as variational_module
 from hlbounds.solvers import cg
-from hlbounds.variational import BALL_P_MAX, MC_SAMPLE_CAP, _cdf_index, _interior_mask
+from hlbounds.variational import BALL_P_MAX, INDEX_CAP, MC_SAMPLE_CAP, _cdf_index
 
 PI2 = math.pi ** 2
 
@@ -67,20 +67,52 @@ def test_simplex_p2_eigenvector_profile():
     mu1, mu2 = spec.nodes[:, 0], spec.nodes[:, 1]
     analytic = 2.0 * np.cos(math.pi * (mu1 + mu2)) * np.cos(math.pi * (mu1 - mu2))
     v = spec.eigenvector.copy()
-    scale = float(analytic @ v) / float(analytic @ analytic)
+    scale = float(analytic @ (spec.weights * v)) / float(analytic @ (spec.weights * analytic))
     assert np.max(np.abs(v - scale * analytic)) <= 1e-2 * np.max(np.abs(scale * analytic))
 
 
 def test_simplex_p3_in_bound_bracket():
-    spec = simplex_ground_energy(3, 32)
+    # E/p^3 between the Airy and ball constants, also at p = 5 and 6
     airy_c = airy_lower_bound().constant
-    assert airy_c <= spec.E / 27 <= ball_upper_bound(3) / 27
-    assert spec.residual <= 1e-8 * spec.E
+    for p in (3, 5, 6):
+        spec = simplex_ground_energy(p, 32)
+        assert airy_c <= spec.E / p ** 3 <= ball_upper_bound(p) / p ** 3
+        assert spec.residual <= 1e-9 * spec.E
+
+
+def _interior_mask(p, m):
+    """The full (M + 1)^p grid's axis and its interior nodes, radial sums added
+    in axis order."""
+    axes = np.linspace(-0.5, 0.5, m + 1)
+    radial = np.abs(axes)
+    total = np.zeros((m + 1,) * p)
+    for d in range(p):
+        shape = [1] * p
+        shape[d] = m + 1
+        total += radial.reshape(shape)
+    return axes, total < 0.5 - 1e-9 / m
+
+
+def _unfold(spec, m):
+    """The full-grid array of a wedge eigenvector, and the mask of the nodes it
+    reaches: each wedge node's value goes to every permutation and sign choice
+    of its indices, which must be as many nodes as its weight."""
+    grid, reached = np.zeros((m + 1,) * spec.p), np.zeros((m + 1,) * spec.p, dtype=bool)
+    for mu, u, w in zip(spec.nodes, spec.eigenvector, spec.weights):
+        i = np.rint((mu + 0.5) * m).astype(int)
+        images = {perm for flips in itertools.product(*[(j, m - j) for j in i])
+                  for perm in itertools.permutations(flips)}
+        assert len(images) == w
+        for idx in images:
+            assert not reached[idx]
+            grid[idx], reached[idx] = u, True
+    return grid, reached
 
 
 def _full_grid_ground_state(p, m):
-    """Reference ground state: the 2p-point Laplacian on every interior node."""
-    axes, mask = _interior_mask(p, m)
+    """Reference ground state: the 2p-point Laplacian on every interior node,
+    in C order of the full grid."""
+    _, mask = _interior_mask(p, m)
     second_difference = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m + 1, m + 1)) * m * m
     laplacian = sum(
         sparse.kron(sparse.kron(sparse.identity((m + 1) ** d), second_difference),
@@ -90,24 +122,25 @@ def _full_grid_ground_state(p, m):
     keep = np.flatnonzero(mask)
     dense = laplacian[keep][:, keep].toarray()
     values, vectors = eigh(dense, subset_by_index=[0, 0])
-    nodes = axes[np.array(np.unravel_index(keep, mask.shape)).T]
-    return values[0], nodes, vectors[:, 0], mask
+    return values[0], vectors[:, 0], mask
 
 
 @pytest.mark.parametrize(
-    "p, m", [(1, 41), (1, 40), (2, 41), (2, 40), (3, 17), (3, 16), (4, 11), (4, 12)]
+    "p, m",
+    [(1, 41), (1, 40), (2, 41), (2, 40), (3, 17), (3, 16), (4, 11), (4, 12), (5, 9), (5, 10)],
 )
 def test_simplex_orthant_fold_matches_full_grid(p, m):
     # odd M has no node on mu_d = 0; even M has one, with an unsymmetric fold
-    e_ref, nodes_ref, v_ref, mask = _full_grid_ground_state(p, m)
+    e_ref, v_ref, mask = _full_grid_ground_state(p, m)
     spec = simplex_ground_energy(p, m)
     assert spec.E == pytest.approx(e_ref, rel=1e-10, abs=0)
-    assert np.array_equal(spec.nodes, nodes_ref)
-    v = spec.eigenvector
+    assert np.all(spec.nodes >= 0) and np.all(np.diff(spec.nodes, axis=1) >= 0)
+    assert np.sum(spec.weights * spec.eigenvector ** 2) == pytest.approx(1.0, abs=1e-12)
+    grid, reached = _unfold(spec, m)
+    assert np.array_equal(reached, mask)
+    v = grid[mask]  # in C order of the full grid, as ``v_ref``
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(v - np.sign(v @ v_ref) * v_ref)) <= 1e-8
-    grid = np.zeros(mask.shape)
-    grid[mask] = v
     for d in range(p):
         assert np.array_equal(np.flip(grid, axis=d), grid)
     for perm in itertools.permutations(range(p)):
@@ -129,8 +162,8 @@ def test_simplex_logs_one_debug_record(caplog, monkeypatch):
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.variational"]
     assert len(messages) == 1
     msg = messages[0]
-    assert msg.startswith(f"simplex_ground_energy p=3 M=20: nodes={spec.nodes.shape[0]} ")
     _, mask = _interior_mask(3, 20)
+    assert msg.startswith(f"simplex_ground_energy p=3 M=20: nodes={np.count_nonzero(mask)} ")
     orbits = {tuple(sorted(np.abs(i - 10))) for i in np.argwhere(mask)}  # one per wedge node
     assert f" unknowns={len(orbits)} " in msg
     assert f"iterations={spec.iterations} E={spec.E!r} residual={spec.residual:.3e}" in msg
@@ -222,11 +255,38 @@ def test_simplex_work_is_pinned(caplog, p, m, unknowns, iterations, matvecs, ort
 
 def test_simplex_validation():
     with pytest.raises(InvalidArgumentError):
-        simplex_ground_energy(5, 40)
+        simplex_ground_energy(0, 40)
     with pytest.raises(InvalidArgumentError):
         simplex_ground_energy(1, 8)  # fewer than 8 interior points per axis
-    with pytest.raises(InvalidArgumentError):
-        simplex_ground_energy(4, 90)  # node cap
+    # at M = 9 every node of p >= 9 has radial sum >= p/18 >= 1/2
+    with pytest.raises(InvalidArgumentError, match="no interior node"):
+        simplex_ground_energy(9, 9)
+
+
+# the largest grid and p under the index cap: p * C(floor(M/2) + p - 1, p) <= INDEX_CAP
+@pytest.mark.parametrize("p, m", [(2, 6323), (4, 173), (13, 21)])
+def test_simplex_index_cap_is_checked_first(p, m):
+    assert p * math.comb(m // 2 + p - 1, p) <= INDEX_CAP
+    for p_over, m_over in ((p, m + 1), (p + 1, m), (10 ** 200, m), (p, 10 ** 200),
+                           (10 ** 200, 10 ** 200)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentError, match="index cap"):
+                simplex_ground_energy(p_over, m_over)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+        finally:
+            tracemalloc.stop()
+
+
+def test_simplex_memory_stays_on_the_wedge():
+    # 2,427 wedge unknowns at (4, 60); the full grid has 61^4 = 1.4e7 nodes (110 MB)
+    tracemalloc.start()
+    try:
+        simplex_ground_energy(4, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
