@@ -206,6 +206,8 @@ def c_optimal_variance(gens: GeneratorSet, c) -> float:
     c = np.asarray(c, dtype=float)
     if c.shape != (gens.p,):
         raise InvalidArgumentError(f"direction has shape {c.shape}, expected ({gens.p},)")
+    if not np.all(np.isfinite(c)):
+        raise InvalidArgumentError("direction must be finite")
     g = float(_GaugeSolver(gens).gauges(c[None])[0])
     return g * g if math.isfinite(g) else math.inf
 
@@ -384,6 +386,8 @@ def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
     summed in index order over the p constants v of one ``variance_oracle``
     call; +inf if any v_i is.  Equal terms give p^(alpha+1) times the term
     exactly, as in ``AllocationPlan``."""
+    if alpha not in (1, 2):
+        raise InvalidArgumentError("alpha must be 1 (CR) or 2 (MM)")
     return _sep_plus_values(a.entries[None], variance_oracle, alpha)[0]
 
 

@@ -111,6 +111,16 @@ def test_allocate_rejects_nonfinite(c, alpha):
         allocate(c, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0, 3, -1, 1.5])
+def test_sep_plus_value_rejects_an_unknown_alpha(alpha):
+    # as ``allocate`` does: only CR (1) and MM (2) have a SEP+ cost
+    gens = build_fixed_atom_generators(3)
+    oracle = elfving_variance_oracle(gens, "cr")
+    with pytest.raises(InvalidArgumentError, match="alpha must be 1"):
+        sep_plus_value(ReparamMatrix(np.eye(3)), oracle, alpha)
+    assert sep_plus_value(ReparamMatrix(np.eye(3)), oracle, 1) == 9.0
+
+
 def test_allocate_matches_grid_oracle():
     # brute-force nested-grid minimization of sum c_i / x_i^alpha on the simplex
     rng = np.random.default_rng(31)
@@ -250,6 +260,20 @@ def test_c_optimal_variance_against_design_scan():
         value = c_optimal_variance(gens, c)
         assert value <= best + 1e-6
         assert value == pytest.approx(best, rel=5e-3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [3, 8], ids=["facets", "lp"])
+def test_c_optimal_variance_rejects_a_nonfinite_direction(p, bad):
+    # fixed atoms build the difference body at p = 3 and solve LPs at p = 8;
+    # both paths refuse the direction before any arithmetic
+    gens = build_fixed_atom_generators(p)
+    assert (_GaugeSolver(gens)._facets is None) == (p == 8)
+    c = np.ones(p)
+    c[1] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        c_optimal_variance(gens, c)
 
 
 def test_c_optimal_variance_of_an_asymmetric_single_generator():
@@ -431,6 +455,21 @@ def test_lp_gauges_match_c_optimal_variance():
     rows = np.random.default_rng(9).standard_normal((3, 8))
     squared = [g * g for g in solver.gauges(rows).tolist()]
     assert squared == [c_optimal_variance(gens, r) for r in rows]
+
+
+@pytest.mark.parametrize("build, gauge", [
+    (lambda: build_fixed_atom_generators(8), lambda r: np.max(np.abs(r))),
+    (lambda: build_free_atom_generators(9), lambda r: np.sum(np.abs(r))),
+], ids=["fixed-atoms-8", "free-atoms-9"])
+def test_lp_gauges_match_the_closed_form(build, gauge):
+    # an independent reference: the fixed-atom patterns {-1/2, 1/2}^p have
+    # the cube [-1, 1]^p as difference body, gauge max_k |c_k|; the free-atom
+    # patterns +-e_k / 2 have the unit cross-polytope, gauge sum_k |c_k|
+    gens = build()
+    solver = _GaugeSolver(gens)
+    assert solver._facets is None
+    rows = np.random.default_rng(10).standard_normal((20, gens.p))
+    np.testing.assert_allclose(solver.gauges(rows), [gauge(r) for r in rows], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("build", [lambda: build_fixed_atom_generators(5),

@@ -149,6 +149,22 @@ def test_variational_airy(capsys):
     assert data["constant"] == pytest.approx(0.63, abs=0.01)
 
 
+def test_benchmark_tracer_binds_every_name():
+    # perfbench's traced child rebinds about 25 hlbounds names on any command
+    # (``special.airy_ai_with_prime``, ``bounds.linprog``, ``bounds.minimize``
+    # among them); a rename would crash every traced run
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(child), "1", "variational", "airy"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("PERFBENCH ")]
+    assert len(lines) == 1
+    # the a'_1 bisection: two bracket ends, 53 midpoints, and Ai(a'_1)
+    assert json.loads(lines[0][len("PERFBENCH "):])["hot"]["special.airy_ai_with_prime"][0] == 56
+
+
 def _run_python(code, cwd=None, **env_vars):
     env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]),
                **env_vars)

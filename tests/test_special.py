@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 import hlbounds.special as special
 from hlbounds.errors import InvalidArgumentError, ResourceLimitError
 from hlbounds.special import (
+    AIRY_LIMIT,
     MAX_ARGUMENT,
     MAX_ORDER,
     airy_ai_prime_first_zero,
@@ -26,9 +29,9 @@ from hlbounds.variational import ball_upper_bound
     list(np.linspace(-6.0, 4.4, 27)) + list(np.linspace(4.6, 15.9, 23)) + [16.0, 20.0, 30.0],
 )
 def test_airy_matches_scipy(x):
-    if x > 4.5:
-        # the evaluator's domain ends at 4.5: above it, it refuses rather
-        # than return a value that upward marching would have spoiled
+    if abs(x) > AIRY_LIMIT:
+        # the series' domain ends at |x| = 3.5: beyond it the terms cancel
+        # past the accuracy contract, so it refuses rather than return them
         with pytest.raises(InvalidArgumentError):
             airy_ai_with_prime(float(x))
         return
@@ -38,12 +41,24 @@ def test_airy_matches_scipy(x):
     assert aip == pytest.approx(ref_aip, abs=5e-15)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-AIRY_LIMIT, AIRY_LIMIT))
+def test_airy_matches_scipy_on_the_whole_domain(x):
+    ai, aip = airy_ai_with_prime(x)
+    ref_ai, ref_aip, _, _ = sp.airy(x)
+    assert abs(ai - ref_ai) <= 5e-15 and abs(aip - ref_aip) <= 5e-15
+
+
 def test_airy_domain_limit():
-    with pytest.raises(InvalidArgumentError):
-        airy_ai_with_prime(-7.0)
-    with pytest.raises(InvalidArgumentError):
-        airy_ai_with_prime(4.6)
-    assert airy_ai_with_prime(4.5)[0] == pytest.approx(sp.airy(4.5)[0], abs=5e-15)
+    assert AIRY_LIMIT == 3.5
+    for x in (-3.6, 3.6, math.nextafter(-3.5, -4.0), math.nextafter(3.5, 4.0),
+              math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError):
+            airy_ai_with_prime(x)
+    for x in (-3.5, 3.5):
+        ai, aip = airy_ai_with_prime(x)
+        assert ai == pytest.approx(sp.airy(x)[0], abs=5e-15)
+        assert aip == pytest.approx(sp.airy(x)[1], abs=5e-15)
 
 
 def test_airy_prime_first_zero():
@@ -55,6 +70,8 @@ def test_airy_prime_first_zero():
 def test_airy_prime_first_zero_is_correctly_rounded():
     # a'_1 = -1.0187929716474710890... rounds to this double (mpmath, 40 digits)
     assert airy_ai_prime_first_zero() == -1.018792971647471
+    # Ai(a'_1) = 0.53565665601569986114... rounds to this double (mpmath, 40 digits)
+    assert airy_ai_with_prime(-1.018792971647471)[0] == 0.5356566560156999
 
 
 @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 2.5, 7.0, 19.0])
