@@ -40,6 +40,7 @@ from .operators import (
     generator_spreads,
     max_spread_over_sphere,
     nonsingular,
+    nonsingular_scaled,
     optimize_orthogonal_bound,
     rotated_spread_kernel,
     spread_tolerance,
@@ -174,8 +175,8 @@ class _GaugeSolver:
 
     def __init__(self, gens: GeneratorSet):
         self.patterns = distinct_patterns(gens)
-        self.body = difference_body(gens)
-        self._facets = None if self.body is None else self.body[1]
+        body = difference_body(gens)
+        self._facets = None if body is None else body[1]
 
     def gauges(self, rows: np.ndarray) -> np.ndarray:
         """Gauges of the rows of ``rows`` (shape (r, p)); +inf where infeasible."""
@@ -393,20 +394,13 @@ def sep_plus_value(a: ReparamMatrix, variance_oracle, alpha: int) -> float:
 
 def _sep_plus_values(stack: np.ndarray, variance_oracle, alpha: int) -> list[float]:
     """``sep_plus_value`` of each A of a (k, p, p) stack, +inf where A is
-    singular (``nonsingular``), from one ``variance_oracle.many`` call.
-    A column whose sum of squares lies outside 2^+-900, where it or its
-    oracle value would leave the double range, is first brought to unit
-    size by a power of two: exact, and the term is invariant to it."""
-    with np.errstate(over="ignore"):  # an overflowing column is rescaled below
-        squares = np.add.reduce(stack * stack, 1)
-    ok = nonsingular(stack, squares).tolist()
-    a, squares = (stack, squares) if all(ok) else (stack[ok], squares[ok])
-    flat = squares.ravel().tolist() or [1.0]  # [] when every A is singular
-    if not (2.0 ** -900 < min(flat) and max(flat) < 2.0 ** 900):
-        wide = ~((2.0 ** -900 < squares) & (squares < 2.0 ** 900))
-        shift = np.where(wide, -np.frexp(np.maximum.reduce(abs(a), 1))[1], 0)
-        a = np.ldexp(a, shift[:, None, :])
-        squares = np.add.reduce(a * a, 1)
+    singular, from one ``variance_oracle.many`` call on the stack as
+    ``nonsingular_scaled`` tested it: a column it rescaled stays inside the
+    double range with its oracle value, and its term is invariant to that."""
+    a, squares, ok = nonsingular_scaled(stack)
+    ok = ok.tolist()
+    if not all(ok):
+        a, squares = a[ok], squares[ok]
     terms = iter((squares * variance_oracle.many(a)).tolist())
     root, values = 1.0 / (alpha + 1), []
     for t in (next(terms) if good else [math.inf] for good in ok):
@@ -423,35 +417,30 @@ def _sep_plus_values(stack: np.ndarray, variance_oracle, alpha: int) -> list[flo
 _SEED_SUBSETS = 3000
 
 
-def _difference_seed(gens: GeneratorSet, alpha: int) -> list:
-    """[A] for the best A whose inverse has p distinct difference directions
-    as rows ([] without a ``difference_body`` or past ``_SEED_SUBSETS``).
-    Scaling a row of A^{-1} leaves its ``sep_plus_value`` term as it is, so
-    each direction is kept once, its gauge (finite on a full-dimensional D)
-    computed once.  It meets two-sector's CR design floor."""
-    if not gens.commuting:
+def _difference_seed(gens: GeneratorSet, variance_oracle, alpha: int) -> list:
+    """[A] for the A of least ``sep_plus_value`` on ``variance_oracle`` whose
+    inverse has p distinct difference directions as rows ([] without a
+    ``difference_body`` or past ``_SEED_SUBSETS``).  Scaling a row of A^{-1}
+    leaves its term as it is, so each direction is kept once.  It meets
+    two-sector's CR design floor."""
+    body = difference_body(gens)
+    if body is None:
         return []
-    solver = _GaugeSolver(gens)
-    if solver.body is None:
-        return []
-    diffs = solver.body[0][np.any(solver.body[0] != 0, axis=1)]
+    diffs = body[0][np.any(body[0] != 0, axis=1)]
     # a direction's key: its unit vector at 12 decimals, first nonzero entry > 0
     keys = np.round(diffs / np.linalg.norm(diffs, axis=1)[:, None], 12)
     sign = np.sign(keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)])[:, None]
     dirs = (sign * diffs)[unique(sign * keys)[1]]
     if math.comb(len(dirs), gens.p) > _SEED_SUBSETS:
         return []
-    subsets = np.array(list(combinations(range(len(dirs)), gens.p)))
-    b = dirs[subsets]
-    # scale-free: |det| is at most the product of the row norms
-    ok = np.abs(np.linalg.det(b)) > DET_TOL * np.prod(np.linalg.norm(b, axis=2), axis=1)
-    if not np.any(ok):
+    b = dirs[np.array(list(combinations(range(len(dirs)), gens.p)))]
+    b = b[nonsingular(b.transpose(0, 2, 1))]
+    if not len(b):
         return []
-    a = np.linalg.inv(b[ok])
-    terms = np.sum(a ** 2, axis=1) * solver.gauges(dirs)[subsets[ok]] ** 2
-    best = int(np.argmin(np.sum(terms ** (1.0 / (alpha + 1)), axis=1)))
+    a = np.linalg.inv(b)
+    best = int(np.argmin(_sep_plus_values(a, variance_oracle, alpha)))
     # row i of A^{-1} leans on parameter i where it can, as in the identity
-    order = np.argsort(np.argmax(np.abs(b[ok][best]), axis=1), kind="stable")
+    order = np.argsort(np.argmax(np.abs(b[best]), axis=1), kind="stable")
     return [a[best][:, order]]
 
 
@@ -484,7 +473,7 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
         values = _sep_plus_values(np.array(points).reshape(-1, p, p), variance_oracle, alpha)
         return [v if v < math.inf else 1e300 for v in values]
 
-    seeds = structured_seeds(p) + _difference_seed(gens, alpha) + [
+    seeds = structured_seeds(p) + _difference_seed(gens, variance_oracle, alpha) + [
         np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
         for seed in SEARCH_SEEDS]
     options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": min(600 * p * p, 4000)}

@@ -444,6 +444,10 @@ def bounds_rows(model: str, paradigm: str, p: int, n: int, alpha: float, beta: f
     of ``GENERATOR_MODELS``) in ``paradigm``, in order: the registry rows at
     finite ``n`` for the Pauli models, computed rows for the others."""
     paradigm_constants(paradigm)
+    try:
+        float(n + 2)  # the finite-n rows take n / (n + 2): refuse an n past the doubles
+    except OverflowError:
+        raise InvalidArgumentError("n is beyond the double range") from None
     if model in _PAULI_COMPONENTS:
         record = get_model(model)
         return [e.at(record.p_fixed, n) for e in record.entries

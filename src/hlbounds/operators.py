@@ -11,7 +11,10 @@ is moreover the certified optimum, and so is a largest spread that meets
 Mirsky's ceiling sqrt(2 lambda_max(G)) on the Gram matrix G of the traceless
 generators (``spread_ceiling``); both searches stop once they reach their
 ceiling.  Spread and pattern thresholds are relative to the largest
-generator spread, so a multiple s Lambda gives every constant over s^2.
+generator spread, and the Hermiticity, diagonality, commutator and joint
+diagonalization tests to the largest |entry| of the matrices they compare,
+so a multiple s Lambda is classified as Lambda and gives every constant
+over s^2.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class HermitianOperator:
         m = _as_complex_matrix(self.entries)
         if m.shape[0] < 1:
             raise InvalidArgumentError("dimension must be >= 1")
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
-            raise InvalidArgumentError("matrix is not Hermitian to 1e-12")
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL * np.max(np.abs(m)):
+            raise InvalidArgumentError("matrix is not Hermitian to 1e-12 relative")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -77,20 +80,20 @@ class HermitianOperator:
 
     def is_diagonal(self) -> bool:
         off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.max(np.abs(off)) <= 1e-14)
+        return bool(np.max(np.abs(off)) <= 1e-14 * np.max(np.abs(self.entries)))
 
 
 class GeneratorSet:
     """The vector of generators of a unitary model exp(i theta . Lambda).
 
     ``diagonal`` (every generator diagonal) and ``commuting`` (every pairwise
-    commutator of max-norm <= 1e-10) are computed at construction.
-    Generators must be linearly independent as vectors in matrix space.
-    A diagonal set is held as ``patterns`` alone, the real (d, p) matrix of
-    its joint eigenvalue patterns (row s holds the s-th diagonal entries,
-    imaginary parts and off-diagonal entries below 1e-14 dropped); its dense
-    ``generators`` and ``matrices()`` are built on request.  Other sets have
-    ``patterns`` None.
+    commutator [a, b] of max-norm <= 1e-10 max|a| max|b|) are computed at
+    construction.  Generators must be linearly independent as vectors in
+    matrix space.  A diagonal set is held as ``patterns`` alone, the real
+    (d, p) matrix of its joint eigenvalue patterns (row s holds the s-th
+    diagonal entries, imaginary parts and off-diagonal entries below 1e-14
+    of the largest |entry| dropped); its dense ``generators`` and
+    ``matrices()`` are built on request.  Other sets have ``patterns`` None.
     """
 
     def __init__(self, generators):
@@ -162,46 +165,42 @@ class ReparamMatrix:
         return self.entries.shape[0]
 
 
-def nonsingular(stack: np.ndarray, squares=None) -> np.ndarray:
+def nonsingular(stack: np.ndarray) -> np.ndarray:
     """The scale-free test |det A| > DET_TOL prod_j |a_j| of ``ReparamMatrix``
-    on each A of a (k, p, p) stack, as k booleans: at once where every A has
-    finite entries, a sum of squares below 2^999 and a norm product within
-    2^+-900 (where ``_nonsingular_alone`` takes A as given), else one by one.
-    ``squares``: the column sums of squares, when the caller has them."""
+    on each A of a (k, p, p) stack, as k booleans (``nonsingular_scaled``)."""
+    return nonsingular_scaled(stack)[2]
+
+
+def nonsingular_scaled(stack: np.ndarray):
+    """``(scaled, squares, ok)``: the stack as tested, its column sums of
+    squares and the ``nonsingular`` decisions.
+
+    An A whose column sums of squares and column-norm product all lie within
+    2^+-900 is tested as given.  Any other A first has every column brought
+    to max|entry| in [1/2, 1) by a power of two, which is exact and leaves
+    the test and the SEP+ terms as they are; a zero or non-finite column
+    then reads False."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if squares is None:
-            squares = np.add.reduce(stack * stack, 1)
-        # a sequential product in column order, as ``_norm_product`` takes it
+        squares = np.add.reduce(stack * stack, 1)
+        # a sequential product in column order
         scale = np.multiply.reduce(np.sqrt(squares), 1)
-        plain = (np.add.reduce(squares, 1) < 2.0 ** 999) & (2.0 ** -900 < scale) & (
-            scale < 2.0 ** 900)
-    if not plain.all():
-        return np.array([_nonsingular_alone(m) for m in stack], dtype=bool)
-    return abs(np.linalg.det(stack)) > DET_TOL * scale
-
-
-def _nonsingular_alone(m: np.ndarray) -> bool:
-    # Where a square, the norm product or the determinant would leave the double
-    # range (or an entry is not finite), the columns are first brought to unit
-    # size by powers of two, which is exact; any other A is tested as given.
-    t = m
-    scale = _norm_product(t) if np.vdot(t, t) < 2.0 ** 1000 else math.inf
-    if not 2.0 ** -900 < scale < 2.0 ** 900:
-        t = np.ldexp(m, -np.frexp(np.maximum.reduce(abs(m), 0, initial=0.0))[1])
-        scale = _norm_product(t)
-    return 0.0 < scale < math.inf and abs(np.linalg.det(t)) > DET_TOL * scale
-
-
-def _norm_product(m: np.ndarray) -> float:
-    """prod_j |m_j| over the columns of ``m``."""
-    return math.prod(np.sqrt(np.add.reduce(m * m, 0)).tolist())
+        ranges = np.concatenate((squares, scale[:, None]), 1)
+        if not (2.0 ** -900 < np.minimum.reduce(ranges, None, initial=math.inf)
+                and np.maximum.reduce(ranges, None, initial=0.0) < 2.0 ** 900):
+            plain = np.logical_and.reduce((2.0 ** -900 < ranges) & (ranges < 2.0 ** 900), 1)
+            shift = np.where(plain[:, None], 0, -np.frexp(np.maximum.reduce(abs(stack), 1))[1])
+            stack = np.ldexp(stack, shift[:, None, :])
+            squares = np.add.reduce(stack * stack, 1)
+            scale = np.multiply.reduce(np.sqrt(squares), 1)
+        return stack, squares, abs(np.linalg.det(stack)) > DET_TOL * scale
 
 
 def _all_commuting(gens) -> bool:
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             a, b = gens[i].entries, gens[j].entries
-            if np.max(np.abs(a @ b - b @ a)) > COMMUTATOR_TOL:
+            size = np.max(np.abs(a)) * np.max(np.abs(b))
+            if np.max(np.abs(a @ b - b @ a)) > COMMUTATOR_TOL * size:
                 return False
     return True
 
@@ -395,7 +394,7 @@ def eigenvalue_patterns(gens: GeneratorSet) -> np.ndarray:
     for i, m in enumerate(mats):
         transformed = basis.conj().T @ m @ basis
         off = transformed - np.diag(np.diag(transformed))
-        if np.max(np.abs(off)) > 1e-8:
+        if np.max(np.abs(off)) > 1e-8 * np.max(np.abs(m)):
             raise InvalidArgumentError("failed to diagonalize the set simultaneously")
         patterns[:, i] = np.real(np.diag(transformed))
     return patterns
@@ -688,8 +687,9 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     Returns ``(ReparamMatrix, value)``.  The identity and (when p is a power
     of two) the Walsh-Hadamard transform are evaluated; local searches over
     O = O_seed exp(skew) start from them and from fixed random seeds.  The
-    value is a certified lower bound on the supremum.  Rotations producing a degenerate
-    spread are discarded.
+    value is a certified lower bound on the supremum.  A rotation with a
+    degenerate spread scores -1e300, and the search raises only when every
+    candidate is degenerate.
 
     No search runs when a seed is within 1e-12 relative of
     ``rotation_bound_ceiling``, which no rotation can exceed; the value is

@@ -102,16 +102,17 @@ def search_from_starts(logger, name, score, x0s, options, certified=None, maximi
     none exceeds when maximizing).  Otherwise every start runs in lockstep
     (``minimize_lockstep``), and the results are taken in start order up to
     the first that reaches the certificate.  A value replaces the best only
-    when better by more than 1e-12.  ``logger`` gets DEBUG records of the
-    lockstep search (rounds, evaluations, unconverged starts), of each
-    start taken and of the stop, with the winning seed or search.
+    when better by more than 1e-12 relative (``_beats``).  ``logger`` gets
+    DEBUG records of the lockstep search (rounds, evaluations, unconverged
+    starts), of each start taken and of the stop, with the winning seed or
+    search.
     """
     sign = -1 if maximize else 1
     target = -math.inf if certified is None else sign * certified * (1 + sign * 1e-12)
     starts = list(range(len(x0s)))
     best_cost, best = math.inf, None
     for start, value in zip(starts, score(starts[:seeds], x0s[:seeds])):
-        if sign * value < best_cost - 1e-12:
+        if _beats(sign * value, best_cost):
             best_cost, best, origin = sign * value, (start, x0s[start]), f"seed {start}"
     if best_cost > target:
         fun_many = (lambda s, points: [-v for v in score(s, points)]) if maximize else score
@@ -128,10 +129,15 @@ def search_from_starts(logger, name, score, x0s, options, certified=None, maximi
         res = runs[start]
         logger.debug("%s start %d: nfev=%d nit=%d success=%s fun=%r",
                      name, start, res.nfev, res.nit, res.success, float(res.fun))
-        if res.fun < best_cost - 1e-12:
+        if _beats(res.fun, best_cost):
             best_cost, best = float(res.fun), (start, res.x)
             origin = f"the search from start {start}"
     return (*best, sign * best_cost)
+
+
+def _beats(cost, best: float) -> bool:
+    """``cost`` < ``best`` - 1e-12 |best|, or ``cost`` < ``best`` = +inf."""
+    return cost < (best - 1e-12 * abs(best) if best < math.inf else best)
 
 
 def _nelder_mead(x0, xatol=1e-4, fatol=1e-4, maxiter=None):

@@ -610,10 +610,10 @@ def test_search_certified_by_its_first_start(caplog, monkeypatch, minimize_runs)
 def test_difference_seed_of_fixed_atoms_p3(paradigm, value):
     # the best inverse of three of the 13 directions of {-1, 0, 1}^3
     gens = build_fixed_atom_generators(3)
-    [seed] = bounds_module._difference_seed(gens, paradigm_constants(paradigm)[0])
-    assert np.allclose(np.linalg.inv(seed), np.round(np.linalg.inv(seed)), atol=1e-12)
     oracle = elfving_variance_oracle(gens, paradigm)
     alpha = paradigm_constants(paradigm)[0]
+    [seed] = bounds_module._difference_seed(gens, oracle, alpha)
+    assert np.allclose(np.linalg.inv(seed), np.round(np.linalg.inv(seed)), atol=1e-12)
     assert sep_plus_value(ReparamMatrix(seed), oracle, alpha) == pytest.approx(value, rel=1e-12)
 
 

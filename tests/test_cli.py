@@ -98,16 +98,19 @@ def test_bounds_pauli3_cr_rows_cost_the_catalog_variance(capsys):
 
 def test_bounds_two_sector_at_a_small_scale(capsys):
     # an absolute determinant test would send this design's gauges to an LP
-    # that returns 0 at this scale (error: cost constant must be positive)
-    a, b = 1e-6, 5e-7
-    rows = run_json(capsys, "bounds", "--model", "two-sector", "--paradigm", "cr",
-                    "--alpha", repr(a), "--beta", repr(b))
-    by = {(r["strategy"], r["variant"]): r["constant"] for r in rows}
-    assert by[("sep", "")] == pytest.approx(4 / (a - b) ** 2, rel=1e-9)
-    exact = 2 / (a - b) ** 2 + 2 / (a + b) ** 2
-    assert by[("sep_plus", "search")] == pytest.approx(exact, rel=1e-9)
-    # F has eigenvalues 1.25e-13 and 1.125e-12: invertible at this scale
-    assert by[("jnt", "")] == pytest.approx(exact, rel=1e-9)
+    # that returns 0 at 1e-6 (error: cost constant must be positive); at
+    # 1e60 every constant is below 1e-118, and an absolute tie rule would
+    # keep the identity seed (the sep value) as the search row; so no
+    # absolute tolerance
+    for a, b in ((1e-6, 5e-7), (1e60, 5e59)):
+        rows = run_json(capsys, "bounds", "--model", "two-sector", "--paradigm", "cr",
+                        "--alpha", repr(a), "--beta", repr(b))
+        by = {(r["strategy"], r["variant"]): r["constant"] for r in rows}
+        assert by[("sep", "")] == pytest.approx(4 / (a - b) ** 2, rel=1e-9, abs=0)
+        exact = 2 / (a - b) ** 2 + 2 / (a + b) ** 2
+        assert by[("sep_plus", "search")] == pytest.approx(exact, rel=1e-12, abs=0)
+        # F has eigenvalues 1.25e-13 and 1.125e-12 at 1e-6: invertible there
+        assert by[("jnt", "")] == pytest.approx(exact, rel=1e-9, abs=0)
 
 
 def test_bounds_free_atoms_single_parameter(capsys):
@@ -303,6 +306,26 @@ def test_only_solvers_runs_nelder_mead():
     assert callers == {"solvers"}
 
 
+def test_only_the_singularity_test_and_the_design_floor_take_a_determinant():
+    # one singularity rule for every A (operators.nonsingular_scaled); the
+    # design floor's test is on a Gram matrix, not on a reparametrization
+    allowed = {"operators": "nonsingular_scaled", "bounds": "_design_floor"}
+    outside, inside = [], set()
+    for path in sorted((Path(hlbounds.__file__).resolve().parent).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and function.name == allowed.get(path.stem) for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "det") or (
+                    isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "det"):
+                if id(node) in exempt:
+                    inside.add(path.stem)
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [] and inside == set(allowed)
+
+
 @pytest.mark.parametrize("argv", [["table"], ["bounds", "--model", "pauli3", "--paradigm", "mm"]],
                          ids=["table", "pauli3-mm"])
 def test_registry_commands_run_no_search(capsys, minimize_runs, argv):
@@ -380,8 +403,10 @@ _EDGE_FLAGS = (
     (("variational", "simplex", "--p", "2", "--grid", "20"),
      dict.fromkeys(("--seed", "--mc-samples"), _EDGE_VALUES)),
     # bounds --n has no cap: it scales the printed constants and is never
-    # allocated, so 10^400 must exit 0 or 2 like any other value
+    # allocated, but an n past the double range is refused on every model
     (("bounds", "--model", "fixed-atoms", "--paradigm", "mm"),
+     {"--n": _INT_EDGES + (str(10 ** 400),)}),
+    (("bounds", "--model", "pauli3", "--paradigm", "cr"),
      {"--n": _INT_EDGES + (str(10 ** 400),)}),
     *((command, {flag: _INT_EDGES + (str(cap + 1), str(10 ** 200))})
       for command, flag, cap in _CAPS),
@@ -397,6 +422,8 @@ _MUST_FAIL = [
     ["figure", "ratio", "--beta-steps", "3", "--alpha=1e100"],
     ["variational", "phase", "--seed=-1"],
     ["variational", "simplex", "--p", "2", "--grid", "20", "--seed=-5"],
+    *(["bounds", "--model", model, "--paradigm", paradigm, f"--n={10 ** 400}"]
+      for model, paradigm in (("fixed-atoms", "mm"), ("pauli3", "cr"))),
     *([*command, f"{flag}={value}"] for command, flag, cap in _CAPS
       for value in (cap + 1, 10 ** 200)),
 ]

@@ -28,7 +28,7 @@ from hlbounds import (
     spread_variance_oracle,
 )
 from hlbounds.bounds import _sep_plus_values, paradigm_constants, sep_plus_value
-from hlbounds.operators import _nonsingular_alone, nonsingular
+from hlbounds.operators import nonsingular
 
 GOLDEN = Path(__file__).parent / "golden" / "objective_values.json"
 
@@ -157,14 +157,25 @@ def _threshold_matrices():
     return by_p
 
 
+def _unscaled(p: int):
+    return np.eye(p) + 0.3 * np.random.default_rng(p).standard_normal((p, p))
+
+
+def _columns_scaled(a, first, last):
+    m = a.copy()
+    m[:, 0] *= first
+    m[:, -1] *= last
+    return m
+
+
 def _edge_matrices(p: int):
     """A beyond the plain double range, with a non-finite entry, or rank-deficient."""
-    a = np.eye(p) + 0.3 * np.random.default_rng(p).standard_normal((p, p))
-    mixed = a.copy()
-    mixed[:, 0] *= 2.0 ** 600
-    mixed[:, -1] *= 2.0 ** -600
-    # 2^+-400: the squares stay doubles, the norm product leaves 2^+-900 for p > 2
-    out = [a * 2.0 ** 600, a * 2.0 ** -600, a * 2.0 ** 400, a * 2.0 ** -400, mixed]
+    a = _unscaled(p)
+    # 2^+-400: the squares stay doubles, the norm product leaves 2^+-900 for p > 2;
+    # 2^+-460 columns: their squares leave 2^+-900, the norm product stays inside
+    out = [a * 2.0 ** 600, a * 2.0 ** -600, a * 2.0 ** 400, a * 2.0 ** -400,
+           _columns_scaled(a, 2.0 ** 600, 2.0 ** -600),
+           _columns_scaled(a, 2.0 ** 460, 2.0 ** -460)]
     for bad in (math.inf, -math.inf, math.nan):
         m = a.copy()
         m[-1, 0] = bad
@@ -175,18 +186,23 @@ def _edge_matrices(p: int):
     return out + [repeated, zero, np.outer(a[:, 0], a[0]), np.zeros((p, p))]
 
 
+def _alone(m) -> bool:
+    return bool(nonsingular(m[None])[0])
+
+
 def test_batched_singularity_test_decides_as_one_matrix_at_a_time():
     for p, cases in _threshold_matrices().items():
         stack = np.array([m for m, _ in cases])
         want = [accept for _, accept in cases]
         assert nonsingular(stack).tolist() == want, p
-        assert [_nonsingular_alone(m) for m in stack] == want, p
+        assert [_alone(m) for m in stack] == want, p
         edges = np.array(_edge_matrices(p))
         assert nonsingular(edges).tolist() == [accepts(m) for m in edges] == [
-            True] * 5 + [False] * 7
-        # one plain batch (tested at once) and one mixed batch (one by one)
+            True] * 6 + [False] * 7
+        # a batch within the double range and one past it: the batch never
+        # changes a decision
         for batch in (stack[[0, -1]], np.concatenate([stack, edges])):
-            assert nonsingular(batch).tolist() == [_nonsingular_alone(m) for m in batch]
+            assert nonsingular(batch).tolist() == [_alone(m) for m in batch]
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -206,6 +222,19 @@ def test_batched_objective_equals_the_one_matrix_path(golden, name):
                     for m in stack]
             assert _sep_plus_values(np.array(stack), oracle, alpha) == want
         assert sum(v < math.inf for v in want) > len(stack) // 2
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_rescaled_columns_score_as_the_unscaled_matrix(name):
+    # 2^+-460 columns: squares past 2^+-900, so the rule rescales every
+    # column of A, yet the value is the unscaled A's bit for bit
+    build, paradigm, factory = MODELS[name]
+    gens = build()
+    oracle = factory(gens, paradigm)
+    alpha, _ = paradigm_constants(paradigm)
+    a = _unscaled(gens.p)
+    assert _sep_plus_values(np.array([_columns_scaled(a, 2.0 ** 460, 2.0 ** -460)]), oracle,
+                            alpha) == _sep_plus_values(a[None], oracle, alpha)
 
 
 if __name__ == "__main__":

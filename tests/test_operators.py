@@ -34,7 +34,11 @@ from hlbounds import (
 )
 import hlbounds.operators as operators_module
 from hlbounds.catalog import figure_ratio_data
-from hlbounds.bounds import orthogonal_restricted_sep_plus
+from hlbounds.bounds import (
+    jnt_lower_bound,
+    orthogonal_restricted_sep_plus,
+    sep_plus_lower_bound,
+)
 from hlbounds.qfi import qfi_pure, saturability
 from hlbounds.states import PhaseStateCoefficients, PureState, evolve, uniform_state
 
@@ -220,6 +224,21 @@ def test_independence_test_is_relative(eps, independent, scale):
     else:
         with pytest.raises(InvalidArgumentError, match="not linearly independent"):
             GeneratorSet.from_patterns(patterns)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-5, 1.0, 1e5])
+@pytest.mark.parametrize("components", ["xz", "xyz"])
+def test_generator_classification_is_relative(components, scale):
+    # s Lambda is classified as Lambda, and gives every constant over s^2
+    # (an absolute test read xz as commuting at 1e-5 and as diagonal, hence
+    # dependent, at 1e-14)
+    base = build_pauli_generators(components)
+    gens = GeneratorSet([scale * m for m in base.matrices()])
+    assert not gens.commuting and not gens.diagonal
+    for paradigm in ("cr", "mm"):
+        for bound in (sep_plus_lower_bound, jnt_lower_bound):
+            assert bound(gens, paradigm).constant * scale ** 2 == pytest.approx(
+                bound(base, paradigm).constant, rel=1e-14, abs=0)
 
 
 _ROUNDED = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 0.25, -0.25, 1.0, 1.0 + 1e-13, -1.0])
@@ -789,8 +808,12 @@ def test_eigenvalue_patterns_match_diagonals():
 
 
 def test_hermiticity_enforced():
-    with pytest.raises(InvalidArgumentError):
-        HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # relative to the largest entry: an anti-Hermitian part of 1e-13 of it
+    # passes at every scale, one as large as it fails at every scale
+    for scale in (1e-14, 1.0, 1e14):
+        with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+            HermitianOperator(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert HermitianOperator(scale * np.array([[1.0, 1e-13], [0.0, 0.0]])).dim == 2
 
 
 def test_linear_independence_enforced():

@@ -104,7 +104,7 @@ def _two_basins(x):
 
 
 def _plateau(x):
-    # every value within 2e-13 of 3, so no value beats another by 1e-12
+    # every value within 2e-13 of 3, so no value beats another by 1e-12 relative
     return 3.0 + 1e-13 * float(np.tanh(x[0]))
 
 
@@ -124,8 +124,8 @@ SEARCH_CASES = {
     # start 0 stays in the second basin; the value the search from start 1
     # reaches is the certificate, so starts 2-3 are dropped
     "search-stop": (_two_basins, _BASIN_STARTS, None, "start 1"),
-    # seed 1 is 1.9e-13 better than seed 0 and no search gets 1e-12 past
-    # it: seed 0 stays the best
+    # seed 1 is 1.9e-13 better than seed 0 and no search gets 1e-12
+    # relative past it: seed 0 stays the best
     "tie": (_plateau, [np.array([2.0, 0.0]), np.array([-2.0, 0.0]), np.array([0.5, 0.5])],
             None, None),
 }
@@ -138,7 +138,7 @@ def _sequential_fold(logger, name, score, x0s, options, certified, maximize, see
     best, origin = None, None
     for k, x in enumerate(x0s[:seeds]):
         v = score([k], [x])[0]
-        if best is None or sign * v < sign * best[2] - 1e-12:
+        if best is None or sign * v < sign * best[2] - 1e-12 * abs(best[2]):
             best, origin = (k, x, v), f"seed {k}"
     for k, x in enumerate(x0s):
         if certified is not None and sign * best[2] <= sign * certified * (1 + sign * 1e-12):
@@ -149,7 +149,7 @@ def _sequential_fold(logger, name, score, x0s, options, certified, maximize, see
         res = minimize(lambda y, k=k: sign * score([k], [y])[0], x, options=options)
         logger.debug("%s start %d: nfev=%d nit=%d success=%s fun=%r",
                      name, k, res.nfev, res.nit, res.success, float(res.fun))
-        if res.fun < sign * best[2] - 1e-12:
+        if res.fun < sign * best[2] - 1e-12 * abs(best[2]):
             best, origin = (k, res.x, sign * float(res.fun)), f"the search from start {k}"
     return best
 
@@ -194,6 +194,17 @@ def test_search_from_starts_equals_the_sequential_fold(caplog, minimize_runs, na
         assert n_want == 3 and messages[2].startswith(
             "toy certified by the search from start 1: ")
         assert messages[2].endswith("; starts 2-3 skipped")
+
+
+def test_search_tie_rule_is_relative(minimize_runs):
+    # at a scale of 1e-120 every value is below an absolute 1e-12: seed 1
+    # still replaces seed 0, and the search from it reaches the minimum
+    def score(starts, points):
+        return [1e-120 * _two_basins(x) for x in points]
+
+    start, _, value = search_from_starts(logging.getLogger("hlbounds.test_search"), "tiny",
+                                         score, _BASIN_STARTS, _OPTIONS)
+    assert start == 1 and value == pytest.approx(2e-120, rel=1e-12)
 
 
 @pytest.mark.parametrize("p, m", [(2, 40), (3, 20)])
