@@ -16,6 +16,12 @@ nuisance-aware oracle: the c-optimal design value over the probes' joint
 eigenvalue patterns x_s, which is the squared gauge of c with respect to
 their difference body D = conv{x_s - x_t} (``c_optimal_variance``).  The
 reparametrization optimizer uses the latter by default on commuting sets.
+
+Its search (``sep_plus_optimize``) refines each start by coordinate sweeps
+over the entries of A^{-1}, each line of candidates valued by a rank-one
+update, where D has facets; elsewhere (non-commuting sets, and sets whose D
+is past the hull's size gate) by the Nelder-Mead simplex search of
+``solvers``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -444,15 +451,128 @@ def _difference_seed(gens: GeneratorSet, variance_oracle, alpha: int) -> list:
     return [a[best][:, order]]
 
 
+# Grid points of each line of the coordinate sweep, and its most sweeps per
+# start, a guard that no command reaches.
+_LINE_POINTS = 401
+_MAX_SWEEPS = 200
+
+
+class SweepResult(NamedTuple):
+    """The end ``x`` (A, flattened) and value ``fun`` of one start's
+    coordinate sweeps, with the ``sweeps`` run, the ``moves`` kept, and
+    ``converged``: the last sweep kept no move.  (A named tuple: a frozen
+    dataclass costs about 1 ms of every command's start-up.)"""
+
+    x: np.ndarray
+    fun: float
+    sweeps: int
+    moves: int
+    converged: bool
+
+    @property
+    def record(self) -> str:
+        """The run's counts as its DEBUG record of ``search_from_starts`` shows them."""
+        return f"sweeps={self.sweeps} moves={self.moves} converged={self.converged}"
+
+
+class _Lines:
+    """The coordinate lines through one B = A^{-1} on the difference body
+    {y : facets @ y <= 1}, for ``values``."""
+
+    def __init__(self, a, b, facets, factor: float, alpha: int):
+        self.a, self.b, self.facets, self.factor, self.alpha = a, b, facets, factor, alpha
+        self.gram = a.T @ a
+        self.norms = np.diag(self.gram)
+        self.fb = facets @ b.T
+        self.g2 = np.maximum.reduce(self.fb) ** 2
+
+    def values(self, j: int, k: int, xs):
+        """``(values, s, gauge)``: the SEP+ values of B with entry (j, k) set
+        to each of ``xs`` (+inf where B turns singular), with each
+        candidate's Sherman-Morrison step s and the gauge of its row j.
+
+        Setting B_jk = B_jk + d gives A' = A - s (A e_j)(e_k^T A), s = d /
+        (1 + d A_kj), so column i of A' has squared norm G_ii - 2 s A_ki G_ij
+        + s^2 A_ki^2 G_jj with G = A^T A, and only row j's gauge changes, to
+        max(facets @ b_j + d facets[:, k]): O(p) per candidate.  These values
+        only rank the candidates; ``_sep_plus_values`` scores the one kept."""
+        a, gram = self.a, self.gram
+        d = xs - self.b[j, k]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = d / (1.0 + d * a[k, j])
+            col = s[:, None]
+            norms = self.norms + col * (col * (a[k] * a[k] * gram[j, j]) - 2.0 * a[k] * gram[j])
+            gauge = np.maximum.reduce(self.fb[:, j] + d[:, None] * self.facets[:, k], 1)
+            terms = norms * self.g2
+            terms[:, j] = norms[:, j] * gauge * gauge
+            values = self.factor * np.add.reduce(terms ** (1.0 / (self.alpha + 1)), 1) ** (
+                self.alpha + 1)
+        return np.where(values >= 0, values, math.inf), s, gauge
+
+
+def _sweep(a, facets, extent, score, factor: float, alpha: int) -> SweepResult:
+    """Coordinate sweeps over the entries of B = A^{-1} from the start A.
+
+    Each row of B is scaled to gauge 1, so it lies in the difference body
+    and entry k in [-extent_k, extent_k]; each entry (j, k) in turn tries
+    ``_LINE_POINTS`` values over that range (``_Lines.values``), and the
+    best is kept when ``score`` (one A to its SEP+ value) puts it lower by
+    more than 1e-13 relative.  A start ends after a sweep with no move."""
+    b = np.linalg.inv(a)
+    gauges = np.maximum.reduce(facets @ b.T)
+    a, b = a * gauges, b / gauges[:, None]
+    value, grids = score(a), np.outer(extent, np.linspace(-1.0, 1.0, _LINE_POINTS))
+    lines = _Lines(a, b, facets, factor, alpha)
+    sweeps = moves = 0
+    moved = True
+    while moved and sweeps < _MAX_SWEEPS:
+        moved, sweeps = False, sweeps + 1
+        for j, k in np.ndindex(a.shape):
+            xs = grids[k]
+            values, s, gauge = lines.values(j, k, xs)
+            i = int(np.argmin(values))
+            if not values[i] < value - 1e-13 * value:
+                continue
+            # A' column j and B' row j rescaled to gauge 1, which leaves the value
+            a_new = a - np.outer(a[:, j], s[i] * a[k])
+            a_new[:, j] *= gauge[i]
+            new = score(a_new)
+            if new < value - 1e-13 * value:
+                b[j, k] = xs[i]
+                b[j] /= gauge[i]
+                a, value, moves, moved = a_new, new, moves + 1, True
+                lines = _Lines(a, b, facets, factor, alpha)
+    return SweepResult(np.ravel(a), value, sweeps, moves, not moved)
+
+
+def _coordinate_sweeps(facets, extent, variance_oracle, paradigm: str):
+    """``local`` of ``search_from_starts``: ``_sweep`` from each start."""
+    alpha, factor = paradigm_constants(paradigm)
+
+    def score(a):
+        return _sep_plus_values(a[None], variance_oracle, alpha)[0]
+
+    def local(x0s):
+        runs = [_sweep(np.reshape(x, extent.shape * 2), facets, extent, score, factor, alpha)
+                for x in x0s]
+        return runs, (f"swept {len(runs)} starts: {sum(r.sweeps for r in runs)} sweeps, "
+                      f"{sum(r.moves for r in runs)} moves, "
+                      f"{sum(not r.converged for r in runs)} unconverged")
+
+    return local
+
+
 def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     """Minimize the reparametrized separate cost over invertible A.
 
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
     two), for commuting sets the best inverse of difference directions
-    (``_difference_seed``), and fixed random starts, each refined by a
-    derivative-free simplex search (``search_from_starts``); singular
-    candidates score 1e300.  Returns ``(A, CostEstimate)`` with status
-    ``upper_bound`` on the true reparametrized-separate optimum.
+    (``_difference_seed``), and fixed random starts, each refined
+    (``search_from_starts``): by coordinate sweeps over the entries of
+    A^{-1} (``_sweep``) where the ``difference_body`` has facets, else by
+    the Nelder-Mead simplex search; singular candidates score 1e300.
+    Returns ``(A, CostEstimate)`` with status ``upper_bound`` on the true
+    reparametrized-separate optimum.
 
     The search stops at a seed within 1e-12 relative of a floor no
     candidate can beat: the ``sep_plus_lower_bound`` constant, or in CR the
@@ -461,7 +581,8 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     reach it at the identity seed, fixed atoms at the Walsh-Hadamard seed
     when p is a power of two, and the two-sector model (CR) at the
     difference seed; fixed atoms at p=3 reach 2 + sqrt(3) there, above the
-    floor 3, and run every start.
+    floor 3, and sweep every start, as at p = 5 and 6, where the sweeps
+    reach 5.5556 in CR and 274.156 in MM (p = 5), 7.2 and 426.367 (p = 6).
     """
     p = gens.p
     alpha, _ = paradigm_constants(paradigm)
@@ -477,9 +598,12 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
         np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
         for seed in SEARCH_SEEDS]
     options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": min(600 * p * p, 4000)}
+    body = difference_body(gens)
+    local = None if body is None else _coordinate_sweeps(
+        body[1], np.maximum.reduce(abs(body[0])), variance_oracle, paradigm)
     _, best_a, best_val = search_from_starts(
         logger, "sep_plus_optimize", objective, [np.ravel(s) for s in seeds], options,
-        certified=_certified_search_floor(gens, paradigm))
+        certified=_certified_search_floor(gens, paradigm), local=local)
     estimate = CostEstimate(
         paradigm=paradigm,
         strategy="sep_plus",

@@ -102,7 +102,10 @@ class CatalogEntry:
         """The record at p, in 1/(k n^2) (CR) or 1/N^2 (MM) units at finite n."""
         v = self.value(p)
         if self.estimate.finite_n:
-            return replace(self.estimate, constant=v * n / (n + 2), finite_n=False)
+            # v n overflows for n past about 1e308 / v, where n / (n + 2) does not
+            scaled = v * n
+            constant = scaled / (n + 2) if math.isfinite(scaled) else v * (n / (n + 2))
+            return replace(self.estimate, constant=constant, finite_n=False)
         return replace(self.estimate, constant=v)
 
     @property

@@ -18,7 +18,8 @@ one point per call.  Each search's trajectory, evaluation count and result
 are bit-identical to scipy's from the same start.
 
 ``search_from_starts`` is the multi-start policy of the sphere, rotation
-and SEP+ searches, on ``minimize_lockstep``.
+and SEP+ searches, on ``minimize_lockstep`` or on a caller's own local
+search (the SEP+ coordinate sweeps of commuting sets).
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ class MinimizeResult:
     nit: int
     nfev: int
     success: bool
+
+    @property
+    def record(self) -> str:
+        """The run's counts as its DEBUG record of ``search_from_starts`` shows them."""
+        return f"nfev={self.nfev} nit={self.nit} success={self.success}"
 
 
 def minimize(fun, x0, args=(), method="Nelder-Mead", options=None) -> MinimizeResult:
@@ -89,22 +95,26 @@ def minimize_lockstep(fun_many, x0s, options) -> tuple[list[MinimizeResult], int
 
 
 def search_from_starts(logger, name, score, x0s, options, certified=None, maximize=False,
-                       seeds=None):
+                       seeds=None, local=None):
     """The multi-start search ``name``: the best of the starts ``x0s`` and of
     the Nelder-Mead searches (``options``) from them, as ``(start, x,
-    value)``, ``x`` from start index ``start``.
+    value)``, ``x`` from start index ``start``.  ``local(x0s) -> (results,
+    summary)``, when given, runs in place of Nelder-Mead (minimizing only):
+    one result per start, each with ``x``, ``fun`` and a ``record`` string,
+    and a summary for the log.
 
     ``score(starts, points) -> values`` scores points of the given starts,
     to be minimized, or maximized when ``maximize`` is set.  The first
     ``seeds`` starts (every start by default) are scored in one call as
     seeds; the search stops there when the best is within
     1e-12 relative of ``certified``, a floor no value goes below (a ceiling
-    none exceeds when maximizing).  Otherwise every start runs in lockstep
-    (``minimize_lockstep``), and the results are taken in start order up to
-    the first that reaches the certificate.  A value replaces the best only
-    when better by more than 1e-12 relative (``_beats``).  ``logger`` gets
-    DEBUG records of the lockstep search (rounds, evaluations, unconverged
-    starts), of each start taken and of the stop, with the winning seed or
+    none exceeds when maximizing).  Otherwise every start runs, in lockstep
+    (``minimize_lockstep``) or through ``local``, and the results are taken
+    in start order up to the first that reaches the certificate.  A value
+    replaces the best only when better by more than 1e-12 relative
+    (``_beats``).  ``logger`` gets DEBUG records of the search (rounds,
+    evaluations and unconverged starts, or ``local``'s summary), of each
+    start taken (its ``record``) and of the stop, with the winning seed or
     search.
     """
     sign = -1 if maximize else 1
@@ -115,11 +125,15 @@ def search_from_starts(logger, name, score, x0s, options, certified=None, maximi
         if _beats(sign * value, best_cost):
             best_cost, best, origin = sign * value, (start, x0s[start]), f"seed {start}"
     if best_cost > target:
-        fun_many = (lambda s, points: [-v for v in score(s, points)]) if maximize else score
-        runs, rounds = minimize_lockstep(fun_many, x0s, [options] * len(x0s))
-        logger.debug("%s searched %d starts in %d batched rounds: nfev=%d, %d unconverged",
-                     name, len(runs), rounds, sum(res.nfev for res in runs),
-                     sum(not res.success for res in runs))
+        if local is None:
+            fun_many = (lambda s, points: [-v for v in score(s, points)]) if maximize else score
+            runs, rounds = minimize_lockstep(fun_many, x0s, [options] * len(x0s))
+            summary = (f"searched {len(runs)} starts in {rounds} batched rounds: "
+                       f"nfev={sum(res.nfev for res in runs)}, "
+                       f"{sum(not res.success for res in runs)} unconverged")
+        else:
+            runs, summary = local(x0s)
+        logger.debug("%s %s", name, summary)
     for start in starts:
         if best_cost <= target:
             logger.debug("%s certified by %s: value=%r %s=%r; starts %d-%d skipped",
@@ -127,8 +141,7 @@ def search_from_starts(logger, name, score, x0s, options, certified=None, maximi
                          "ceiling" if maximize else "floor", certified, start, len(x0s) - 1)
             break
         res = runs[start]
-        logger.debug("%s start %d: nfev=%d nit=%d success=%s fun=%r",
-                     name, start, res.nfev, res.nit, res.success, float(res.fun))
+        logger.debug("%s start %d: %s fun=%r", name, start, res.record, float(res.fun))
         if _beats(res.fun, best_cost):
             best_cost, best = float(res.fun), (start, res.x)
             origin = f"the search from start {start}"

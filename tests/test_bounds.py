@@ -30,7 +30,12 @@ from hlbounds import (
 )
 import hlbounds.bounds as bounds_module
 from hlbounds.bounds import _GaugeSolver, sep_plus_value
-from hlbounds.operators import distinct_patterns, exact_max_spread, rotation_bound_ceiling
+from hlbounds.operators import (
+    difference_body,
+    distinct_patterns,
+    exact_max_spread,
+    rotation_bound_ceiling,
+)
 
 PI2 = math.pi ** 2
 
@@ -574,36 +579,122 @@ def test_fixed_atoms_p8_search_uses_the_lp_backend():
 
 
 def test_search_runs_every_start_below_the_floor(minimize_runs):
-    # fixed atoms at p=3: floor 3, best known 2 + sqrt(3), reached at the
-    # difference seed; the identity, that seed and 3 random starts all run
-    gens = build_fixed_atom_generators(3)
-    assert sep_plus_lower_bound(gens, "cr").constant == pytest.approx(3.0)
+    # Pauli xy: the set does not commute, so no floor certifies a seed and
+    # Nelder-Mead runs from the identity, the Walsh-Hadamard seed and 3
+    # random starts; none gets below the floor 4 by more than rounding, and
+    # the identity's exact 4 stays the best
+    gens = build_pauli_generators("xy")
+    assert sep_plus_lower_bound(gens, "cr").constant == pytest.approx(4.0)
+    assert bounds_module._certified_search_floor(gens, "cr") is None
     _, est = sep_plus_optimize(gens, "cr")
     assert len(minimize_runs) == 5
-    assert est.constant <= (2 + math.sqrt(3)) * (1 + 1e-15)
+    assert all(res.fun >= 4.0 * (1 - 1e-15) for res in minimize_runs)
+    assert est.constant == 4.0
 
 
 def test_search_certified_by_its_first_start(caplog, monkeypatch, minimize_runs):
-    # Fixed atoms at p=3 in CR without the difference seed (whose value, 2 +
-    # sqrt(3), is below anything start 0 reaches), under a floor at the
-    # value start 0 reaches: the fold logs start 0 and stops there, as the
-    # sequential search did; starts 1-3 ran in lockstep and are dropped
-    # unlogged
+    # Fixed atoms at p=3 in CR from the 3 random starts alone (no identity and
+    # no difference seed, whose value 2 + sqrt(3) no start improves), under a
+    # floor at the value the sweeps from start 0 reach: the fold logs start 0
+    # and stops there; starts 1-2 were swept and are dropped unlogged, and
+    # Nelder-Mead does not run
     gens = build_fixed_atom_generators(3)
-    reached = 5.861017221722964
+    reached = 3.73205080756888
+    monkeypatch.setattr(bounds_module, "structured_seeds", lambda _: [])
     monkeypatch.setattr(bounds_module, "_difference_seed", lambda *_: [])
     monkeypatch.setattr(bounds_module, "_certified_search_floor", lambda *_: reached)
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
         _, est = sep_plus_optimize(gens, "cr")
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
-    assert len(minimize_runs) == 4 and minimize_runs[0].fun == reached
-    assert messages[0].startswith("sep_plus_optimize searched 4 starts in ")
-    assert messages[1:] == [
-        f"sep_plus_optimize start 0: nfev=1072 nit=618 success=True fun={reached!r}",
+    assert minimize_runs == []
+    assert messages == [
+        "sep_plus_optimize swept 3 starts: 19 sweeps, 53 moves, 0 unconverged",
+        f"sep_plus_optimize start 0: sweeps=5 moves=15 converged=True fun={reached!r}",
         "sep_plus_optimize certified by the search from start 0: "
-        f"value={reached!r} floor={reached!r}; starts 1-3 skipped",
+        f"value={reached!r} floor={reached!r}; starts 1-2 skipped",
     ]
     assert est.constant == reached
+
+
+@pytest.mark.parametrize("p,paradigm,best_known", [
+    (3, "cr", 3.7320508075688767), (3, "mm", 110.32808106595299),
+    (5, "cr", 5.5556), (5, "mm", 274.156), (6, "cr", 7.2), (6, "mm", 426.367)])
+def test_fixed_atom_sweeps_converge_to_the_best_known_values(caplog, minimize_runs, p,
+                                                             paradigm, best_known):
+    # every start of the fixed-atom searches on the command line sweeps to
+    # convergence; at p = 5 and 6 they reach the weighing-design values
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
+        _, est = sep_plus_optimize(build_fixed_atom_generators(p), paradigm)
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
+    starts = 5 if p == 3 else 4
+    assert minimize_runs == []
+    assert messages[0].startswith(f"sep_plus_optimize swept {starts} starts: ")
+    assert messages[0].endswith(" moves, 0 unconverged")
+    assert [m.split(": ")[0] for m in messages[1:]] == [
+        f"sep_plus_optimize start {i}" for i in range(starts)]
+    assert all(" converged=True fun=" in m for m in messages[1:])
+    assert est.constant <= best_known * (1 + 1e-9)
+    assert est.constant >= sep_plus_lower_bound(build_fixed_atom_generators(p),
+                                                paradigm).constant
+
+
+def _fixed_atom_lines(p, paradigm):
+    gens = build_fixed_atom_generators(p)
+    alpha, factor = paradigm_constants(paradigm)
+    diffs, facets = difference_body(gens)
+    return (elfving_variance_oracle(gens, paradigm), alpha, factor, facets,
+            np.maximum.reduce(abs(diffs)))
+
+
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+@pytest.mark.parametrize("p", range(3, 7))
+def test_rank_one_line_equals_the_scorer(p, paradigm):
+    # a random B whose rows lie in the cube D of fixed atoms: each candidate
+    # of a line, valued by the rank-one form and by _sep_plus_values on the
+    # inverse of the same B
+    oracle, alpha, factor, facets, extent = _fixed_atom_lines(p, paradigm)
+    b = np.random.default_rng(p).uniform(-1.0, 1.0, (p, p))
+    lines = bounds_module._Lines(np.linalg.inv(b), b, facets, factor, alpha)
+    for j, k in ((0, 0), (p - 1, 0), (1, p - 1), (2, 1)):
+        xs = extent[k] * np.linspace(-1.0, 1.0, bounds_module._LINE_POINTS)
+        values, _, _ = lines.values(j, k, xs)
+        stack = np.repeat(b[None], len(xs), 0)
+        stack[:, j, k] = xs
+        want = np.array(bounds_module._sep_plus_values(np.linalg.inv(stack), oracle, alpha))
+        # the few candidates next to a singular B have an A that
+        # ``nonsingular`` refuses; the line ranks them far above the rest
+        finite = np.isfinite(want)
+        assert finite.sum() >= len(xs) - 3 and np.all(values[~finite] > 1e3 * values.min())
+        np.testing.assert_allclose(values[finite], want[finite], rtol=1e-10, atol=0)
+
+
+def test_sweep_keeps_no_move_the_scorer_does_not_lower(monkeypatch):
+    # from the identity, a fixed point of the sweep, each line reports its
+    # worst finite candidate as its best: the scorer scores every one of
+    # them and keeps none, so the start ends after one sweep where it began
+    oracle, _, _, facets, extent = _fixed_atom_lines(3, "cr")
+    values = bounds_module._Lines.values
+
+    def worst_first(self, j, k, xs):
+        v, s, gauge = values(self, j, k, xs)
+        fake = np.full_like(v, math.inf)
+        fake[np.argmax(np.where(np.isfinite(v), v, -math.inf))] = 0.0
+        return fake, s, gauge
+
+    scored, real = [], bounds_module._sep_plus_values
+
+    def counting(stack, *args):
+        scored.append(stack)
+        return real(stack, *args)
+
+    monkeypatch.setattr(bounds_module._Lines, "values", worst_first)
+    monkeypatch.setattr(bounds_module, "_sep_plus_values", counting)
+    local = bounds_module._coordinate_sweeps(facets, extent, oracle, "cr")
+    [run], summary = local([np.eye(3).ravel()])
+    assert (run.sweeps, run.moves, run.converged) == (1, 0, True)
+    assert np.array_equal(run.x, np.eye(3).ravel()) and run.fun == 9.0
+    assert len(scored) == 1 + 9
+    assert summary == "swept 1 starts: 1 sweeps, 0 moves, 0 unconverged"
 
 
 @pytest.mark.parametrize("paradigm,value", [("cr", 2 + math.sqrt(3)), ("mm", 110.32808106595)])

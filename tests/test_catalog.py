@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -249,6 +250,41 @@ def test_bounds_rows_are_the_rows_the_command_prints(model, paradigm, p, alpha, 
     assert code == 0, err.getvalue()
     rows = [est.row() for est in bounds_rows(model, paradigm, p, 7, alpha, beta)]
     assert json.loads(out.getvalue()) == rows
+
+
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+@pytest.mark.parametrize("model", ["fixed-atoms", "free-atoms"])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_sep_plus_search_lies_between_its_floor_and_sep(p, model, paradigm):
+    # the SEP+ part of the lower <= upper invariant: the search row, an upper
+    # bound, is at least its floor and, the identity being one of its
+    # seeds, at most the sep row
+    rows = {(e.strategy, e.variant): e.constant
+            for e in bounds_rows(model, paradigm, p, 100, 1.0, 0.5)}
+    search = rows["sep_plus", "search"]
+    assert search >= rows["sep_plus", "lower"] * (1 - 1e-9)
+    assert search <= rows["sep", ""]
+
+
+@pytest.mark.parametrize("n", [10 ** 20, 2 ** 1024 - 2 ** 970 - 3])
+def test_finite_n_rows_stay_finite_where_v_n_overflows(n):
+    # the parallel row is v n / (n + 2); at the largest accepted n, v n
+    # overflows and the row is v (n / (n + 2)), while at n = 10^20 it keeps
+    # the bytes of v n / (n + 2)
+    [entry] = [e for e in get_model("pauli3").entries
+               if e.estimate.paradigm == "cr" and e.estimate.variant == "parallel"]
+    [row] = [e for e in bounds_rows("pauli3", "cr", 1, n, 1.0, 0.5) if e.variant == "parallel"]
+    v = entry.value(3)
+    want = v * n / (n + 2) if math.isfinite(v * n) else v * (n / (n + 2))
+    assert math.isfinite(row.constant) and row.constant == want
+    assert math.isfinite(v * n) == (n == 10 ** 20)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bounds", "--model", "pauli3", "--paradigm", "cr", "--n", str(n),
+                     "--format", "csv"]) == 0
+    [cell] = [r["constant"] for r in csv.DictReader(io.StringIO(out.getvalue()))
+              if r["variant"] == "parallel"]
+    assert float(cell) == want
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

@@ -46,6 +46,10 @@ COMMANDS = {
                              "--format", "csv"],
     "bounds_pauli3_mm": ["bounds", "--model", "pauli3", "--paradigm", "mm"],
     "bounds_fixed_cr": ["bounds", "--model", "fixed-atoms", "--p", "3", "--paradigm", "cr"],
+    "bounds_fixed_p5_cr": ["bounds", "--model", "fixed-atoms", "--p", "5", "--paradigm", "cr"],
+    "bounds_fixed_p5_mm": ["bounds", "--model", "fixed-atoms", "--p", "5", "--paradigm", "mm"],
+    "bounds_fixed_p6_cr": ["bounds", "--model", "fixed-atoms", "--p", "6", "--paradigm", "cr"],
+    "bounds_fixed_p6_mm": ["bounds", "--model", "fixed-atoms", "--p", "6", "--paradigm", "mm"],
     "bounds_free_cr": ["bounds", "--model", "free-atoms", "--p", "3", "--paradigm", "cr"],
     "bounds_free_mm": ["bounds", "--model", "free-atoms", "--p", "4", "--paradigm", "mm"],
     "bounds_free_p5_mm": ["bounds", "--model", "free-atoms", "--p", "5", "--paradigm", "mm"],

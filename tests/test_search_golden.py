@@ -3,8 +3,10 @@
 Every Nelder-Mead run made by the SEP+ search, the orthogonal-rotation
 search and the sphere search (each start of their lockstep search) is recorded
 (the calling module, nfev, nit, success and fun), together with the
-search's returned value.  A change that alters the objective's arithmetic
-in any way shows up here as a different nfev or fun.  nfev, nit and success must match exactly; fun and the value to
+search's returned value; a SEP+ search that sweeps (a commuting set with
+a difference body, such as fixed atoms) records no run.  A change that
+alters the objective's arithmetic in any way shows up here as a different
+nfev or fun.  nfev, nit and success must match exactly; fun and the value to
 1e-12 relative.  Regenerate cases with ``python tests/test_search_golden.py
 [name ...]`` (all cases when no name is given) and review the diff of
 ``golden/search_runs.json``.

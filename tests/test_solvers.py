@@ -12,14 +12,15 @@ from scipy.sparse.linalg import cg as scipy_cg
 
 import hlbounds.solvers as solvers_module
 import hlbounds.variational as variational_module
-from hlbounds import build_fixed_atom_generators, sep_plus_optimize, simplex_ground_energy
+from hlbounds import build_pauli_generators, sep_plus_optimize, simplex_ground_energy
 from hlbounds.solvers import cg, minimize, minimize_lockstep, search_from_starts
 
 
 def _sep_plus_search(monkeypatch):
-    # the first search of sep_plus_optimize at fixed atoms p=3 in CR (from the
+    # the first search of sep_plus_optimize on Pauli xy in CR (from the
     # identity), with the batched objective that function hands to the
-    # lockstep search, scoring one point per call
+    # lockstep search, scoring one point per call; commuting sets with a
+    # difference body run coordinate sweeps instead
     calls = []
 
     def recording(fun_many, x0s, options):
@@ -27,7 +28,7 @@ def _sep_plus_search(monkeypatch):
         return minimize_lockstep(fun_many, x0s, options)
 
     monkeypatch.setattr(solvers_module, "minimize_lockstep", recording)
-    sep_plus_optimize(build_fixed_atom_generators(3), "cr")
+    sep_plus_optimize(build_pauli_generators("xy"), "cr")
     return calls[0]
 
 
@@ -44,7 +45,7 @@ def _walled_bowl(x):
 
 
 MINIMIZE_CASES = {
-    "sep-plus-fixed-atoms-3-cr": _sep_plus_search,
+    "sep-plus-pauli-xy-cr": _sep_plus_search,
     "stopped-at-maxiter": lambda _: (
         _rosenbrock, np.array([-1.2, 1.0, 0.5, 0.0]), (0.25,),
         {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 60}),
@@ -69,7 +70,7 @@ def test_minimize_matches_scipy_nelder_mead(monkeypatch, name):
 
 
 def test_lockstep_searches_match_scipy_nelder_mead(monkeypatch):
-    # every case in one lockstep batch: the SEP+ search (9 variables, with
+    # every case in one lockstep batch: the SEP+ search (4 variables, with
     # shrink steps), the maxiter stop (4) and the 1e300 wall (2, with shrink
     # steps); each point goes to the objective of its start
     cases = [MINIMIZE_CASES[name](monkeypatch) for name in MINIMIZE_CASES]
