@@ -41,7 +41,8 @@ from .special import (
 from .states import PhaseStateCoefficients
 
 INDEX_CAP = 10_000_000  # indices (tuples times p) the wedge enumeration may visit
-MC_SAMPLE_CAP = 50_000_000  # about 33 bytes per sample at peak: 1.7 GB at the cap
+MC_SAMPLE_CAP = 50_000_000  # about 16 bytes per sample at peak (16.2 at 4e6): 0.8 GB at the cap
+MC_BLOCK = 2 ** 14  # samples drawn and costed at a time
 RESIDUAL_RTOL = 1e-9
 MAX_POWER_ITERATIONS = 200
 MIN_PDF_GRID = 2 ** 14
@@ -250,8 +251,8 @@ def ball_upper_bound(p: int) -> float:
     zero search scans up from a proven lower bound on j_{p/2-1,1} (see
     ``bessel_j_first_zero``).
     """
-    if p < 1:
-        raise InvalidArgumentError("p must be >= 1")
+    if not p >= 1:  # also refuses NaN
+        raise InvalidArgumentError("p must be a number >= 1")
     if p > BALL_P_MAX:
         raise ResourceLimitError(f"p must be <= {BALL_P_MAX} for the ball bound")
     j = bessel_j_first_zero(p / 2.0 - 1.0)
@@ -314,6 +315,13 @@ def phase_cost_monte_carlo(model: PhaseMeasurementModel, samples: int, seed: int
     monotone and the margin exceeds its few ulps, so e_j <= r: no start is
     past its cell.  Two steps over cum with +inf appended cannot overshoot;
     the keys still short are searched.
+
+    Keys are drawn into one reused buffer and turned into costs MC_BLOCK
+    at a time; the guide table is built once.  The Philox stream read block
+    by block is the stream read at once, and every step is elementwise, so
+    each cost is the same at any block size.  The costs fill one array of
+    ``samples`` doubles, and np.std's deviations beside it make the peak,
+    about 16 bytes a sample.
     """
     if samples < 1000:
         raise InvalidArgumentError("need at least 1000 samples")
@@ -327,33 +335,47 @@ def phase_cost_monte_carlo(model: PhaseMeasurementModel, samples: int, seed: int
     if not total > 0:
         raise NumericalError("pdf grid is not normalizable")
     cum = np.cumsum(weights)
-    r = np.random.Generator(np.random.Philox(seed)).random(samples)
-    r *= total
-    idx = _cdf_index(cum, total, r)
-    w = weights.take(idx)
-    r -= cum.take(idx) - w  # r becomes the offset into its cell, then its fraction
-    positive = w > 0
-    np.divide(r, w, out=r, where=positive)
-    r[~positive] = 0.5
-    r *= du
-    u = model.u.take(idx, out=w)  # w is spent: its buffer takes u
-    u += r
-    del r, idx  # freed before the cost arrays, so the peak stays at 33 bytes a sample
-    costs = 4.0 * np.sin(0.5 * u, out=u) ** 2
+    table, cum_inf = _guide_table(cum, total)
+    generator = np.random.Generator(np.random.Philox(seed))
+    costs = np.empty(samples)
+    buffer = np.empty(MC_BLOCK)
+    for start in range(0, samples, MC_BLOCK):
+        r = generator.random(out=buffer[:min(MC_BLOCK, samples - start)])
+        r *= total
+        idx = _cdf_index(table, cum_inf, total, r)
+        w = weights.take(idx)
+        r -= cum.take(idx) - w  # r becomes the offset into its cell, then its fraction
+        positive = w > 0
+        np.divide(r, w, out=r, where=positive)
+        r[~positive] = 0.5
+        r *= du
+        u = model.u.take(idx, out=w)  # w is spent: its buffer takes u
+        u += r
+        u *= 0.5
+        np.square(np.sin(u, out=u), out=u)
+        np.multiply(u, 4.0, out=costs[start:start + r.size])
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / math.sqrt(samples))
     return mean, stderr
 
 
-def _cdf_index(cum: np.ndarray, total: float, r: np.ndarray) -> np.ndarray:
-    """np.minimum(np.searchsorted(cum, r), g - 1) for nondecreasing cum of
-    size g and keys r in [0, total] (see ``phase_cost_monte_carlo``)."""
+def _guide_table(cum: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """The guide table of nondecreasing cum (size g, sum total) and cum with
+    +inf appended, the two arrays ``_cdf_index`` reads."""
     g = cum.size
     table = np.searchsorted(cum, np.arange(g) * (total / g) * (1.0 - 1e-12))
+    return table, np.append(cum, np.inf)
+
+
+def _cdf_index(table: np.ndarray, cum_inf: np.ndarray, total: float,
+               r: np.ndarray) -> np.ndarray:
+    """np.minimum(np.searchsorted(cum, r), g - 1) for keys r in [0, total],
+    with (table, cum_inf) = _guide_table(cum, total) (see
+    ``phase_cost_monte_carlo``)."""
+    g = table.size
     idx = table.take((r * (g / total)).astype(np.intp), mode="clip")
-    cum_inf = np.append(cum, np.inf)
     for _ in range(2):
         idx += cum_inf.take(idx) < r
     short = np.flatnonzero(cum_inf.take(idx) < r)
-    idx[short] = np.searchsorted(cum, r[short])
+    idx[short] = np.searchsorted(cum_inf, r[short])
     return np.minimum(idx, g - 1, out=idx)

@@ -38,6 +38,7 @@ COMMANDS = {
     "readme_figure_ball": ["figure", "ball", "--p-max", "20", "--output", "ball.csv"],
     "readme_figure_ratio": ["figure", "ratio", "--alpha", "1", "--beta-steps", "50",
                             "--output", "ratio.csv"],
+    "figure_ball_p40": ["figure", "ball", "--p-max", "40", "--output", "ball.csv"],
     "bounds_pauli1_cr": ["bounds", "--model", "pauli1", "--paradigm", "cr"],
     "bounds_pauli1_mm": ["bounds", "--model", "pauli1", "--paradigm", "mm"],
     "bounds_pauli2_cr": ["bounds", "--model", "pauli2", "--paradigm", "cr", "--n", "7"],

@@ -2,6 +2,7 @@
 which serves as the independent oracle and is used nowhere in the package
 itself for these quantities."""
 
+import decimal
 import math
 
 import numpy as np
@@ -140,3 +141,80 @@ def test_bessel_resource_ceiling():
         bessel_j(MAX_ORDER + 0.5, 1.0)
     with pytest.raises(ResourceLimitError):
         bessel_j(0.0, MAX_ARGUMENT * 1.001)
+
+
+def test_bessel_j_refuses_nan_and_keeps_the_infinite_ceiling():
+    for nu, x in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0)):
+        with pytest.raises(InvalidArgumentError):
+            bessel_j(nu, x)
+    for nu, x in ((math.inf, 1.0), (0.0, math.inf)):
+        with pytest.raises(ResourceLimitError):
+            bessel_j(nu, x)
+
+
+def test_bessel_first_zero_refuses_nan():
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_first_zero(math.nan)
+    with pytest.raises(ResourceLimitError):
+        bessel_j_first_zero(math.inf)
+
+
+def test_ball_bound_refuses_nan():
+    with pytest.raises(InvalidArgumentError):
+        ball_upper_bound(math.nan)
+    with pytest.raises(ResourceLimitError):
+        ball_upper_bound(math.inf)
+
+
+def _bessel_j_by_decimal_power(nu, x):
+    """J_nu(x) for x > 0 with the prefactor formed as the decimal power
+    (x/2)^nu, which runs through exp and ln at a non-integral order."""
+    s = nu + 1.0
+    m = math.ceil(s) - 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = int(x * math.log10(math.e)) + 25
+        half = decimal.Decimal(0.5 * x)
+        q = half * half
+        order = decimal.Decimal(nu)
+        term = decimal.Decimal(1)
+        total = term
+        k = 0
+        while term.adjusted() >= total.adjusted() - 17:
+            k += 1
+            term = -term * q / (k * (order + k))
+            total += term
+        gamma = decimal.Decimal(math.gamma(s - m))
+        for i in range(1, m + 1):
+            gamma *= order + 1 - i
+        return float(total * half ** order / gamma)
+
+
+def _visited(monkeypatch, nu):
+    """The (nu, x) at which bessel_j_first_zero(nu) evaluates J."""
+    calls = []
+
+    def recorded(order, x):
+        calls.append((order, x))
+        return bessel_j(order, x)
+
+    monkeypatch.setattr(special, "bessel_j", recorded)
+    bessel_j_first_zero(nu)
+    monkeypatch.undo()
+    return calls
+
+
+def test_half_integer_orders_equal_the_decimal_power(monkeypatch):
+    # the ball bound's half-integer orders p/2 - 1, odd p <= 201, at every x
+    # the zero search visits; the sqrt form must give the same doubles
+    for p in range(1, 202, 2):
+        calls = _visited(monkeypatch, p / 2.0 - 1.0)
+        assert calls
+        for nu, x in calls:
+            assert bessel_j(nu, x) == _bessel_j_by_decimal_power(nu, x), (nu, x)
+
+
+@pytest.mark.parametrize("p", list(range(1, 1000, 50)) + [999])
+def test_half_integer_first_zeros_equal_the_decimal_power(monkeypatch, p):
+    want = bessel_j_first_zero(p / 2.0 - 1.0)
+    monkeypatch.setattr(special, "bessel_j", _bessel_j_by_decimal_power)
+    assert bessel_j_first_zero(p / 2.0 - 1.0) == want

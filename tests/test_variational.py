@@ -26,7 +26,14 @@ from hlbounds import (
 )
 import hlbounds.variational as variational_module
 from hlbounds.solvers import cg
-from hlbounds.variational import BALL_P_MAX, INDEX_CAP, MC_SAMPLE_CAP, _cdf_index
+from hlbounds.variational import (
+    BALL_P_MAX,
+    INDEX_CAP,
+    MC_BLOCK,
+    MC_SAMPLE_CAP,
+    _cdf_index,
+    _guide_table,
+)
 
 PI2 = math.pi ** 2
 
@@ -491,6 +498,56 @@ def test_monte_carlo_above_the_sample_cap_allocates_nothing():
     assert peak < 100_000
 
 
+def test_monte_carlo_peak_memory_per_sample():
+    # the cost array and np.std's deviations: 16 bytes a sample, plus the blocks
+    model = PhaseMeasurementModel(sin_coefficients(4))
+    samples = 4_000_000
+    tracemalloc.start()
+    try:
+        phase_cost_monte_carlo(model, samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * samples
+
+
+def _one_shot_monte_carlo(model, samples, seed):
+    """The sampler drawing every key at once, the reference for the blocks."""
+    du = 2.0 * np.pi / model.grid_points
+    weights = model.pdf * du
+    total = float(np.sum(weights))
+    cum = np.cumsum(weights)
+    g = cum.size
+    r = np.random.Generator(np.random.Philox(seed)).random(samples)
+    r *= total
+    table = np.searchsorted(cum, np.arange(g) * (total / g) * (1.0 - 1e-12))
+    idx = table.take((r * (g / total)).astype(np.intp), mode="clip")
+    cum_inf = np.append(cum, np.inf)
+    for _ in range(2):
+        idx += cum_inf.take(idx) < r
+    short = np.flatnonzero(cum_inf.take(idx) < r)
+    idx[short] = np.searchsorted(cum, r[short])
+    idx = np.minimum(idx, g - 1)
+    w = weights.take(idx)
+    r -= cum.take(idx) - w
+    positive = w > 0
+    np.divide(r, w, out=r, where=positive)
+    r[~positive] = 0.5
+    u = model.u.take(idx) + r * du
+    costs = 4.0 * np.sin(0.5 * u) ** 2
+    return float(np.mean(costs)), float(np.std(costs, ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("samples", [1000, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
+                                     3 * MC_BLOCK + 7])
+@pytest.mark.parametrize("coeffs", [sin_coefficients(20), PhaseStateCoefficients(1, [1.0, 0.0]),
+                                    noon_coefficients(16)], ids=["sin20", "flat", "noon16"])
+def test_monte_carlo_blocks_equal_the_one_shot_sampler(coeffs, samples):
+    model = PhaseMeasurementModel(coeffs)
+    assert phase_cost_monte_carlo(model, samples, seed=11) == _one_shot_monte_carlo(
+        model, samples, seed=11)
+
+
 def _grid_cdf(coeffs):
     model = PhaseMeasurementModel(coeffs)
     weights = model.pdf * (2.0 * np.pi / model.grid_points)
@@ -561,7 +618,7 @@ def test_guide_table_lookup_equals_searchsorted(monkeypatch, case):
         return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", spy)
-    got = _cdf_index(cum, total, r)
+    got = _cdf_index(*_guide_table(cum, total), total, r)
     monkeypatch.undo()
     np.testing.assert_array_equal(got, want)
     assert searched[0] == cum.size  # the guide table, then the keys still short
