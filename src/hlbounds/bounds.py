@@ -17,11 +17,12 @@ eigenvalue patterns x_s, which is the squared gauge of c with respect to
 their difference body D = conv{x_s - x_t} (``c_optimal_variance``).  The
 reparametrization optimizer uses the latter by default on commuting sets.
 
-Its search (``sep_plus_optimize``) refines each start by coordinate sweeps
-over the entries of A^{-1}, each line of candidates valued by a rank-one
-update, where D has facets; elsewhere (non-commuting sets, and sets whose D
-is past the hull's size gate) by the Nelder-Mead simplex search of
-``solvers``.
+Its gauges are D's largest facet values, and a set whose D is not built
+(a flat D, or a set past the size gates with no closed form) is refused
+when the oracle is built.  Its search (``sep_plus_optimize``) refines
+each start on a commuting set by coordinate sweeps over the entries of
+A^{-1}, each line of candidates valued by a rank-one update; on other
+sets by the Nelder-Mead simplex search of ``solvers``.
 """
 
 from __future__ import annotations
@@ -167,37 +168,12 @@ def allocate(c, alpha: int) -> AllocationPlan:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call: only gauges past
-    the ``difference_body`` gates solve a linear program."""
+    """``scipy.optimize.linprog``, imported on first call.  No gauge solves
+    a linear program; it stays bound here, as ``minimize`` does, where the
+    benchmark's tracer finds it."""
     from scipy.optimize import linprog as highs
 
     return highs(*args, **kwargs)
-
-
-class _GaugeSolver:
-    """Gauge of c with respect to the ``difference_body`` D of a commuting
-    set: max(facets @ c) where D is built, else the linear program
-    min ||beta||_1 / 2 subject to sum_s beta_s x_s = c, sum_s beta_s = 0 over
-    the distinct patterns x_s (such a beta splits into pairs e_s - e_t)."""
-
-    def __init__(self, gens: GeneratorSet):
-        self.patterns = distinct_patterns(gens)
-        body = difference_body(gens)
-        self._facets = None if body is None else body[1]
-
-    def gauges(self, rows: np.ndarray) -> np.ndarray:
-        """Gauges of the rows of ``rows`` (shape (r, p)); +inf where infeasible."""
-        if self._facets is not None:
-            # one (f, p) @ (p, 1) matvec per row, rounding as a single-row
-            # query does; ``rows @ facets.T`` rounds differently
-            return np.maximum.reduce(self._facets @ rows[:, :, None], axis=(1, 2))
-        return np.array([self._lp_gauge(c) for c in rows])
-
-    def _lp_gauge(self, c: np.ndarray) -> float:
-        a_eq = np.vstack([self.patterns.T, np.ones(len(self.patterns))])
-        res = linprog(np.full(2 * a_eq.shape[1], 0.5), A_eq=np.hstack([a_eq, -a_eq]),
-                      b_eq=np.append(c, 0.0), bounds=(0, None), method="highs")
-        return float(res.fun) if res.success else math.inf
 
 
 def c_optimal_variance(gens: GeneratorSet, c) -> float:
@@ -209,15 +185,17 @@ def c_optimal_variance(gens: GeneratorSet, c) -> float:
     c^T F_w^{-1} c >= (c . u)^2 / h_D(u)^2; u^T F_w u is concave in w and
     convex in u, so by the minimax theorem the best w attains the largest
     of these bounds.  It is the exact per-direction constant with the other
-    parameters as nuisance; +inf when the direction is not estimable.
+    parameters as nuisance.  Raises where D is not built: InvalidArgumentError
+    for a flat D (some u . Lambda has spread 0), ResourceLimitError past the
+    size gates with no closed form (``difference_body``).
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (gens.p,):
         raise InvalidArgumentError(f"direction has shape {c.shape}, expected ({gens.p},)")
     if not np.all(np.isfinite(c)):
         raise InvalidArgumentError("direction must be finite")
-    g = float(_GaugeSolver(gens).gauges(c[None])[0])
-    return g * g if math.isfinite(g) else math.inf
+    g = float(np.max(difference_body(gens)[1] @ c))
+    return g * g
 
 
 def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
@@ -255,12 +233,16 @@ def _oracle(many):
 def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
     """Exact nuisance-aware oracle for commuting sets: A -> the p constants
     factor g_i^2, g_i the difference-body gauge of row i of A^{-1}
-    (``c_optimal_variance``), +inf where not estimable."""
+    (``c_optimal_variance``).  Raises as ``c_optimal_variance`` does when
+    it is built, before any query."""
     _, factor = paradigm_constants(paradigm)
-    gauges = _GaugeSolver(gens).gauges
+    facets = difference_body(gens)[1]
 
     def many(stack: np.ndarray) -> np.ndarray:
-        g = gauges(np.linalg.inv(stack).reshape(-1, gens.p)).reshape(stack.shape[:2])
+        rows = np.linalg.inv(stack).reshape(-1, gens.p)
+        # one (f, p) @ (p, 1) matvec per row, rounding as ``c_optimal_variance``
+        # does; ``rows @ facets.T`` rounds differently
+        g = np.maximum.reduce(facets @ rows[:, :, None], axis=(1, 2)).reshape(stack.shape[:2])
         return factor * g * g
 
     return _oracle(many)
@@ -426,14 +408,14 @@ _SEED_SUBSETS = 3000
 
 def _difference_seed(gens: GeneratorSet, variance_oracle, alpha: int) -> list:
     """[A] for the A of least ``sep_plus_value`` on ``variance_oracle`` whose
-    inverse has p distinct difference directions as rows ([] without a
-    ``difference_body`` or past ``_SEED_SUBSETS``).  Scaling a row of A^{-1}
-    leaves its term as it is, so each direction is kept once.  It meets
-    two-sector's CR design floor."""
-    body = difference_body(gens)
-    if body is None:
+    inverse has p distinct difference directions as rows ([] where the
+    ``difference_body`` has no differences or past ``_SEED_SUBSETS``).
+    Scaling a row of A^{-1} leaves its term as it is, so each direction is
+    kept once.  It meets two-sector's CR design floor."""
+    diffs = difference_body(gens)[0] if gens.commuting else None
+    if diffs is None:
         return []
-    diffs = body[0][np.any(body[0] != 0, axis=1)]
+    diffs = diffs[np.any(diffs != 0, axis=1)]
     # a direction's key: its unit vector at 12 decimals, first nonzero entry > 0
     keys = np.round(diffs / np.linalg.norm(diffs, axis=1)[:, None], 12)
     sign = np.sign(keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)])[:, None]
@@ -568,11 +550,13 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
     two), for commuting sets the best inverse of difference directions
     (``_difference_seed``), and fixed random starts, each refined
-    (``search_from_starts``): by coordinate sweeps over the entries of
-    A^{-1} (``_sweep``) where the ``difference_body`` has facets, else by
-    the Nelder-Mead simplex search; singular candidates score 1e300.
-    Returns ``(A, CostEstimate)`` with status ``upper_bound`` on the true
-    reparametrized-separate optimum.
+    (``search_from_starts``): on commuting sets by coordinate sweeps over
+    the entries of A^{-1} (``_sweep``), each entry k over the spread of
+    generator k, else by the Nelder-Mead simplex search; singular
+    candidates score 1e300.  Returns ``(A, CostEstimate)`` with status
+    ``upper_bound`` on the true reparametrized-separate optimum.  A
+    commuting set whose ``difference_body`` is not built raises before any
+    search (``elfving_variance_oracle``).
 
     The search stops at a seed within 1e-12 relative of a floor no
     candidate can beat: the ``sep_plus_lower_bound`` constant, or in CR the
@@ -582,7 +566,8 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     when p is a power of two, and the two-sector model (CR) at the
     difference seed; fixed atoms at p=3 reach 2 + sqrt(3) there, above the
     floor 3, and sweep every start, as at p = 5 and 6, where the sweeps
-    reach 5.5556 in CR and 274.156 in MM (p = 5), 7.2 and 426.367 (p = 6).
+    reach 5.5556 in CR and 274.156 in MM (p = 5), 7.2 and 426.367 (p = 6),
+    and p = 7 (8.6858 and 598.663).
     """
     p = gens.p
     alpha, _ = paradigm_constants(paradigm)
@@ -598,9 +583,8 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
         np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
         for seed in SEARCH_SEEDS]
     options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": min(600 * p * p, 4000)}
-    body = difference_body(gens)
-    local = None if body is None else _coordinate_sweeps(
-        body[1], np.maximum.reduce(abs(body[0])), variance_oracle, paradigm)
+    local = _coordinate_sweeps(difference_body(gens)[1], generator_spreads(gens),
+                               variance_oracle, paradigm) if gens.commuting else None
     _, best_a, best_val = search_from_starts(
         logger, "sep_plus_optimize", objective, [np.ravel(s) for s in seeds], options,
         certified=_certified_search_floor(gens, paradigm), local=local)

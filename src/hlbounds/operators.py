@@ -19,7 +19,6 @@ over s^2.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -44,12 +43,13 @@ SEARCH_SEEDS = (5, 17, 29)
 
 DIMENSION_CAP = 2 ** 12
 
-# The difference body is one convex hull of the distinct pattern
-# differences, built only for at most this many of them and this many
-# parameters: qhull's output grows with the dimension (2^p facets on the
-# free-atom cross-polytope).
+# The difference body's closed forms need no pattern differences (the l1
+# ball is listed up to 2^_AXIS_MAX_P facet rows); any other body is the hull
+# of the distinct differences, formed only for at most _HULL_LIMIT of them
+# and _HULL_MAX_P parameters: qhull's output grows with the dimension.
 _HULL_LIMIT = 1000
 _HULL_MAX_P = 8
+_AXIS_MAX_P = 16
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -541,38 +541,49 @@ def rotation_bound_value(gens: GeneratorSet, a: ReparamMatrix) -> float:
 
 def difference_body(gens: GeneratorSet):
     """``(differences, facets)`` of the difference body D = conv{x_s - x_t}
-    of a commuting set's joint eigenvalue patterns x_s, or None.
+    of a commuting set's joint eigenvalue patterns x_s.
 
-    ``differences`` are the distinct x_s - x_t, 0 included, and D is
-    {y : facets @ y <= 1}, one row per facet.  Its support function
-    max_{s,t} (x_s - x_t) . u is the spread of u . Lambda.  None for a
-    non-commuting set, p > 8, more than 1000 distinct differences, or a
-    flat D (then some u . Lambda has spread 0).  The facets are a closed
-    form where one applies (``_closed_form_facets``; always at p = 1),
-    else qhull's.
+    D is {y : facets @ y <= 1}, one row per facet.  Its support function
+    max_{s,t} (x_s - x_t) . u is the spread of u . Lambda.  The facets are a
+    closed form where one applies (``_closed_form_facets``; always at
+    p = 1), else the polygon at p = 2 or qhull's.  ``differences`` are the
+    distinct x_s - x_t, 0 included, formed only within the size gates
+    (p <= 8, at most 1000 of them), else None.  Raises InvalidArgumentError
+    for a non-commuting set or a flat D (naming a u whose u . Lambda has
+    spread 0), and ResourceLimitError past the gates with no closed form.
     """
     p = gens.p
-    if not gens.commuting or p > _HULL_MAX_P:
-        return None
+    if not gens.commuting:
+        raise InvalidArgumentError("the difference body needs a commuting set")
     pts = distinct_patterns(gens)
-    # d points spanning R^p have at least (p + 1) d - p (p + 1) / 2 distinct
-    # differences (Freiman, Heppes and Uhrin 1989); points that do not span
-    # it have a flat D
-    if (p + 1) * len(pts) - p * (p + 1) // 2 > _HULL_LIMIT:
-        return None
     scale = float(np.max(np.ptp(pts, axis=0)))
-    diffs = _distinct_rows((pts[:, None] - pts[None]).reshape(-1, p), scale)
-    if len(diffs) > _HULL_LIMIT:
-        return None
-    facets = _closed_form_facets(pts, diffs, scale)
-    if facets is None:
+    values = [unique(pts[:, k]) for k in range(p)]
+    # d points spanning R^p have at least (p + 1) d - p (p + 1) / 2 distinct
+    # differences (Freiman, Heppes and Uhrin 1989), a product of value sets
+    # V_k at least prod_k (2 |V_k| - 1); points that do not span it have a flat D
+    at_least = (p + 1) * len(pts) - p * (p + 1) // 2
+    if math.prod(map(len, values)) == len(pts):
+        at_least = max(at_least, math.prod(2 * len(v) - 1 for v in values))
+    diffs = None
+    if p <= _HULL_MAX_P and at_least <= _HULL_LIMIT:
+        diffs = _distinct_rows((pts[:, None] - pts[None]).reshape(-1, p), scale)
+        diffs = diffs if len(diffs) <= _HULL_LIMIT else None
+    facets = _closed_form_facets(pts, values)
+    if facets is None and diffs is None:
+        raise ResourceLimitError(f"the difference body has no closed form and is past the size "
+                                 f"gates (p <= {_HULL_MAX_P}, at most {_HULL_LIMIT} differences)")
+    if facets is None and p == 2:
+        facets = _polygon_facets(diffs, scale)
+    elif facets is None:
         hull = ConvexHull(diffs)
-        if hull is None:
-            return None
         # n . y + c <= 0 with unit n and c < 0; the triangles of a facet share it
-        equations = unique(hull.equations)[0]
+        equations = np.empty((0, p + 1)) if hull is None else unique(hull.equations)[0]
         facets = equations[:, :-1] / -equations[:, -1:]
-    return (diffs, facets) if len(facets) else None
+    if not len(facets):
+        u = np.linalg.svd(pts - pts[0])[2][-1]
+        raise InvalidArgumentError(f"the difference body is flat: u . Lambda has spread 0 at "
+                                   f"u = {np.round(u / u[np.argmax(abs(u))], 6).tolist()}")
+    return diffs, facets
 
 
 def ConvexHull(points):
@@ -586,31 +597,33 @@ def ConvexHull(points):
         return None
 
 
-def _closed_form_facets(pts: np.ndarray, diffs: np.ndarray, scale: float):
-    """The facet rows of D in closed form, an empty array for a flat D, or
-    None where no closed form applies.
+def _closed_form_facets(pts: np.ndarray, values: list):
+    """The facet rows of D in closed form from the patterns and the value
+    set V_k of each coordinate, without their differences; an empty array
+    for a flat D, or None where no closed form applies.
 
-    - A product of per-coordinate value sets (fixed atoms) gives the box of
-      the coordinate ranges w_k, facets +-e_k / w_k.
+    - A product of the V_k (fixed atoms) gives the box of the coordinate
+      ranges w_k, facets +-e_k / w_k.
     - Patterns with at most one nonzero coordinate each, taking exactly the
       values +-a_k on axis k (free atoms), give the weighted l1 ball with
-      vertices +-2 a_k e_k, facets s / (2 a) for every sign vector s.
-    - In the plane, the convex polygon of the differences.
+      vertices +-2 a_k e_k, facets s / (2 a) for every sign vector s; past
+      2^16 rows it raises ResourceLimitError.
     """
     p = pts.shape[1]
-    values = [unique(pts[:, k]) for k in range(p)]
     if math.prod(map(len, values)) == len(pts):
         if min(map(len, values)) < 2:
             return np.empty((0, p))
-        widths = np.max(diffs, axis=0)
+        widths = np.ptp(pts, axis=0)
         return np.vstack([np.eye(p) / widths, -np.eye(p) / widths])
     axes = [v[v != 0] for v in values]
     if (np.all(np.count_nonzero(pts, axis=1) <= 1)
             and all(len(a) == 2 and a[0] == -a[1] for a in axes)):
-        signs = np.array(list(itertools.product((1.0, -1.0), repeat=p)))
+        if p > _AXIS_MAX_P:
+            raise ResourceLimitError(f"the l1 difference body at p={p} has 2^{p} facet rows, "
+                                     f"past the cap 2^{_AXIS_MAX_P}")
+        # row i is -1 at the set bits of i, the first coordinate the highest bit
+        signs = 1.0 - 2.0 * ((np.arange(2 ** p)[:, None] >> np.arange(p - 1, -1, -1)) & 1)
         return signs / (2.0 * np.array([a[1] for a in axes]))
-    if p == 2:
-        return _polygon_facets(diffs, scale)
     return None
 
 
@@ -647,12 +660,13 @@ def rotation_bound_ceiling(gens: GeneratorSet) -> float | None:
     For a commuting set the spread of u . Lambda is the support function of
     the ``difference_body`` D.  Over unit vectors u it is at least r, the
     inradius of D (1 over the largest facet row norm), so each of the p
-    terms of the bound sum is at most 1/r^2.  None wherever D is.
+    terms of the bound sum is at most 1/r^2.  None where D is not built.
     """
-    body = difference_body(gens)
-    if body is None:
+    try:
+        facets = difference_body(gens)[1]
+    except (InvalidArgumentError, ResourceLimitError):
         return None
-    return gens.p * float(np.max(np.sum(body[1] ** 2, axis=1)))
+    return gens.p * float(np.max(np.sum(facets ** 2, axis=1)))
 
 
 def _bound_sum(spreads, tol: float) -> float:

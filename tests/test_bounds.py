@@ -10,6 +10,7 @@ from hlbounds import (
     GeneratorSet,
     InvalidArgumentError,
     ReparamMatrix,
+    ResourceLimitError,
     allocate,
     build_fixed_atom_generators,
     build_free_atom_generators,
@@ -29,7 +30,7 @@ from hlbounds import (
     spread_variance_oracle,
 )
 import hlbounds.bounds as bounds_module
-from hlbounds.bounds import _GaugeSolver, sep_plus_value
+from hlbounds.bounds import sep_plus_value
 from hlbounds.operators import (
     difference_body,
     distinct_patterns,
@@ -269,12 +270,13 @@ def test_c_optimal_variance_against_design_scan():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("p", [3, 8], ids=["facets", "lp"])
+@pytest.mark.parametrize("p", [3, 8], ids=["facets", "box-past-gates"])
 def test_c_optimal_variance_rejects_a_nonfinite_direction(p, bad):
-    # fixed atoms build the difference body at p = 3 and solve LPs at p = 8;
-    # both paths refuse the direction before any arithmetic
+    # fixed atoms form their pattern differences at p = 3 and none past the
+    # size gates at p = 8; both read the box and refuse the direction before
+    # any arithmetic
     gens = build_fixed_atom_generators(p)
-    assert (_GaugeSolver(gens)._facets is None) == (p == 8)
+    assert (difference_body(gens)[0] is None) == (p == 8)
     c = np.ones(p)
     c[1] = bad
     with pytest.raises(InvalidArgumentError, match="finite"):
@@ -320,19 +322,14 @@ def test_c_optimal_variance_of_the_triangle():
     assert 4 / 9 * (1 - 1e-12) <= direct <= 4 / 9 * (1 + 1e-8)
 
 
-def test_scaled_design_keeps_its_facet_gauge(monkeypatch):
+def test_scaled_design_keeps_its_facet_gauge():
     # a set scaled by 1e-5 keeps its difference body (rounding is relative to
-    # the set's scale), so no query falls back to a linear program
-    calls = []
-    linprog = bounds_module.linprog
-    monkeypatch.setattr(bounds_module, "linprog",
-                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    # the set's scale), and every gauge scales with it
     gens = build_fixed_atom_generators(3)
     scaled = GeneratorSet(tuple(1e-5 * g.entries for g in gens.generators))
     for c in ([1.0, 0.0, 0.0], [1.0, 2.0, -0.5], [0.3, -1.0, 0.7]):
         assert c_optimal_variance(scaled, c) == pytest.approx(
             1e10 * c_optimal_variance(gens, c), rel=1e-12)
-    assert calls == []
 
 
 @pytest.mark.parametrize("scale", [1e-11, 1e-13])
@@ -441,25 +438,46 @@ def test_spread_oracle_scores_a_badly_scaled_matrix():
     ids=["fixed-atoms-3", "fixed-atoms-4", "free-atoms-4", "two-sector"],
 )
 def test_batched_gauges_equal_single_row_queries(build):
+    # the oracle's gauges of a stack equal c_optimal_variance on each row of
+    # each A^{-1}, the single-row matvec form, bit for bit
     gens = build()
-    solver = _GaugeSolver(gens)
-    assert solver._facets is not None
-    rows = np.random.default_rng(8).standard_normal((7, gens.p))
-    batched = solver.gauges(rows)
-    assert np.array_equal(batched, [solver.gauges(r[None])[0] for r in rows])
-    # the single-row matvec form: the largest facet value of each row
-    matvec = [float(np.max(solver._facets @ r)) for r in rows]
-    assert np.array_equal(batched, matvec)
+    stack = np.eye(gens.p) + 0.3 * np.random.default_rng(8).standard_normal((7, gens.p, gens.p))
+    batched = elfving_variance_oracle(gens, "cr").many(stack)
+    single = [[c_optimal_variance(gens, r) for r in b] for b in np.linalg.inv(stack)]
+    assert np.array_equal(batched, single)
+    assert np.array_equal(batched[0], _gauges(gens, np.linalg.inv(stack[0])) ** 2)
+
+
+def _gauges(gens, rows) -> np.ndarray:
+    """The gauge of each row of ``rows``: its largest facet value on the
+    ``difference_body``."""
+    facets = difference_body(gens)[1]
+    return np.array([float(np.max(facets @ r)) for r in rows])
+
+
+def _lp_gauge(gens, c) -> float:
+    """An independent reference for the gauge of c: the linear program
+    min ||beta||_1 / 2 subject to sum_s beta_s x_s = c, sum_s beta_s = 0 over
+    the distinct patterns x_s (such a beta splits into pairs e_s - e_t),
+    solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    pts = distinct_patterns(gens)
+    a_eq = np.vstack([pts.T, np.ones(len(pts))])
+    res = linprog(np.full(2 * a_eq.shape[1], 0.5), A_eq=np.hstack([a_eq, -a_eq]),
+                  b_eq=np.append(c, 0.0), bounds=(0, None), method="highs")
+    assert res.success
+    return float(res.fun)
 
 
 def test_lp_gauges_match_c_optimal_variance():
-    # 3^8 pattern differences exceed the hull's size gate, so every row is an LP
+    # 3^8 pattern differences are past the hull's size gate; the box needs
+    # none, and its squared gauges are the linear programs' squared values
     gens = build_fixed_atom_generators(8)
-    solver = _GaugeSolver(gens)
-    assert solver._facets is None
     rows = np.random.default_rng(9).standard_normal((3, 8))
-    squared = [g * g for g in solver.gauges(rows).tolist()]
-    assert squared == [c_optimal_variance(gens, r) for r in rows]
+    squared = [_lp_gauge(gens, r) ** 2 for r in rows]
+    np.testing.assert_allclose([c_optimal_variance(gens, r) for r in rows], squared,
+                               rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("build, gauge", [
@@ -469,12 +487,14 @@ def test_lp_gauges_match_c_optimal_variance():
 def test_lp_gauges_match_the_closed_form(build, gauge):
     # an independent reference: the fixed-atom patterns {-1/2, 1/2}^p have
     # the cube [-1, 1]^p as difference body, gauge max_k |c_k|; the free-atom
-    # patterns +-e_k / 2 have the unit cross-polytope, gauge sum_k |c_k|
+    # patterns +-e_k / 2 have the unit cross-polytope, gauge sum_k |c_k|.
+    # Both are past the hull's size gates, and both have facets
     gens = build()
-    solver = _GaugeSolver(gens)
-    assert solver._facets is None
+    assert difference_body(gens)[0] is None
     rows = np.random.default_rng(10).standard_normal((20, gens.p))
-    np.testing.assert_allclose(solver.gauges(rows), [gauge(r) for r in rows], rtol=1e-12, atol=0)
+    expected = [gauge(r) for r in rows]
+    np.testing.assert_allclose([_lp_gauge(gens, r) for r in rows], expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_gauges(gens, rows), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("build", [lambda: build_fixed_atom_generators(5),
@@ -483,10 +503,8 @@ def test_lp_gauges_match_the_closed_form(build, gauge):
                          ids=["fixed-atoms-5", "fixed-atoms-6", "free-atoms-6"])
 def test_facet_gauge_equals_the_lp_fallback(build):
     gens = build()
-    solver = _GaugeSolver(gens)
-    assert solver._facets is not None
     rows = np.random.default_rng(9).standard_normal((4, gens.p))
-    np.testing.assert_allclose(solver.gauges(rows), [solver._lp_gauge(r) for r in rows],
+    np.testing.assert_allclose(_gauges(gens, rows), [_lp_gauge(gens, r) for r in rows],
                                rtol=1e-12, atol=0)
 
 
@@ -572,10 +590,34 @@ def test_cr_design_floor_of_the_atom_models(p):
         assert bounds_module._design_floor(vectors) == pytest.approx(expected, rel=1e-12)
 
 
-def test_fixed_atoms_p8_search_uses_the_lp_backend():
-    # 3^8 pattern differences exceed the hull's size gate: the certified
-    # seed's gauges are linear programs
-    assert _GaugeSolver(build_fixed_atom_generators(8))._facets is None
+def test_fixed_atoms_p8_search_uses_the_box(monkeypatch):
+    # 3^8 pattern differences are past the hull's size gate, but the box
+    # needs none: its facets are +-e_k, and the CR search meets its floor 8
+    # at the Walsh-Hadamard seed without a linear program
+    gens = build_fixed_atom_generators(8)
+    diffs, facets = difference_body(gens)
+    assert diffs is None
+    np.testing.assert_array_equal(facets, np.vstack([np.eye(8), -np.eye(8)]))
+    monkeypatch.setattr(bounds_module, "linprog", None)
+    assert sep_plus_optimize(gens, "cr")[1].constant == 8.0
+
+
+@pytest.mark.parametrize("patterns, error, match", [
+    ([[1.0, 0.0], [0.0, 1.0]], InvalidArgumentError, r"flat: .* at u = \[1.0, 1.0\]"),
+    (np.random.default_rng(3).standard_normal((12, 9)), ResourceLimitError, "size gates"),
+], ids=["flat", "past-the-gates"])
+def test_a_set_without_a_difference_body_fails_before_any_search(monkeypatch, patterns, error,
+                                                                  match):
+    # patterns (1, 0) and (0, 1): Lambda_1 + Lambda_2 = I has spread 0, so D
+    # is a segment; twelve random patterns at p = 9 are neither a product nor
+    # an axis set, and past the hull's p <= 8
+    gens = GeneratorSet.from_patterns(patterns)
+    monkeypatch.setattr(bounds_module, "search_from_starts", None)
+    for call in (lambda: c_optimal_variance(gens, np.ones(gens.p)),
+                 lambda: elfving_variance_oracle(gens, "cr"),
+                 lambda: sep_plus_optimize(gens, "mm")):
+        with pytest.raises(error, match=match):
+            call()
 
 
 def test_search_runs_every_start_below_the_floor(minimize_runs):
@@ -775,6 +817,11 @@ def test_certified_floor_bounds_both_oracles(model, entries, paradigm):
         floor = max(floor, design)
     certified = bounds_module._certified_search_floor(gens, paradigm)
     assert certified == floor
+    if np.linalg.matrix_rank(pts - pts[0]) < p:
+        # a flat difference body: some u . Lambda has spread 0
+        with pytest.raises(InvalidArgumentError, match="flat"):
+            elfving_variance_oracle(gens, paradigm)
+        return
     value = sep_plus_value(a, elfving_variance_oracle(gens, paradigm), alpha)
     assert value >= certified * (1 - 1e-12)
 
@@ -821,12 +868,12 @@ def _scalar_angle_scan(alpha_beta, angle_grid):
     """The rotation-angle scan the closed form replaced: a uniform grid on
     [0, pi/2] and seven local refinements, one gauge query per angle."""
     alpha, beta = alpha_beta
-    solver = _GaugeSolver(build_two_sector_generators(alpha, beta))
+    gens = build_two_sector_generators(alpha, beta)
 
     def value(phi):
         c, s = math.cos(phi), math.sin(phi)
         total = 0.0
-        for g in solver.gauges(np.array([[c, s], [-s, c]])).tolist():
+        for g in _gauges(gens, np.array([[c, s], [-s, c]])).tolist():
             if not math.isfinite(g):
                 return math.inf
             total += g
@@ -875,8 +922,8 @@ def test_orthogonal_restricted_closed_form_is_the_gauge_sum_at_the_optimal_angle
     alpha, beta = alpha_beta
     phi = math.atan((alpha - beta) / (alpha + beta)) - math.pi / 4
     c, s = math.cos(phi), math.sin(phi)
-    solver = _GaugeSolver(build_two_sector_generators(alpha, beta))
-    value = float(np.sum(solver.gauges(np.array([[c, s], [-s, c]])))) ** 2
+    gens = build_two_sector_generators(alpha, beta)
+    value = float(np.sum(_gauges(gens, np.array([[c, s], [-s, c]])))) ** 2
     assert value == pytest.approx(orthogonal_restricted_sep_plus(alpha_beta), rel=1e-14, abs=0)
 
 

@@ -204,12 +204,13 @@ def _readme_commands():
 
 
 def test_readme_and_small_bounds_commands_load_no_scipy(tmp_path):
-    # numpy-only paths: the closed-form difference bodies, the in-package
-    # Nelder-Mead and CG.  scipy stays for qhull and the LP past the gates.
+    # numpy-only paths: the closed-form difference bodies, also past the
+    # hull's size gates, the in-package Nelder-Mead and CG.  scipy stays for
+    # qhull.
     commands = _readme_commands()
     assert len(commands) == 10
-    for model in ("fixed-atoms", "free-atoms"):
-        for p in range(1, 5):
+    for model, ps in (("fixed-atoms", range(1, 9)), ("free-atoms", (1, 2, 3, 4, 8, 16))):
+        for p in ps:
             for paradigm in ("cr", "mm"):
                 commands.append(["bounds", "--model", model, "--p", str(p),
                                  "--paradigm", paradigm])
@@ -326,6 +327,20 @@ def test_only_the_singularity_test_and_the_design_floor_take_a_determinant():
     assert outside == [] and inside == set(allowed)
 
 
+def test_no_function_solves_a_linear_program():
+    # every gauge reads the difference body's facets; ``bounds.linprog``
+    # stays bound for the benchmark's tracer, and nothing calls it
+    calls = []
+    for path in sorted((Path(hlbounds.__file__).resolve().parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "linprog":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [["table"], ["bounds", "--model", "pauli3", "--paradigm", "mm"]],
                          ids=["table", "pauli3-mm"])
 def test_registry_commands_run_no_search(capsys, minimize_runs, argv):
@@ -411,6 +426,19 @@ _EDGE_FLAGS = (
     *((command, {flag: _INT_EDGES + (str(cap + 1), str(10 ** 200))})
       for command, flag, cap in _CAPS),
 )
+
+
+def test_free_atom_bounds_past_the_l1_cap_fail_in_one_line():
+    # the l1 difference body at p = 17 would have 2^17 facet rows: refused
+    # when the Elfving oracle is built, before any search
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["bounds", "--model", "free-atoms", "--p", "17", "--paradigm", "cr"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
 
 # inputs that crashed, printed a wrong number or passed a negative seed, and
 # each cap + 1; each now ends in one error line

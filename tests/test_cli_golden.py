@@ -51,6 +51,10 @@ COMMANDS = {
     "bounds_fixed_p5_mm": ["bounds", "--model", "fixed-atoms", "--p", "5", "--paradigm", "mm"],
     "bounds_fixed_p6_cr": ["bounds", "--model", "fixed-atoms", "--p", "6", "--paradigm", "cr"],
     "bounds_fixed_p6_mm": ["bounds", "--model", "fixed-atoms", "--p", "6", "--paradigm", "mm"],
+    "bounds_fixed_p7_cr": ["bounds", "--model", "fixed-atoms", "--p", "7", "--paradigm", "cr"],
+    "bounds_fixed_p7_mm": ["bounds", "--model", "fixed-atoms", "--p", "7", "--paradigm", "mm"],
+    "bounds_fixed_p8_cr": ["bounds", "--model", "fixed-atoms", "--p", "8", "--paradigm", "cr"],
+    "bounds_fixed_p8_mm": ["bounds", "--model", "fixed-atoms", "--p", "8", "--paradigm", "mm"],
     "bounds_free_cr": ["bounds", "--model", "free-atoms", "--p", "3", "--paradigm", "cr"],
     "bounds_free_mm": ["bounds", "--model", "free-atoms", "--p", "4", "--paradigm", "mm"],
     "bounds_free_p5_mm": ["bounds", "--model", "free-atoms", "--p", "5", "--paradigm", "mm"],

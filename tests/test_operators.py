@@ -24,6 +24,7 @@ from hlbounds import (
     build_two_sector_generators,
     combine,
     eigenvalue_patterns,
+    elfving_variance_oracle,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
     rotated_spreads,
@@ -688,19 +689,54 @@ def test_flat_difference_body_gets_no_ceiling():
     assert rotation_bound_value(gens, walsh_hadamard(1)) == -math.inf
 
 
-@pytest.mark.parametrize("p, at_least, distinct", [(8, 2268, None), (7, 996, 2187)],
+@pytest.mark.parametrize("p, at_least, distinct", [(8, 2259, None), (7, 988, 2185)],
                          ids=["fixed-atoms-8", "fixed-atoms-7"])
 def test_size_gates_give_no_ceiling(monkeypatch, p, at_least, distinct):
-    # p=8 fails the Freiman-Heppes-Uhrin count (9 * 256 - 36 > 1000) before
-    # any difference is formed; p=7 passes it (8 * 128 - 28 = 996) but has
-    # 3^7 distinct differences.  Neither builds a hull.
+    # the fixed-atom patterns without (1/2, ..., 1/2): neither a product nor
+    # an axis set, so no closed form.  p=8 fails the Freiman-Heppes-Uhrin
+    # count (9 * 255 - 36 > 1000) before any difference is formed; p=7 passes
+    # it (8 * 127 - 28 = 988) but has 3^7 - 2 distinct differences.  Neither
+    # builds a hull, and the Elfving oracle refuses both when it is built
     monkeypatch.setattr(operators_module, "ConvexHull", None)
-    gens = build_fixed_atom_generators(p)
+    gens = GeneratorSet.from_patterns(eigenvalue_patterns(build_fixed_atom_generators(p))[1:])
     pts = eigenvalue_patterns(gens)
     assert (p + 1) * len(pts) - p * (p + 1) // 2 == at_least
     if distinct is not None:
         differences = np.unique((pts[:, None] - pts[None]).reshape(-1, p), axis=0)
         assert len(differences) == distinct
+    assert rotation_bound_ceiling(gens) is None
+    with pytest.raises(ResourceLimitError, match="size gates"):
+        elfving_variance_oracle(gens, "cr")
+
+
+def test_box_and_l1_bodies_past_the_gates_form_no_differences(monkeypatch):
+    # fixed atoms at p = 7..12 have the box, rotation ceiling p; free atoms at
+    # p = 9..16 the l1 ball, ceiling p^2.  No pattern difference is formed:
+    # ``_distinct_rows`` sees the patterns alone, never their pairs
+    distinct_rows = operators_module._distinct_rows
+
+    def patterns_only(x, scale):
+        assert len(x) <= gens.dim, "pattern differences were formed"
+        return distinct_rows(x, scale)
+
+    monkeypatch.setattr(operators_module, "_distinct_rows", patterns_only)
+    for p in range(7, 13):
+        gens = build_fixed_atom_generators(p)
+        diffs, facets = operators_module.difference_body(gens)
+        assert diffs is None
+        np.testing.assert_array_equal(facets, np.vstack([np.eye(p), -np.eye(p)]))
+        assert rotation_bound_ceiling(gens) == p
+    for p in range(9, 17):
+        gens = build_free_atom_generators(p)
+        diffs, facets = operators_module.difference_body(gens)
+        assert diffs is None and facets.shape == (2 ** p, p)
+        assert np.all(abs(facets) == 1.0)
+        assert len(operators_module.unique(facets)[0]) == 2 ** p
+        assert rotation_bound_ceiling(gens) == p * p
+    # past 2^16 rows the l1 body is refused
+    gens = build_free_atom_generators(17)
+    with pytest.raises(ResourceLimitError, match=r"2\^16"):
+        operators_module.difference_body(gens)
     assert rotation_bound_ceiling(gens) is None
 
 
@@ -766,7 +802,8 @@ def test_closed_forms_run_no_qhull(monkeypatch):
         np.testing.assert_array_equal(operators_module.difference_body(build(1))[1],
                                       [[1.0], [-1.0]])
     flat = GeneratorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    assert operators_module.difference_body(flat) is None
+    with pytest.raises(InvalidArgumentError, match="flat"):
+        operators_module.difference_body(flat)
 
 
 def test_other_sets_fall_back_to_qhull(monkeypatch):
