@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -55,6 +54,7 @@ from .operators import (
     structured_seeds,
     unique,
 )
+from .record import Record
 # ``minimize`` stays bound here, where the benchmark's tracer finds it
 from .solvers import minimize, search_from_starts  # noqa: F401
 
@@ -74,8 +74,7 @@ def paradigm_constants(paradigm: str) -> tuple[int, float]:
     raise InvalidArgumentError("paradigm must be 'cr' or 'mm'")
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(Record):
     """A leading-order asymptotic cost record.
 
     ``constant`` multiplies 1/(k n^2) in the CR paradigm and 1/N^2 in MM
@@ -84,16 +83,16 @@ class CostEstimate:
     strategy, such as the bounds of a bracket.
     """
 
-    paradigm: str
-    strategy: str
-    constant: float
-    p_exponent: int
-    status: str
-    provenance: str = ""
-    finite_n: bool = False
-    variant: str = ""
+    __slots__ = ("paradigm", "strategy", "constant", "p_exponent", "status", "provenance",
+                 "finite_n", "variant")
 
     _STATUSES = ("exact_asymptotic", "lower_bound", "upper_bound", "cited")
+
+    def __init__(self, paradigm: str, strategy: str, constant: float, p_exponent: int,
+                 status: str, provenance: str = "", finite_n: bool = False, variant: str = ""):
+        self._store(paradigm, strategy, constant, p_exponent, status, provenance, finite_n,
+                    variant)
+        self.__post_init__()
 
     def __post_init__(self):
         paradigm_constants(self.paradigm)
@@ -101,6 +100,10 @@ class CostEstimate:
             raise InvalidArgumentError(f"unknown status {self.status!r}")
         if not self.constant > 0:
             raise InvalidArgumentError("cost constant must be positive")
+
+    def replace(self, **changes) -> CostEstimate:
+        """A copy with the fields in ``changes`` replaced, validated again."""
+        return CostEstimate(**{name: getattr(self, name) for name in self.__slots__} | changes)
 
     @property
     def scaling(self) -> str:
@@ -122,19 +125,20 @@ class CostEstimate:
         }
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
+class AllocationPlan(Record):
     """Optimal split of a divisible resource across p independent tasks.
 
     With per-task constants c_i and variance c_i / x_i^alpha at share x_i,
     shares are proportional to c_i^(1/(alpha+1)) and the achievable total is
     (sum_i c_i^(1/(alpha+1)))^(alpha+1) in units of the full budget^alpha.
+    ``shares`` and ``total_constant`` are derived.
     """
 
-    alpha: int
-    c: np.ndarray
-    shares: np.ndarray = field(init=False)
-    total_constant: float = field(init=False)
+    __slots__ = ("alpha", "c", "shares", "total_constant")
+
+    def __init__(self, alpha: int, c: np.ndarray):
+        self._store(alpha, c)
+        self.__post_init__()
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)
@@ -442,8 +446,10 @@ _MAX_SWEEPS = 200
 class SweepResult(NamedTuple):
     """The end ``x`` (A, flattened) and value ``fun`` of one start's
     coordinate sweeps, with the ``sweeps`` run, the ``moves`` kept, and
-    ``converged``: the last sweep kept no move.  (A named tuple: a frozen
-    dataclass costs about 1 ms of every command's start-up.)"""
+    ``converged``: the last sweep kept no move.  (A named tuple, as every
+    plain record of the package is; the validated ones are ``Record``
+    classes.  A frozen dataclass costs about 0.7 ms of every command's
+    start-up.)"""
 
     x: np.ndarray
     fun: float

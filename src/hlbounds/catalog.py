@@ -14,8 +14,8 @@ bibliographic tag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def build_model(name: str, p: int, alpha: float, beta: float):
     raise InvalidArgumentError(f"unknown model {name!r}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One (paradigm, strategy) cost record of a benchmark model.
 
     ``estimate`` is the record at the reference p ``p_ref``; its leading
@@ -105,16 +104,15 @@ class CatalogEntry:
             # v n overflows for n past about 1e308 / v, where n / (n + 2) does not
             scaled = v * n
             constant = scaled / (n + 2) if math.isfinite(scaled) else v * (n / (n + 2))
-            return replace(self.estimate, constant=constant, finite_n=False)
-        return replace(self.estimate, constant=v)
+            return self.estimate.replace(constant=constant, finite_n=False)
+        return self.estimate.replace(constant=v)
 
     @property
     def computed(self) -> bool:
         return self.recompute is not None
 
 
-@dataclass(frozen=True)
-class ModelRecord:
+class ModelRecord(NamedTuple):
     """A benchmark model with its cost entries and attainability notes."""
 
     name: str
@@ -460,15 +458,15 @@ def bounds_rows(model: str, paradigm: str, p: int, n: int, alpha: float, beta: f
     gens = build_model(model, p, alpha, beta)
     rows = [
         sep_cost(per_parameter_spread_constants(gens, paradigm), paradigm),
-        replace(sep_plus_lower_bound(gens, paradigm), variant="lower"),
-        replace(sep_plus_optimize(gens, paradigm)[1], variant="search"),
-        replace(jnt_lower_bound(gens, paradigm), variant="rotation_bound"),
+        sep_plus_lower_bound(gens, paradigm).replace(variant="lower"),
+        sep_plus_optimize(gens, paradigm)[1].replace(variant="search"),
+        jnt_lower_bound(gens, paradigm).replace(variant="rotation_bound"),
     ]
     if model == "free-atoms" and paradigm == "mm":
         airy, ball = (e.at(p, n) for e in _free_mm_jnt_bracket())
         rows += [
-            replace(airy, variant="airy_lower"),
-            replace(ball, variant="ball_limit_upper"),
+            airy.replace(variant="airy_lower"),
+            ball.replace(variant="ball_limit_upper"),
             CostEstimate("mm", "jnt", float(p ** 2), 2, "lower_bound",
                          "cited: rotation bound as published (pi^2 bookkeeping dropped)",
                          variant="rotation_bound_as_published"),
@@ -485,7 +483,7 @@ def _two_sector_rows(paradigm, alpha, beta):
         CostEstimate("cr", "sep", sep_plus_value(identity, elfving_variance_oracle(gens, "cr"), 1),
                      0, "exact_asymptotic",
                      "computed: per-parameter nuisance-aware constants at identity"),
-        replace(sep_plus_optimize(gens, "cr")[1], variant="search"),
+        sep_plus_optimize(gens, "cr")[1].replace(variant="search"),
         CostEstimate("cr", "sep_plus", orthogonal_restricted_sep_plus((alpha, beta)),
                      0, "exact_asymptotic",
                      # worded before the closed form; perfbench/reference.json pins it

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
+from .record import Record
 from .solvers import search_from_starts
 
 logger = logging.getLogger(__name__)
@@ -59,11 +59,14 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
+class HermitianOperator(Record):
     """A finite-dimensional Hermitian matrix housing one evolution generator."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: np.ndarray):
+        self._store(entries)
+        self.__post_init__()
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
@@ -142,14 +145,17 @@ class GeneratorSet:
         return np.stack([g.entries for g in self.generators])
 
 
-@dataclass(frozen=True)
-class ReparamMatrix:
+class ReparamMatrix(Record):
     """A real invertible parameter-space transformation theta = A theta'.
 
     Invertibility is checked at construction.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: np.ndarray):
+        self._store(entries)
+        self.__post_init__()
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -447,8 +453,15 @@ def _sphere_objective(gens):
 
 def _diameter_direction(pts: np.ndarray):
     """Unit vector maximizing spread for a commuting set, via the diameter
-    of its distinct eigenvalue patterns (exact for commuting models)."""
+    of its distinct eigenvalue patterns (exact for commuting models).  A
+    product of coordinate value sets (fixed atoms) is a box, whose diameter
+    is its corner diagonal, the coordinate ranges w; other sets compare
+    every pair, up to 2048 patterns."""
     d = pts.shape[0]
+    if math.prod(len(unique(col)) for col in pts.T) == d:
+        w = np.ptp(pts, axis=0)
+        nrm = np.linalg.norm(w)
+        return w / nrm if nrm > 0.0 else None
     if d > 2048:
         return None  # pairwise diameter too large; other candidates still apply
     sq = np.sum(pts ** 2, axis=1)
@@ -465,8 +478,9 @@ def exact_max_spread(gens: GeneratorSet):
     """``(a, value)`` of the largest spread of a . Lambda over unit vectors a
     when it is computed exactly, else None.
 
-    Exact means a commuting set with at most 2048 distinct joint eigenvalue
-    patterns, whose diameter is found by comparing every pair.
+    Exact means a commuting set whose distinct joint eigenvalue patterns
+    form a product of coordinate value sets, or number at most 2048 (their
+    diameter is then found by comparing every pair).
     """
     if not gens.commuting:
         return None

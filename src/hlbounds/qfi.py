@@ -14,12 +14,12 @@ nuisance variances implement the epsilon -> 0+ limit semantics, returning
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedConfigurationError
 from .operators import GeneratorSet, generator_spreads
+from .record import Record
 from .states import PureState, evolve
 
 SYMMETRY_TOL = 1e-10
@@ -28,13 +28,15 @@ SATURABILITY_TOL = 1e-9
 SINGULARITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QfiMatrix:
+class QfiMatrix(Record):
     """A p x p quantum Fisher information matrix (symmetric PSD).  An eigenvalue
     <= SINGULARITY_TOL * max(scale, largest eigenvalue) counts as zero."""
 
-    entries: np.ndarray
-    scale: float = 1.0
+    __slots__ = ("entries", "scale")
+
+    def __init__(self, entries: np.ndarray, scale: float = 1.0):
+        self._store(entries, scale)
+        self.__post_init__()
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -55,12 +57,15 @@ class QfiMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class SaturabilityReport:
-    """Antisymmetric SLD overlap imaginary parts; zero means saturable."""
+class SaturabilityReport(Record):
+    """Antisymmetric SLD overlap imaginary parts; zero means saturable
+    (``saturable``, derived)."""
 
-    imag_parts: np.ndarray
-    saturable: bool = field(init=False)
+    __slots__ = ("imag_parts", "saturable")
+
+    def __init__(self, imag_parts: np.ndarray):
+        self._store(imag_parts)
+        self.__post_init__()
 
     def __post_init__(self):
         m = np.array(self.imag_parts, dtype=float)

@@ -25,7 +25,7 @@ search (the SEP+ coordinate sweeps of commuting sets).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Best vertex ``x`` and value ``fun`` of a simplex search, its
     iterations ``nit`` and evaluations ``nfev``; ``success`` is False when
     the search stopped at ``maxiter``."""

@@ -8,22 +8,25 @@ is computed by Hermitian eigendecomposition, exact to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .operators import GeneratorSet, combine
+from .record import Record
 
 NORM_TOL = 1e-12
 PHASE_N_CAP = 100_000  # the largest N of a phase probe: a 2^19-point pdf grid
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Record):
     """A normalized pure state given by its complex amplitude vector."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
+
+    def __init__(self, amplitudes: np.ndarray):
+        self._store(amplitudes)
+        self.__post_init__()
 
     def __post_init__(self):
         v = np.array(self.amplitudes, dtype=complex).reshape(-1)
@@ -39,12 +42,14 @@ class PureState:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
-class PhaseStateCoefficients:
+class PhaseStateCoefficients(Record):
     """Coefficients c_m, m = 0..N, of an N-excitation phase probe."""
 
-    N: int
-    c: np.ndarray
+    __slots__ = ("N", "c")
+
+    def __init__(self, N: int, c: np.ndarray):
+        self._store(N, c)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.N < 1:

@@ -26,11 +26,11 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidArgumentError, NumericalError, ResourceLimitError
+from .record import Record
 from .solvers import cg
 from .special import (
     MAX_ORDER,
@@ -51,22 +51,19 @@ BALL_P_MAX = 2 * MAX_ORDER + 2  # the Bessel order p/2 - 1 stays <= MAX_ORDER
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SimplexSpectrum:
+class SimplexSpectrum(Record):
     """Converged ground-state data of the cross-polytope Dirichlet problem,
     on the symmetry wedge: ``nodes`` (n, p) are the grid nodes with
     0 <= mu_1 <= ... <= mu_p, ``eigenvector`` is u on them and ``weights``
     their orbit sizes w, so sum(w u^2) = 1.  Unfolded, u takes a node's value
     on every permutation and sign choice of its coordinates: w grid nodes."""
 
-    p: int
-    h: float
-    E: float
-    iterations: int
-    residual: float
-    nodes: np.ndarray
-    eigenvector: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("p", "h", "E", "iterations", "residual", "nodes", "eigenvector", "weights")
+
+    def __init__(self, p: int, h: float, E: float, iterations: int, residual: float,
+                 nodes: np.ndarray, eigenvector: np.ndarray, weights: np.ndarray):
+        self._store(p, h, E, iterations, residual, nodes, eigenvector, weights)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.E > 0:
@@ -79,15 +76,15 @@ class SimplexSpectrum:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class AiryBoundResult:
+class AiryBoundResult(Record):
     """First Ai' zero, the three half-line integrals, and the p^3/N^2 coefficient."""
 
-    a_prime_zero: float
-    I_norm: float
-    I_mean: float
-    I_kinetic: float
-    constant: float
+    __slots__ = ("a_prime_zero", "I_norm", "I_mean", "I_kinetic", "constant")
+
+    def __init__(self, a_prime_zero: float, I_norm: float, I_mean: float, I_kinetic: float,
+                 constant: float):
+        self._store(a_prime_zero, I_norm, I_mean, I_kinetic, constant)
+        self.__post_init__()
 
     def __post_init__(self):
         if not -1.1 < self.a_prime_zero < -0.9:
@@ -273,17 +270,17 @@ def phase_cost_analytic(coeffs: PhaseStateCoefficients) -> float:
     return float(2.0 - 2.0 * np.real(np.sum(np.conj(c[1:]) * c[:-1])))
 
 
-@dataclass(frozen=True)
-class PhaseMeasurementModel:
+class PhaseMeasurementModel(Record):
     """Covariant-measurement outcome density p(u) = |sum_m c_m e^{imu}|^2/(2 pi)
     of the mismatch u on [-pi, pi), tabulated on a uniform grid of
     ``grid_points`` points: the least power of two that is at least 2^14
     and 4(N+1), computed from the coefficients."""
 
-    coeffs: PhaseStateCoefficients
-    grid_points: int = field(init=False, default=None)
-    u: np.ndarray = field(init=False, default=None)
-    pdf: np.ndarray = field(init=False, default=None)
+    __slots__ = ("coeffs", "grid_points", "u", "pdf")
+
+    def __init__(self, coeffs: PhaseStateCoefficients):
+        self._store(coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         g = max(MIN_PDF_GRID, 1 << (4 * (self.coeffs.N + 1) - 1).bit_length())

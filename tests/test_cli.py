@@ -152,20 +152,37 @@ def test_variational_airy(capsys):
     assert data["constant"] == pytest.approx(0.63, abs=0.01)
 
 
-def test_benchmark_tracer_binds_every_name():
-    # perfbench's traced child rebinds about 25 hlbounds names on any command
-    # (``special.airy_ai_with_prime``, ``bounds.linprog``, ``bounds.minimize``
-    # among them); a rename would crash every traced run
+def _traced_run(*argv):
+    """The report of perfbench's traced child on one command."""
     child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, str(child), "1", "variational", "airy"],
+    proc = subprocess.run([sys.executable, str(child), "1", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("PERFBENCH ")]
     assert len(lines) == 1
+    return json.loads(lines[0][len("PERFBENCH "):])
+
+
+def test_benchmark_tracer_binds_every_name():
+    # perfbench's traced child rebinds about 25 hlbounds names on any command
+    # (``special.airy_ai_with_prime``, ``bounds.linprog``, ``bounds.minimize``
+    # among them); a rename would crash every traced run
+    report = _traced_run("variational", "airy")
     # the a'_1 bisection: two bracket ends, 53 midpoints, and Ai(a'_1)
-    assert json.loads(lines[0][len("PERFBENCH "):])["hot"]["special.airy_ai_with_prime"][0] == 56
+    assert report["hot"]["special.airy_ai_with_prime"][0] == 56
+
+
+def test_benchmark_tracer_hooks_see_every_record_construction():
+    # the tracer patches ``__post_init__`` on the ReparamMatrix and
+    # PhaseMeasurementModel classes; a constructor that bypassed it would
+    # read 0 in the benchmark
+    report = _traced_run("bounds", "--model", "fixed-atoms", "--p", "4", "--paradigm", "mm")
+    assert report["hot"]["operators.reparam"][0] == 4
+    report = _traced_run("variational", "phase", "--family", "sin", "--mc-samples", "1000",
+                         "--N", "4", "--seed", "1")
+    assert "variational.phase_model" in [span[0] for span in report["spans"]]
 
 
 def _run_python(code, cwd=None, **env_vars):
@@ -178,6 +195,13 @@ def _run_python(code, cwd=None, **env_vars):
 def test_cli_import_leaves_out_scipy_integrate():
     # the Airy bound is a closed form: no command needs quadrature at import
     code = "import sys, hlbounds.cli; print('scipy.integrate' in sys.modules)"
+    assert _run_python(code) == "False\n"
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # no record is a dataclass: their code generation took about 10 ms of
+    # every command's start-up (numpy alone does not import dataclasses)
+    code = "import sys, numpy, hlbounds.cli; print('dataclasses' in sys.modules)"
     assert _run_python(code) == "False\n"
 
 

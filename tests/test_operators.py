@@ -399,6 +399,23 @@ def test_max_spread_fixed_atoms_p4():
     np.testing.assert_allclose(np.abs(a), 0.5, atol=1e-10)
 
 
+@pytest.mark.parametrize("patterns", [
+    eigenvalue_patterns(build_fixed_atom_generators(12)),
+    np.array([[x, y] for x in (-0.3, 0.1, 0.7) for y in (0.2, 1.5)]),
+], ids=["fixed-atoms-12", "asymmetric-3x2"])
+def test_max_spread_of_a_product_set_is_its_corner_diagonal(minimize_runs, patterns):
+    # fixed atoms at p = 12 have 4,096 distinct patterns, past the pairwise
+    # comparison; every product of value sets is a box, whose diameter is
+    # the diagonal of its coordinate ranges
+    gens = GeneratorSet.from_patterns(patterns)
+    a, value = max_spread_over_sphere(gens)
+    assert minimize_runs == []
+    widths = np.ptp(patterns, axis=0)
+    np.testing.assert_array_equal(a, widths / np.linalg.norm(widths))
+    assert value == operators_module._sphere_objective(gens)(widths)
+    assert value == pytest.approx(np.linalg.norm(widths), rel=1e-15)
+
+
 def test_max_spread_free_atoms():
     _, value = max_spread_over_sphere(build_free_atom_generators(3))
     assert value == pytest.approx(1.0, abs=1e-10)
