@@ -15,14 +15,13 @@ generator can be sensed undisturbed, or, for commuting sets, the exact
 nuisance-aware oracle: the c-optimal design value over the probes' joint
 eigenvalue patterns x_s, which is the squared gauge of c with respect to
 their difference body D = conv{x_s - x_t} (``c_optimal_variance``).  The
-reparametrization optimizer uses the latter by default on commuting sets.
+reparametrization optimizer uses the latter.
 
 Its gauges are D's largest facet values, and a set whose D is not built
 (a flat D, or a set past the size gates with no closed form) is refused
 when the oracle is built.  Its search (``sep_plus_optimize``) refines
-each start on a commuting set by coordinate sweeps over the entries of
-A^{-1}, each line of candidates valued by a rank-one update; on other
-sets by the Nelder-Mead simplex search of ``solvers``.
+each start by coordinate sweeps over the entries of A^{-1}, each line of
+candidates valued by a rank-one update, on commuting sets only.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .operators import (
     check_two_sector_strengths,
     difference_body,
     distinct_patterns,
-    exact_max_spread,
     generator_spreads,
     max_spread_over_sphere,
     nonsingular,
@@ -56,7 +54,7 @@ from .operators import (
 )
 from .record import Record
 # ``minimize`` stays bound here, where the benchmark's tracer finds it
-from .solvers import minimize, search_from_starts  # noqa: F401
+from .solvers import best_seed, minimize, search_from_starts  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -209,7 +207,8 @@ def spread_variance_oracle(gens: GeneratorSet, paradigm: str):
 
     Ignores nuisance parameters; a valid constant only when parameter i can
     be sensed undisturbed in the A-parametrization, a certified lower bound
-    per direction otherwise.
+    per direction otherwise.  Its SEP+ term i depends on the direction of
+    column a_i alone, so its infimum over A is ``sep_plus_lower_bound``.
     """
     _, factor = paradigm_constants(paradigm)
     spreads = rotated_spread_kernel(gens)
@@ -291,28 +290,22 @@ def sep_plus_lower_bound(gens: GeneratorSet, paradigm: str) -> CostEstimate:
     CR: p^2/(k n^2 L*^2); MM: p^3 pi^2/(N^2 L*^2), where L* is the maximal
     spread of a . Lambda over unit vectors a.
     """
-    alpha, _ = paradigm_constants(paradigm)
+    alpha, factor = paradigm_constants(paradigm)
     _, lam_star = max_spread_over_sphere(gens)
+    if lam_star <= spread_tolerance(gens):
+        raise InvalidArgumentError("a generator has degenerate spectrum")
     return CostEstimate(
         paradigm=paradigm,
         strategy="sep_plus",
-        constant=_spread_floor(gens, paradigm, lam_star),
+        constant=factor * gens.p ** (alpha + 1) / lam_star ** 2,
         p_exponent=alpha + 1,
         status="lower_bound",
         provenance="computed: single-vector spread maximization",
     )
 
 
-def _spread_floor(gens: GeneratorSet, paradigm: str, lam_star: float) -> float:
-    """p^2/L*^2 (CR) or p^3 pi^2/L*^2 (MM) for the largest combined spread L*."""
-    alpha, factor = paradigm_constants(paradigm)
-    if lam_star <= spread_tolerance(gens):
-        raise InvalidArgumentError("a generator has degenerate spectrum")
-    return factor * gens.p ** (alpha + 1) / lam_star ** 2
-
-
-def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
-    """A value no SEP+ search objective can go below, or None.
+def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float:
+    """A value no SEP+ search objective can go below.
 
     Column a_i of A gives a_i . Lambda a spread h at most |a_i| L*.  The
     spread is the difference body's support function at a_i, and row b_i of
@@ -320,15 +313,12 @@ def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float | None:
     Elfving value v_i, like the spread oracle's, is at least
     factor/(|a_i| L*)^2, every term [A^T A]_ii v_i of ``sep_plus_value`` at
     least factor/L*^2, and the sum at least the ``sep_plus_lower_bound``
-    constant, for every commuting set with an exact L* (``exact_max_spread``).
+    constant, and every set with a ``difference_body`` has an exact L*.
     In CR the larger of this and ``_design_floor`` on 2 (x_s - m) is
     returned, m the midrange of the patterns: 4 Cov_w <= sum_s w_s 4 (x_s -
     m)(x_s - m)^T for every m, so those designs dominate every QFI.
     """
-    exact = exact_max_spread(gens)
-    if exact is None:
-        return None
-    floor = _spread_floor(gens, paradigm, exact[1])
+    floor = sep_plus_lower_bound(gens, paradigm).constant
     pts = distinct_patterns(gens)
     centred = 2.0 * (pts - (pts.max(axis=0) + pts.min(axis=0)) / 2)
     design = _design_floor(centred) if paradigm == "cr" else None
@@ -416,7 +406,7 @@ def _difference_seed(gens: GeneratorSet, variance_oracle, alpha: int) -> list:
     ``difference_body`` has no differences or past ``_SEED_SUBSETS``).
     Scaling a row of A^{-1} leaves its term as it is, so each direction is
     kept once.  It meets two-sector's CR design floor."""
-    diffs = difference_body(gens)[0] if gens.commuting else None
+    diffs = difference_body(gens)[0]
     if diffs is None:
         return []
     diffs = diffs[np.any(diffs != 0, axis=1)]
@@ -551,23 +541,23 @@ def _coordinate_sweeps(facets, extent, variance_oracle, paradigm: str):
 
 
 def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
-    """Minimize the reparametrized separate cost over invertible A.
+    """Minimize the reparametrized separate cost over invertible A on a
+    commuting set.
 
     Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
-    two), for commuting sets the best inverse of difference directions
-    (``_difference_seed``), and fixed random starts, each refined
-    (``search_from_starts``): on commuting sets by coordinate sweeps over
-    the entries of A^{-1} (``_sweep``), each entry k over the spread of
-    generator k, else by the Nelder-Mead simplex search; singular
-    candidates score 1e300.  Returns ``(A, CostEstimate)`` with status
-    ``upper_bound`` on the true reparametrized-separate optimum.  A
-    commuting set whose ``difference_body`` is not built raises before any
-    search (``elfving_variance_oracle``).
+    two), the best inverse of difference directions (``_difference_seed``,
+    only when neither meets the floor) and fixed random starts, each refined
+    (``search_from_starts``) by coordinate sweeps over the entries of A^{-1}
+    (``_sweep``), each entry k over the spread of generator k.  Returns
+    ``(A, CostEstimate)`` with status ``upper_bound`` on the true
+    reparametrized-separate optimum.  A non-commuting set, whose
+    spread-oracle infimum is the ``sep_plus_lower_bound`` constant
+    (``spread_variance_oracle``), and a set whose ``difference_body`` is not
+    built raise before any search.
 
     The search stops at a seed within 1e-12 relative of a floor no
     candidate can beat: the ``sep_plus_lower_bound`` constant, or in CR the
-    joint-design floor when that is larger (see ``_certified_search_floor``),
-    for commuting sets whose largest combined spread is exact.  Free atoms
+    joint-design floor when larger (``_certified_search_floor``).  Free atoms
     reach it at the identity seed, fixed atoms at the Walsh-Hadamard seed
     when p is a power of two, and the two-sector model (CR) at the
     difference seed; fixed atoms at p=3 reach 2 + sqrt(3) there, above the
@@ -577,23 +567,26 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     """
     p = gens.p
     alpha, _ = paradigm_constants(paradigm)
-    oracle_factory = elfving_variance_oracle if gens.commuting else spread_variance_oracle
-    variance_oracle = oracle_factory(gens, paradigm)
+    if not gens.commuting:
+        raise InvalidArgumentError("sep_plus_optimize needs a commuting set; a non-commuting "
+                                   "set's spread-oracle SEP+ infimum is sep_plus_lower_bound")
+    variance_oracle = elfving_variance_oracle(gens, paradigm)
 
     def objective(_, points: list) -> list[float]:
-        # 1e300 where A is singular or the cost infinite
-        values = _sep_plus_values(np.array(points).reshape(-1, p, p), variance_oracle, alpha)
-        return [v if v < math.inf else 1e300 for v in values]
+        return _sep_plus_values(np.array(points).reshape(-1, p, p), variance_oracle, alpha)
 
-    seeds = structured_seeds(p) + _difference_seed(gens, variance_oracle, alpha) + [
-        np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
-        for seed in SEARCH_SEEDS]
-    options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": min(600 * p * p, 4000)}
+    floor = _certified_search_floor(gens, paradigm)
+    seeds = structured_seeds(p)
+    _, cost, target = best_seed(objective(None, seeds), floor)
+    if cost > target:
+        seeds += _difference_seed(gens, variance_oracle, alpha)
+    seeds += [np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
+              for seed in SEARCH_SEEDS]
     local = _coordinate_sweeps(difference_body(gens)[1], generator_spreads(gens),
-                               variance_oracle, paradigm) if gens.commuting else None
+                               variance_oracle, paradigm)
     _, best_a, best_val = search_from_starts(
-        logger, "sep_plus_optimize", objective, [np.ravel(s) for s in seeds], options,
-        certified=_certified_search_floor(gens, paradigm), local=local)
+        logger, "sep_plus_optimize", objective, [np.ravel(s) for s in seeds],
+        certified=floor, local=local)
     estimate = CostEstimate(
         paradigm=paradigm,
         strategy="sep_plus",

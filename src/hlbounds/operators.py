@@ -712,10 +712,10 @@ def _skew_to_orthogonal(x: np.ndarray, p: int) -> np.ndarray:
 def optimize_orthogonal_bound(gens: GeneratorSet):
     """Maximize sum_i 1/spread([O^T Lambda]_i)^2 over orthogonal O.
 
-    Returns ``(ReparamMatrix, value)``.  The identity and (when p is a power
-    of two) the Walsh-Hadamard transform are evaluated; local searches over
-    O = O_seed exp(skew) start from them and from fixed random seeds.  The
-    value is a certified lower bound on the supremum.  A rotation with a
+    Returns ``(ReparamMatrix, value)``.  The identity, the Walsh-Hadamard
+    transform (when p is a power of two) and fixed random rotations are
+    evaluated; local searches over O = O_seed exp(skew) start from each.
+    The value is a certified lower bound on the supremum.  A rotation with a
     degenerate spread scores -1e300, and the search raises only when every
     candidate is degenerate.
 
@@ -742,12 +742,10 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
                   for i, x in zip(indices, points)]
         return [v if v > -math.inf else -1e300 for v in values]
 
-    # only the structured starts are seeds, which need no eigensolver
     start, x, best_val = search_from_starts(
         logger, "optimize_orthogonal_bound", bound, starts,
         {"xatol": 1e-9, "fatol": 1e-11, "maxiter": 400 * max(nvars, 1)},
-        certified=rotation_bound_ceiling(gens), maximize=True,
-        seeds=len(starts) - len(SEARCH_SEEDS))
+        certified=rotation_bound_ceiling(gens), maximize=True)
     if best_val == -1e300:
         raise InvalidArgumentError("every rotation candidate had a degenerate spread")
     return ReparamMatrix(bases[start] @ _skew_to_orthogonal(x, p)), best_val

@@ -19,7 +19,7 @@ are bit-identical to scipy's from the same start.
 
 ``search_from_starts`` is the multi-start policy of the sphere, rotation
 and SEP+ searches, on ``minimize_lockstep`` or on a caller's own local
-search (the SEP+ coordinate sweeps of commuting sets).
+search (the SEP+ coordinate sweeps).
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def minimize_lockstep(fun_many, x0s, options) -> tuple[list[MinimizeResult], int
     return results, rounds
 
 
-def search_from_starts(logger, name, score, x0s, options, certified=None, maximize=False,
-                       seeds=None, local=None):
+def search_from_starts(logger, name, score, x0s, options=None, certified=None, maximize=False,
+                       local=None):
     """The multi-start search ``name``: the best of the starts ``x0s`` and of
     the Nelder-Mead searches (``options``) from them, as ``(start, x,
     value)``, ``x`` from start index ``start``.  ``local(x0s) -> (results,
@@ -103,26 +103,22 @@ def search_from_starts(logger, name, score, x0s, options, certified=None, maximi
     and a summary for the log.
 
     ``score(starts, points) -> values`` scores points of the given starts,
-    to be minimized, or maximized when ``maximize`` is set.  The first
-    ``seeds`` starts (every start by default) are scored in one call as
-    seeds; the search stops there when the best is within
-    1e-12 relative of ``certified``, a floor no value goes below (a ceiling
-    none exceeds when maximizing).  Otherwise every start runs, in lockstep
-    (``minimize_lockstep``) or through ``local``, and the results are taken
-    in start order up to the first that reaches the certificate.  A value
-    replaces the best only when better by more than 1e-12 relative
+    to be minimized, or maximized when ``maximize`` is set.  Every start is
+    scored in one call as a seed; the search stops there when the best is
+    within 1e-12 relative of ``certified``, a floor no value goes below (a
+    ceiling none exceeds when maximizing).  Otherwise every start runs, in
+    lockstep (``minimize_lockstep``) or through ``local``, and the results
+    are taken in start order up to the first that reaches the certificate.
+    A value replaces the best only when better by more than 1e-12 relative
     (``_beats``).  ``logger`` gets DEBUG records of the search (rounds,
     evaluations and unconverged starts, or ``local``'s summary), of each
     start taken (its ``record``) and of the stop, with the winning seed or
     search.
     """
     sign = -1 if maximize else 1
-    target = -math.inf if certified is None else sign * certified * (1 + sign * 1e-12)
     starts = list(range(len(x0s)))
-    best_cost, best = math.inf, None
-    for start, value in zip(starts, score(starts[:seeds], x0s[:seeds])):
-        if _beats(sign * value, best_cost):
-            best_cost, best, origin = sign * value, (start, x0s[start]), f"seed {start}"
+    seed, best_cost, target = best_seed(score(starts, x0s), certified, sign)
+    best, origin = (None, None) if seed is None else ((seed, x0s[seed]), f"seed {seed}")
     if best_cost > target:
         if local is None:
             fun_many = (lambda s, points: [-v for v in score(s, points)]) if maximize else score
@@ -145,6 +141,18 @@ def search_from_starts(logger, name, score, x0s, options, certified=None, maximi
             best_cost, best = float(res.fun), (start, res.x)
             origin = f"the search from start {start}"
     return (*best, sign * best_cost)
+
+
+def best_seed(values, certified, sign: int = 1):
+    """``(seed, cost, target)`` of the seed stage of ``search_from_starts``:
+    the index and value sign * value of the best of ``values`` by ``_beats``
+    (None and +inf when none beats +inf), and the largest cost within 1e-12
+    relative of ``certified``; the search stops there when cost <= target."""
+    seed, cost = None, math.inf
+    for i, value in enumerate(values):
+        if _beats(sign * value, cost):
+            seed, cost = i, sign * value
+    return seed, cost, -math.inf if certified is None else sign * certified * (1 + sign * 1e-12)
 
 
 def _beats(cost, best: float) -> bool:

@@ -35,7 +35,10 @@ from hlbounds.operators import (
     difference_body,
     distinct_patterns,
     exact_max_spread,
+    max_spread_over_sphere,
+    optimize_orthogonal_bound,
     rotation_bound_ceiling,
+    spread_ceiling,
 )
 
 PI2 = math.pi ** 2
@@ -521,20 +524,21 @@ def test_reused_oracle_equals_a_fresh_one(factory):
 
 def test_search_logs_every_nelder_mead_run(caplog, minimize_runs):
     runs = minimize_runs
-    # sigma_x, sigma_y do not commute, so there is no floor and every start runs
-    with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
-        sep_plus_optimize(build_pauli_generators("xy"), "cr")
-    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
-    assert len(messages) == len(runs) + 1 and len(runs) >= 5
+    # the free-atom rotation search at p = 3, the Nelder-Mead search the
+    # command line runs: no seed meets the ceiling, so every start runs
+    with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
+        optimize_orthogonal_bound(build_free_atom_generators(3))
+    messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.operators"]
+    assert len(messages) == len(runs) + 1 and len(runs) == 4
     # each round scores one point of every unfinished start, so the rounds
     # are the largest start's evaluations
     assert messages[0] == (
-        f"sep_plus_optimize searched {len(runs)} starts in "
+        f"optimize_orthogonal_bound searched {len(runs)} starts in "
         f"{max(res.nfev for res in runs)} batched rounds: "
         f"nfev={sum(res.nfev for res in runs)}, "
         f"{sum(not res.success for res in runs)} unconverged")
     for start, (msg, res) in enumerate(zip(messages[1:], runs)):
-        assert msg.startswith(f"sep_plus_optimize start {start}: nfev={res.nfev} ")
+        assert msg.startswith(f"optimize_orthogonal_bound start {start}: nfev={res.nfev} ")
         assert f"success={res.success}" in msg
 
 
@@ -560,16 +564,21 @@ TWO_SECTOR_PAIRS = ((1.0, 0.5), (1.0, 0.3), (1.0, 0.4), (1.0, 0.6), (2.0, 1.0), 
     ids=["fixed-atoms-2-cr", "fixed-atoms-4-mm", "free-atoms-4-mm", "fixed-atoms-8-mm"]
     + [f"two-sector-{a}-{b}-cr" for a, b in TWO_SECTOR_PAIRS],
 )
-def test_search_stops_at_a_seed_on_the_floor(caplog, minimize_runs, gens, paradigm,
-                                             winner, closed_form):
+def test_search_stops_at_a_seed_on_the_floor(caplog, monkeypatch, minimize_runs, gens,
+                                             paradigm, winner, closed_form):
     # fixed atoms meet p^2 pi^2 at the Walsh-Hadamard seed (1), free atoms
     # p^3 pi^2 at the identity (0); two-sector meets the CR design floor, its
-    # joint constant, at the difference seed (2)
+    # joint constant, at the difference seed (2), which is built only when
+    # no structured seed meets the floor
     floor = bounds_module._certified_search_floor(gens, paradigm)
     assert floor >= sep_plus_lower_bound(gens, paradigm).constant
+    built, difference_seed = [], bounds_module._difference_seed
+    monkeypatch.setattr(bounds_module, "_difference_seed",
+                        lambda *args: built.append(1) or difference_seed(*args))
     with caplog.at_level(logging.DEBUG, logger="hlbounds.bounds"):
         _, est = sep_plus_optimize(gens, paradigm)
     assert minimize_runs == []
+    assert len(built) == (winner == 2)
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     assert len(messages) == 1
     assert messages[0].startswith(
@@ -620,18 +629,63 @@ def test_a_set_without_a_difference_body_fails_before_any_search(monkeypatch, pa
             call()
 
 
-def test_search_runs_every_start_below_the_floor(minimize_runs):
-    # Pauli xy: the set does not commute, so no floor certifies a seed and
-    # Nelder-Mead runs from the identity, the Walsh-Hadamard seed and 3
-    # random starts; none gets below the floor 4 by more than rounding, and
-    # the identity's exact 4 stays the best
-    gens = build_pauli_generators("xy")
-    assert sep_plus_lower_bound(gens, "cr").constant == pytest.approx(4.0)
-    assert bounds_module._certified_search_floor(gens, "cr") is None
-    _, est = sep_plus_optimize(gens, "cr")
-    assert len(minimize_runs) == 5
-    assert all(res.fun >= 4.0 * (1 - 1e-15) for res in minimize_runs)
-    assert est.constant == 4.0
+def _random_qutrit_pair():
+    """Two seeded random Hermitian 3 x 3 generators, which do not commute."""
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    return GeneratorSet(tuple(z + z.conj().transpose(0, 2, 1)))
+
+
+NON_COMMUTING = {"pauli-xy": lambda: build_pauli_generators("xy"),
+                 "pauli-xyz": lambda: build_pauli_generators("xyz"),
+                 "random-qutrit-pair": _random_qutrit_pair}
+
+
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+@pytest.mark.parametrize("name", list(NON_COMMUTING))
+def test_non_commuting_sep_plus_search_is_refused_before_any_search(monkeypatch, minimize_runs,
+                                                                     name, paradigm):
+    # its answer is the sep_plus_lower_bound constant, with no search
+    gens = NON_COMMUTING[name]()
+    assert not gens.commuting
+    monkeypatch.setattr(bounds_module, "search_from_starts", None)
+    monkeypatch.setattr(bounds_module, "max_spread_over_sphere", None)
+    with pytest.raises(InvalidArgumentError, match="commuting set; .* sep_plus_lower_bound"):
+        sep_plus_optimize(gens, paradigm)
+    assert minimize_runs == []
+
+
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+@pytest.mark.parametrize("components", ["xy", "xyz"])
+def test_spread_oracle_sep_plus_is_never_below_the_floor(components, paradigm):
+    # term i of the spread oracle's SEP+ value is factor / spread(a_i . Lambda
+    # / |a_i|)^2, at least factor / L*^2; the Pauli L* = 1 meets the Mirsky
+    # ceiling, so the floor is exact, and no random A gets below it by more
+    # than rounding
+    gens = build_pauli_generators(components)
+    assert max_spread_over_sphere(gens)[1] == pytest.approx(spread_ceiling(gens), rel=1e-12)
+    alpha, _ = paradigm_constants(paradigm)
+    floor = sep_plus_lower_bound(gens, paradigm).constant
+    stack = np.random.default_rng(11).standard_normal((1000, gens.p, gens.p))
+    values = bounds_module._sep_plus_values(stack, spread_variance_oracle(gens, paradigm), alpha)
+    assert all(math.isfinite(v) for v in values)
+    assert min(values) >= floor * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+@pytest.mark.parametrize("name", list(NON_COMMUTING))
+def test_columns_tilted_toward_the_largest_spread_reach_the_floor(name, paradigm):
+    # every column within 1e-6 of the direction u of the largest spread: each
+    # term is within rounding of factor / L*^2, so the spread oracle's SEP+
+    # value is the floor, its infimum.  The terms are summed by ``allocate``,
+    # the same power mean, since at p = 3 ``nonsingular`` refuses so flat an A
+    gens = NON_COMMUTING[name]()
+    alpha, _ = paradigm_constants(paradigm)
+    u = max_spread_over_sphere(gens)[0]
+    a = u[:, None] + 1e-6 * np.random.default_rng(12).standard_normal((gens.p, gens.p))
+    terms = np.sum(a * a, axis=0) * spread_variance_oracle(gens, paradigm).many(a[None])[0]
+    floor = sep_plus_lower_bound(gens, paradigm).constant
+    assert allocate(terms, alpha).total_constant == pytest.approx(floor, rel=1e-9, abs=0)
 
 
 def test_search_certified_by_its_first_start(caplog, monkeypatch, minimize_runs):
@@ -803,7 +857,7 @@ def test_certified_floor_bounds_both_oracles(model, entries, paradigm):
     # a well-conditioned A keeps the rotated generators linearly independent
     assume(np.linalg.cond(a) < 1e3)
     a = ReparamMatrix(a)
-    floor = bounds_module._spread_floor(gens, paradigm, exact[1])
+    floor = sep_plus_lower_bound(gens, paradigm).constant
     value = sep_plus_value(a, spread_variance_oracle(gens, paradigm), alpha)
     assert value >= floor * (1 - 1e-12)
     # symmetric or not: the spread floor, and in CR the design floor on the

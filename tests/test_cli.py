@@ -331,6 +331,15 @@ def test_only_solvers_runs_nelder_mead():
     assert callers == {"solvers"}
 
 
+def test_every_bounds_search_passes_its_own_local_search():
+    # search_from_starts runs Nelder-Mead when no ``local`` is given; the SEP+
+    # search sweeps coordinates and must not fall back to it unnoticed
+    path = Path(hlbounds.__file__).resolve().parent / "bounds.py"
+    calls = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "search_from_starts"]
+    assert calls and all(any(k.arg == "local" for k in call.keywords) for call in calls)
+
+
 def test_only_the_singularity_test_and_the_design_floor_take_a_determinant():
     # one singularity rule for every A (operators.nonsingular_scaled); the
     # design floor's test is on a Gram matrix, not on a reparametrization

@@ -12,23 +12,24 @@ from scipy.sparse.linalg import cg as scipy_cg
 
 import hlbounds.solvers as solvers_module
 import hlbounds.variational as variational_module
-from hlbounds import build_pauli_generators, sep_plus_optimize, simplex_ground_energy
+from hlbounds import build_free_atom_generators, optimize_orthogonal_bound, simplex_ground_energy
 from hlbounds.solvers import cg, minimize, minimize_lockstep, search_from_starts
 
 
-def _sep_plus_search(monkeypatch):
-    # the first search of sep_plus_optimize on Pauli xy in CR (from the
-    # identity), with the batched objective that function hands to the
-    # lockstep search, scoring one point per call; commuting sets with a
-    # difference body run coordinate sweeps instead
+def _rotation_search(monkeypatch):
+    # start 1 (the first random one, with shrink steps) of the lockstep call
+    # of the free-atom rotation search at p = 3, the Nelder-Mead search that
+    # the command line runs, with the batched objective that function hands
+    # to the lockstep search, scoring one point per call
     calls = []
 
     def recording(fun_many, x0s, options):
-        calls.append((lambda x: fun_many([0], [x])[0], np.array(x0s[0]), (), options[0]))
+        calls.append((lambda x: fun_many([1], [x])[0], np.array(x0s[1]), (), options[1]))
         return minimize_lockstep(fun_many, x0s, options)
 
-    monkeypatch.setattr(solvers_module, "minimize_lockstep", recording)
-    sep_plus_optimize(build_pauli_generators("xy"), "cr")
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers_module, "minimize_lockstep", recording)
+        optimize_orthogonal_bound(build_free_atom_generators(3))
     return calls[0]
 
 
@@ -37,15 +38,15 @@ def _rosenbrock(x, shift):
 
 
 def _walled_bowl(x):
-    # 1e300 on the half-plane x0 < 0.3, as the searches score a singular A;
-    # the bowl's own minimum lies beyond that wall
+    # 1e300 on the half-plane x0 < 0.3, as the rotation search scores a
+    # degenerate rotation; the bowl's own minimum lies beyond that wall
     if x[0] < 0.3:
         return 1e300
     return float((x[0] + 0.2) ** 2 + 3.0 * (x[1] + 0.4) ** 2 + 0.5 * x[0] * x[1])
 
 
 MINIMIZE_CASES = {
-    "sep-plus-pauli-xy-cr": _sep_plus_search,
+    "rotation-free-atoms-3": _rotation_search,
     "stopped-at-maxiter": lambda _: (
         _rosenbrock, np.array([-1.2, 1.0, 0.5, 0.0]), (0.25,),
         {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 60}),
@@ -70,9 +71,9 @@ def test_minimize_matches_scipy_nelder_mead(monkeypatch, name):
 
 
 def test_lockstep_searches_match_scipy_nelder_mead(monkeypatch):
-    # every case in one lockstep batch: the SEP+ search (4 variables, with
-    # shrink steps), the maxiter stop (4) and the 1e300 wall (2, with shrink
-    # steps); each point goes to the objective of its start
+    # every case in one lockstep batch: the rotation search (3 variables,
+    # with shrink steps), the maxiter stop (4) and the 1e300 wall (2, with
+    # shrink steps); each point goes to the objective of its start
     cases = [MINIMIZE_CASES[name](monkeypatch) for name in MINIMIZE_CASES]
     batches = []
 
@@ -115,29 +116,26 @@ _OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400}
 
 _ON_THE_MINIMUM = [_BASIN_STARTS[0], np.array([1.0, 1.0])] + _BASIN_STARTS[2:]
 
-# (objective, starts, seeds, certificate)
+# (objective, starts, certificate)
 SEARCH_CASES = {
     # seed 1 sits at the minimum, taken as the certificate: no search runs
-    "seed-stop": (_two_basins, _ON_THE_MINIMUM, None, "seed 1"),
-    # the same with start 0 the only seed: the search from start 1 stays
-    # at the minimum and stops the fold there
-    "unscored-seed": (_two_basins, _ON_THE_MINIMUM, 1, "seed 1"),
+    "seed-stop": (_two_basins, _ON_THE_MINIMUM, "seed 1"),
     # start 0 stays in the second basin; the value the search from start 1
     # reaches is the certificate, so starts 2-3 are dropped
-    "search-stop": (_two_basins, _BASIN_STARTS, None, "start 1"),
+    "search-stop": (_two_basins, _BASIN_STARTS, "start 1"),
     # seed 1 is 1.9e-13 better than seed 0 and no search gets 1e-12
     # relative past it: seed 0 stays the best
     "tie": (_plateau, [np.array([2.0, 0.0]), np.array([-2.0, 0.0]), np.array([0.5, 0.5])],
-            None, None),
+            None),
 }
 
 
-def _sequential_fold(logger, name, score, x0s, options, certified, maximize, seeds):
-    """The multi-start policy one start at a time: every seed, then each
-    start's own search in start order until the certificate."""
+def _sequential_fold(logger, name, score, x0s, options, certified, maximize):
+    """The multi-start policy one start at a time: every start as a seed,
+    then each start's own search in start order until the certificate."""
     sign = -1 if maximize else 1
     best, origin = None, None
-    for k, x in enumerate(x0s[:seeds]):
+    for k, x in enumerate(x0s):
         v = score([k], [x])[0]
         if best is None or sign * v < sign * best[2] - 1e-12 * abs(best[2]):
             best, origin = (k, x, v), f"seed {k}"
@@ -160,7 +158,7 @@ def _sequential_fold(logger, name, score, x0s, options, certified, maximize, see
 def test_search_from_starts_equals_the_sequential_fold(caplog, minimize_runs, name, maximize):
     # maximizing 10 - f keeps the values positive, as every floor and
     # ceiling of the package is
-    fun, x0s, seeds, stop = SEARCH_CASES[name]
+    fun, x0s, stop = SEARCH_CASES[name]
     sign = -1 if maximize else 1
 
     def score(starts, points):
@@ -174,10 +172,9 @@ def test_search_from_starts_equals_the_sequential_fold(caplog, minimize_runs, na
                                     options=_OPTIONS).fun
     logger = logging.getLogger("hlbounds.test_search")
     with caplog.at_level(logging.DEBUG, logger=logger.name):
-        want = _sequential_fold(logger, "toy", score, x0s, _OPTIONS, certified, maximize, seeds)
+        want = _sequential_fold(logger, "toy", score, x0s, _OPTIONS, certified, maximize)
         n_want, earlier_runs = len(caplog.records), len(minimize_runs)
-        got = search_from_starts(logger, "toy", score, x0s, _OPTIONS, certified, maximize,
-                                 seeds)
+        got = search_from_starts(logger, "toy", score, x0s, _OPTIONS, certified, maximize)
     messages = [r.getMessage() for r in caplog.records]
     runs = minimize_runs[earlier_runs:]
     assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
