@@ -40,8 +40,6 @@ from .operators import (
     GeneratorSet,
     ReparamMatrix,
     check_two_sector_strengths,
-    difference_body,
-    distinct_patterns,
     generator_spreads,
     max_spread_over_sphere,
     nonsingular,
@@ -54,7 +52,7 @@ from .operators import (
 )
 from .record import Record
 # ``minimize`` stays bound here, where the benchmark's tracer finds it
-from .solvers import best_seed, minimize, search_from_starts  # noqa: F401
+from .solvers import minimize, search_from_starts  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -180,7 +178,8 @@ def linprog(*args, **kwargs):
 
 def c_optimal_variance(gens: GeneratorSet, c) -> float:
     """Smallest achievable c^T F^{-1} c over input states, commuting sets:
-    the squared gauge of c with respect to the ``difference_body`` D.
+    the squared gauge of c with respect to the difference body D
+    (``PatternGeometry.body``).
 
     The QFIs are F_w = 4 Cov_w over probe weights w on the patterns x_s, and
     u^T F_w u <= h_D(u)^2, the squared spread of u . Lambda (Popoviciu), so
@@ -189,14 +188,14 @@ def c_optimal_variance(gens: GeneratorSet, c) -> float:
     of these bounds.  It is the exact per-direction constant with the other
     parameters as nuisance.  Raises where D is not built: InvalidArgumentError
     for a flat D (some u . Lambda has spread 0), ResourceLimitError past the
-    size gates with no closed form (``difference_body``).
+    size gates with no closed form.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (gens.p,):
         raise InvalidArgumentError(f"direction has shape {c.shape}, expected ({gens.p},)")
     if not np.all(np.isfinite(c)):
         raise InvalidArgumentError("direction must be finite")
-    g = float(np.max(difference_body(gens)[1] @ c))
+    g = float(np.max(gens.geometry.body[1] @ c))
     return g * g
 
 
@@ -239,7 +238,7 @@ def elfving_variance_oracle(gens: GeneratorSet, paradigm: str):
     (``c_optimal_variance``).  Raises as ``c_optimal_variance`` does when
     it is built, before any query."""
     _, factor = paradigm_constants(paradigm)
-    facets = difference_body(gens)[1]
+    facets = gens.geometry.body[1]
 
     def many(stack: np.ndarray) -> np.ndarray:
         rows = np.linalg.inv(stack).reshape(-1, gens.p)
@@ -313,13 +312,13 @@ def _certified_search_floor(gens: GeneratorSet, paradigm: str) -> float:
     Elfving value v_i, like the spread oracle's, is at least
     factor/(|a_i| L*)^2, every term [A^T A]_ii v_i of ``sep_plus_value`` at
     least factor/L*^2, and the sum at least the ``sep_plus_lower_bound``
-    constant, and every set with a ``difference_body`` has an exact L*.
+    constant, and every set with a difference body has an exact L*.
     In CR the larger of this and ``_design_floor`` on 2 (x_s - m) is
     returned, m the midrange of the patterns: 4 Cov_w <= sum_s w_s 4 (x_s -
     m)(x_s - m)^T for every m, so those designs dominate every QFI.
     """
     floor = sep_plus_lower_bound(gens, paradigm).constant
-    pts = distinct_patterns(gens)
+    pts = gens.geometry.patterns
     centred = 2.0 * (pts - (pts.max(axis=0) + pts.min(axis=0)) / 2)
     design = _design_floor(centred) if paradigm == "cr" else None
     return float(floor if design is None else max(floor, design))
@@ -403,10 +402,10 @@ _SEED_SUBSETS = 3000
 def _difference_seed(gens: GeneratorSet, variance_oracle, alpha: int) -> list:
     """[A] for the A of least ``sep_plus_value`` on ``variance_oracle`` whose
     inverse has p distinct difference directions as rows ([] where the
-    ``difference_body`` has no differences or past ``_SEED_SUBSETS``).
+    difference body has no differences or past ``_SEED_SUBSETS``).
     Scaling a row of A^{-1} leaves its term as it is, so each direction is
     kept once.  It meets two-sector's CR design floor."""
-    diffs = difference_body(gens)[0]
+    diffs = gens.geometry.body[0]
     if diffs is None:
         return []
     diffs = diffs[np.any(diffs != 0, axis=1)]
@@ -544,15 +543,16 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     """Minimize the reparametrized separate cost over invertible A on a
     commuting set.
 
-    Seeds: the identity, the Walsh-Hadamard transform (when p is a power of
-    two), the best inverse of difference directions (``_difference_seed``,
-    only when neither meets the floor) and fixed random starts, each refined
+    Seeds: the identity and the Walsh-Hadamard transform (when p is a power
+    of two), then the best inverse of difference directions
+    (``_difference_seed``), then fixed random starts, each later group
+    built only when no earlier seed meets the floor; each is refined
     (``search_from_starts``) by coordinate sweeps over the entries of A^{-1}
     (``_sweep``), each entry k over the spread of generator k.  Returns
     ``(A, CostEstimate)`` with status ``upper_bound`` on the true
     reparametrized-separate optimum.  A non-commuting set, whose
     spread-oracle infimum is the ``sep_plus_lower_bound`` constant
-    (``spread_variance_oracle``), and a set whose ``difference_body`` is not
+    (``spread_variance_oracle``), and a set whose difference body is not
     built raise before any search.
 
     The search stops at a seed within 1e-12 relative of a floor no
@@ -575,18 +575,14 @@ def sep_plus_optimize(gens: GeneratorSet, paradigm: str):
     def objective(_, points: list) -> list[float]:
         return _sep_plus_values(np.array(points).reshape(-1, p, p), variance_oracle, alpha)
 
-    floor = _certified_search_floor(gens, paradigm)
-    seeds = structured_seeds(p)
-    _, cost, target = best_seed(objective(None, seeds), floor)
-    if cost > target:
-        seeds += _difference_seed(gens, variance_oracle, alpha)
-    seeds += [np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
-              for seed in SEARCH_SEEDS]
-    local = _coordinate_sweeps(difference_body(gens)[1], generator_spreads(gens),
+    local = _coordinate_sweeps(gens.geometry.body[1], generator_spreads(gens),
                                variance_oracle, paradigm)
     _, best_a, best_val = search_from_starts(
-        logger, "sep_plus_optimize", objective, [np.ravel(s) for s in seeds],
-        certified=floor, local=local)
+        logger, "sep_plus_optimize", objective, structured_seeds(p),
+        certified=_certified_search_floor(gens, paradigm), local=local,
+        later=[lambda: _difference_seed(gens, variance_oracle, alpha),
+               lambda: [np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
+                        for seed in SEARCH_SEEDS]])
     estimate = CostEstimate(
         paradigm=paradigm,
         strategy="sep_plus",

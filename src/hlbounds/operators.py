@@ -144,6 +144,14 @@ class GeneratorSet:
         """Stacked (p, dim, dim) array of generator entries."""
         return np.stack([g.entries for g in self.generators])
 
+    @cached_property
+    def geometry(self) -> PatternGeometry:
+        """The ``PatternGeometry`` of a commuting set, derived on first use and
+        kept; InvalidArgumentError for a set that does not commute."""
+        if not self.commuting:
+            raise InvalidArgumentError("the difference body needs a commuting set")
+        return PatternGeometry(self)
+
 
 class ReparamMatrix(Record):
     """A real invertible parameter-space transformation theta = A theta'.
@@ -428,11 +436,115 @@ def _distinct_rows(x: np.ndarray, scale: float) -> np.ndarray:
     return x[unique(np.round(x, digits))[1]]
 
 
-def distinct_patterns(gens: GeneratorSet) -> np.ndarray:
-    """The distinct joint eigenvalue patterns of a commuting set: patterns
-    that agree to 12 decimals of the largest generator spread are one."""
-    pts = eigenvalue_patterns(gens)
-    return _distinct_rows(pts, float(np.max(np.ptp(pts, axis=0))))
+class PatternGeometry:
+    """The geometry of a commuting set's joint eigenvalue patterns x_s
+    (``GeneratorSet.geometry``), from which its SEP, SEP+ and JNT constants
+    are read.  ``patterns`` are the distinct patterns (those that agree to 12
+    decimals of the largest generator spread are one, the first kept, in
+    lexicographic order), ``values`` the value set V_k and ``widths`` the
+    range w_k of each coordinate.  ``form`` is the closed form that applies,
+    decided once: "box" where the patterns are the product of the V_k (fixed
+    atoms, and every set at p = 1), "l1" where each pattern has at most one
+    nonzero coordinate and axis k takes exactly the values +-w_k / 2 (free
+    atoms), else None.  ``body`` and ``max_spread`` follow on first use.
+    """
+
+    def __init__(self, gens: GeneratorSet):
+        pts = eigenvalue_patterns(gens)
+        self.patterns = pts = _distinct_rows(pts, float(np.max(np.ptp(pts, axis=0))))
+        self.values = [unique(col) for col in pts.T]
+        self.widths = np.ptp(pts, axis=0)
+        self.form = None
+        if math.prod(map(len, self.values)) == len(pts):
+            self.form = "box"
+        elif np.all(np.count_nonzero(pts, axis=1) <= 1) and all(
+                len(a) == 2 and a[0] == -a[1] for a in (v[v != 0] for v in self.values)):
+            self.form = "l1"
+        self._gens = gens
+
+    @cached_property
+    def max_spread(self):
+        """``(a, value)`` of the largest spread of a . Lambda over unit vectors
+        a, the diameter of the patterns: the box's corner diagonal w / |w|, the
+        l1 ball's e_k at the largest w_k, or any other set's farthest pair
+        when there are at most 2048 patterns; else None."""
+        pts, widths = self.patterns, self.widths
+        if self.form == "box":
+            direction = widths
+        elif self.form == "l1":
+            direction = np.eye(1, len(widths), int(np.argmax(widths)))[0]
+        elif len(pts) <= 2048:
+            sq = np.sum(pts ** 2, axis=1)
+            dist2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+            s, t = np.unravel_index(np.argmax(dist2), dist2.shape)
+            direction = pts[s] - pts[t]
+        else:
+            return None
+        nrm = np.linalg.norm(direction)
+        if nrm == 0.0:
+            return None
+        return direction / nrm, _sphere_objective(self._gens)(direction / nrm)
+
+    @cached_property
+    def body(self) -> tuple:
+        """``(differences, facets)`` of the difference body D = conv{x_s - x_t}.
+
+        D is {y : facets @ y <= 1}, one row per facet; its support function
+        max_{s,t} (x_s - x_t) . u is the spread of u . Lambda.  The facets are
+        the closed form of ``form`` where there is one, else the polygon at
+        p = 2 or qhull's.  ``differences`` are the distinct x_s - x_t, 0
+        included, formed only within the size gates (p <= 8, at most 1000 of
+        them), else None.  Raises, on each access, InvalidArgumentError for a
+        flat D (naming a u whose u . Lambda has spread 0) and
+        ResourceLimitError past the gates with no closed form.
+        """
+        pts, scale = self.patterns, float(np.max(self.widths))
+        p = pts.shape[1]
+        # d points spanning R^p have at least (p + 1) d - p (p + 1) / 2 distinct
+        # differences (Freiman, Heppes and Uhrin 1989), a product of value sets
+        # V_k at least prod_k (2 |V_k| - 1); points that do not span it have a flat D
+        at_least = (p + 1) * len(pts) - p * (p + 1) // 2
+        if self.form == "box":
+            at_least = max(at_least, math.prod(2 * len(v) - 1 for v in self.values))
+        diffs = None
+        if p <= _HULL_MAX_P and at_least <= _HULL_LIMIT:
+            diffs = _distinct_rows((pts[:, None] - pts[None]).reshape(-1, p), scale)
+            diffs = diffs if len(diffs) <= _HULL_LIMIT else None
+        facets = self._closed_form_facets()
+        if facets is None and diffs is None:
+            raise ResourceLimitError(f"the difference body has no closed form and is past the size "
+                                     f"gates (p <= {_HULL_MAX_P}, at most {_HULL_LIMIT} differences)")
+        if facets is None and p == 2:
+            facets = _polygon_facets(diffs, scale)
+        elif facets is None:
+            hull = ConvexHull(diffs)
+            # n . y + c <= 0 with unit n and c < 0; the triangles of a facet share it
+            equations = np.empty((0, p + 1)) if hull is None else unique(hull.equations)[0]
+            facets = equations[:, :-1] / -equations[:, -1:]
+        if not len(facets):
+            u = np.linalg.svd(pts - pts[0])[2][-1]
+            raise InvalidArgumentError(f"the difference body is flat: u . Lambda has spread 0 at "
+                                       f"u = {np.round(u / u[np.argmax(abs(u))], 6).tolist()}")
+        return diffs, facets
+
+    def _closed_form_facets(self):
+        """D's facet rows in closed form, with no pattern difference: the
+        box's +-e_k / w_k (none, a flat D, where some w_k is 0), the l1 ball's
+        s / w for every sign vector s (ResourceLimitError past 2^16 rows), or
+        None."""
+        p, widths = len(self.widths), self.widths
+        if self.form == "box":
+            if min(map(len, self.values)) < 2:
+                return np.empty((0, p))
+            return np.vstack([np.eye(p) / widths, -np.eye(p) / widths])
+        if self.form != "l1":
+            return None
+        if p > _AXIS_MAX_P:
+            raise ResourceLimitError(f"the l1 difference body at p={p} has 2^{p} facet rows, "
+                                     f"past the cap 2^{_AXIS_MAX_P}")
+        # row i is -1 at the set bits of i, the first coordinate the highest bit
+        signs = 1.0 - 2.0 * ((np.arange(2 ** p)[:, None] >> np.arange(p - 1, -1, -1)) & 1)
+        return signs / widths
 
 
 # ---------------------------------------------------------------------------
@@ -449,45 +561,6 @@ def _sphere_objective(gens):
         return float(spreads((x / nrm)[:, None])[0])
 
     return value
-
-
-def _diameter_direction(pts: np.ndarray):
-    """Unit vector maximizing spread for a commuting set, via the diameter
-    of its distinct eigenvalue patterns (exact for commuting models).  A
-    product of coordinate value sets (fixed atoms) is a box, whose diameter
-    is its corner diagonal, the coordinate ranges w; other sets compare
-    every pair, up to 2048 patterns."""
-    d = pts.shape[0]
-    if math.prod(len(unique(col)) for col in pts.T) == d:
-        w = np.ptp(pts, axis=0)
-        nrm = np.linalg.norm(w)
-        return w / nrm if nrm > 0.0 else None
-    if d > 2048:
-        return None  # pairwise diameter too large; other candidates still apply
-    sq = np.sum(pts ** 2, axis=1)
-    dist2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    s, t = np.unravel_index(np.argmax(dist2), dist2.shape)
-    direction = pts[s] - pts[t]
-    nrm = np.linalg.norm(direction)
-    if nrm == 0.0:
-        return None
-    return direction / nrm
-
-
-def exact_max_spread(gens: GeneratorSet):
-    """``(a, value)`` of the largest spread of a . Lambda over unit vectors a
-    when it is computed exactly, else None.
-
-    Exact means a commuting set whose distinct joint eigenvalue patterns
-    form a product of coordinate value sets, or number at most 2048 (their
-    diameter is then found by comparing every pair).
-    """
-    if not gens.commuting:
-        return None
-    diam = _diameter_direction(distinct_patterns(gens))
-    if diam is None:
-        return None
-    return diam, _sphere_objective(gens)(diam)
 
 
 def spread_ceiling(gens: GeneratorSet) -> float:
@@ -518,29 +591,29 @@ def max_spread_over_sphere(gens: GeneratorSet):
 
     Returns ``(a, value)``.  For commuting sets the maximum equals the
     diameter of the joint eigenvalue-pattern point set, which is computed
-    exactly (``exact_max_spread``).  Otherwise structured candidates
-    (coordinate axes, the uniform vector, seeded random vectors) are each
-    evaluated and then refined by a simplex search, so the value is a
-    certified lower bound on the true maximum.
+    exactly where it can be (``PatternGeometry.max_spread``).  Otherwise
+    structured candidates (coordinate axes, the uniform vector) and then
+    seeded random vectors are each evaluated and refined by a simplex
+    search, so the value is a certified lower bound on the true maximum.
 
-    No search runs when a candidate is within 1e-12 relative of
-    ``spread_ceiling``, which no unit vector can exceed; the value is then
-    the certified maximum (``search_from_starts``).  The Pauli sets meet
-    the ceiling 1 at the first axis; spin-3/2 (spread 3, ceiling sqrt 10)
-    runs every start.
+    No search runs, and no random vector is drawn, when a structured
+    candidate is within 1e-12 relative of ``spread_ceiling``, which no unit
+    vector can exceed; the value is then the certified maximum
+    (``search_from_starts``).  The Pauli sets meet the ceiling 1 at the
+    first axis; spin-3/2 (spread 3, ceiling sqrt 10) runs every start.
     """
-    exact = exact_max_spread(gens)
+    exact = gens.geometry.max_spread if gens.commuting else None
     if exact is not None:
         return exact
     p = gens.p
     objective = _sphere_objective(gens)
-    normals = [np.random.default_rng(seed).standard_normal(p) for seed in SEARCH_SEEDS]
-    candidates = [np.eye(p)[i] for i in range(p)] + [np.full(p, 1.0 / math.sqrt(p))]
-    candidates += [v / np.linalg.norm(v) for v in normals]
+    # drawn only when the later group is built
+    normals = (np.random.default_rng(seed).standard_normal(p) for seed in SEARCH_SEEDS)
     _, best_a, best_val = search_from_starts(
         logger, "max_spread_over_sphere", lambda _, points: [objective(x) for x in points],
-        candidates, {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-        certified=spread_ceiling(gens), maximize=True)
+        list(np.eye(p)) + [np.full(p, 1.0 / math.sqrt(p))],
+        {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}, certified=spread_ceiling(gens),
+        maximize=True, later=[lambda: [v / np.linalg.norm(v) for v in normals]])
     return best_a / np.linalg.norm(best_a), best_val
 
 
@@ -553,53 +626,6 @@ def rotation_bound_value(gens: GeneratorSet, a: ReparamMatrix) -> float:
     return _bound_sum(rotated_spreads(gens, a), spread_tolerance(gens))
 
 
-def difference_body(gens: GeneratorSet):
-    """``(differences, facets)`` of the difference body D = conv{x_s - x_t}
-    of a commuting set's joint eigenvalue patterns x_s.
-
-    D is {y : facets @ y <= 1}, one row per facet.  Its support function
-    max_{s,t} (x_s - x_t) . u is the spread of u . Lambda.  The facets are a
-    closed form where one applies (``_closed_form_facets``; always at
-    p = 1), else the polygon at p = 2 or qhull's.  ``differences`` are the
-    distinct x_s - x_t, 0 included, formed only within the size gates
-    (p <= 8, at most 1000 of them), else None.  Raises InvalidArgumentError
-    for a non-commuting set or a flat D (naming a u whose u . Lambda has
-    spread 0), and ResourceLimitError past the gates with no closed form.
-    """
-    p = gens.p
-    if not gens.commuting:
-        raise InvalidArgumentError("the difference body needs a commuting set")
-    pts = distinct_patterns(gens)
-    scale = float(np.max(np.ptp(pts, axis=0)))
-    values = [unique(pts[:, k]) for k in range(p)]
-    # d points spanning R^p have at least (p + 1) d - p (p + 1) / 2 distinct
-    # differences (Freiman, Heppes and Uhrin 1989), a product of value sets
-    # V_k at least prod_k (2 |V_k| - 1); points that do not span it have a flat D
-    at_least = (p + 1) * len(pts) - p * (p + 1) // 2
-    if math.prod(map(len, values)) == len(pts):
-        at_least = max(at_least, math.prod(2 * len(v) - 1 for v in values))
-    diffs = None
-    if p <= _HULL_MAX_P and at_least <= _HULL_LIMIT:
-        diffs = _distinct_rows((pts[:, None] - pts[None]).reshape(-1, p), scale)
-        diffs = diffs if len(diffs) <= _HULL_LIMIT else None
-    facets = _closed_form_facets(pts, values)
-    if facets is None and diffs is None:
-        raise ResourceLimitError(f"the difference body has no closed form and is past the size "
-                                 f"gates (p <= {_HULL_MAX_P}, at most {_HULL_LIMIT} differences)")
-    if facets is None and p == 2:
-        facets = _polygon_facets(diffs, scale)
-    elif facets is None:
-        hull = ConvexHull(diffs)
-        # n . y + c <= 0 with unit n and c < 0; the triangles of a facet share it
-        equations = np.empty((0, p + 1)) if hull is None else unique(hull.equations)[0]
-        facets = equations[:, :-1] / -equations[:, -1:]
-    if not len(facets):
-        u = np.linalg.svd(pts - pts[0])[2][-1]
-        raise InvalidArgumentError(f"the difference body is flat: u . Lambda has spread 0 at "
-                                   f"u = {np.round(u / u[np.argmax(abs(u))], 6).tolist()}")
-    return diffs, facets
-
-
 def ConvexHull(points):
     """qhull's hull of ``points`` (``scipy.spatial.ConvexHull``, imported on
     first call), or None when the points are flat."""
@@ -609,36 +635,6 @@ def ConvexHull(points):
         return qhull(points)
     except QhullError:
         return None
-
-
-def _closed_form_facets(pts: np.ndarray, values: list):
-    """The facet rows of D in closed form from the patterns and the value
-    set V_k of each coordinate, without their differences; an empty array
-    for a flat D, or None where no closed form applies.
-
-    - A product of the V_k (fixed atoms) gives the box of the coordinate
-      ranges w_k, facets +-e_k / w_k.
-    - Patterns with at most one nonzero coordinate each, taking exactly the
-      values +-a_k on axis k (free atoms), give the weighted l1 ball with
-      vertices +-2 a_k e_k, facets s / (2 a) for every sign vector s; past
-      2^16 rows it raises ResourceLimitError.
-    """
-    p = pts.shape[1]
-    if math.prod(map(len, values)) == len(pts):
-        if min(map(len, values)) < 2:
-            return np.empty((0, p))
-        widths = np.ptp(pts, axis=0)
-        return np.vstack([np.eye(p) / widths, -np.eye(p) / widths])
-    axes = [v[v != 0] for v in values]
-    if (np.all(np.count_nonzero(pts, axis=1) <= 1)
-            and all(len(a) == 2 and a[0] == -a[1] for a in axes)):
-        if p > _AXIS_MAX_P:
-            raise ResourceLimitError(f"the l1 difference body at p={p} has 2^{p} facet rows, "
-                                     f"past the cap 2^{_AXIS_MAX_P}")
-        # row i is -1 at the set bits of i, the first coordinate the highest bit
-        signs = 1.0 - 2.0 * ((np.arange(2 ** p)[:, None] >> np.arange(p - 1, -1, -1)) & 1)
-        return signs / (2.0 * np.array([a[1] for a in axes]))
-    return None
 
 
 def _polygon_facets(points: np.ndarray, scale: float) -> np.ndarray:
@@ -672,12 +668,13 @@ def rotation_bound_ceiling(gens: GeneratorSet) -> float | None:
     """p / r^2, a value no rotation's bound sum exceeds, or None.
 
     For a commuting set the spread of u . Lambda is the support function of
-    the ``difference_body`` D.  Over unit vectors u it is at least r, the
-    inradius of D (1 over the largest facet row norm), so each of the p
-    terms of the bound sum is at most 1/r^2.  None where D is not built.
+    the difference body D (``PatternGeometry.body``).  Over unit vectors u
+    it is at least r, the inradius of D (1 over the largest facet row norm),
+    so each of the p terms of the bound sum is at most 1/r^2.  None where D
+    is not built.
     """
     try:
-        facets = difference_body(gens)[1]
+        facets = gens.geometry.body[1]
     except (InvalidArgumentError, ResourceLimitError):
         return None
     return gens.p * float(np.max(np.sum(facets ** 2, axis=1)))
@@ -713,17 +710,18 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     """Maximize sum_i 1/spread([O^T Lambda]_i)^2 over orthogonal O.
 
     Returns ``(ReparamMatrix, value)``.  The identity, the Walsh-Hadamard
-    transform (when p is a power of two) and fixed random rotations are
-    evaluated; local searches over O = O_seed exp(skew) start from each.
+    transform (when p is a power of two) and then fixed random rotations
+    are evaluated; local searches over O = O_seed exp(skew) start from each.
     The value is a certified lower bound on the supremum.  A rotation with a
     degenerate spread scores -1e300, and the search raises only when every
     candidate is degenerate.
 
-    No search runs when a seed is within 1e-12 relative of
-    ``rotation_bound_ceiling``, which no rotation can exceed; the value is
-    then the certified optimum (``search_from_starts``).  Fixed atoms meet
-    the ceiling p at the identity, free atoms the ceiling p^2 at the
-    Walsh-Hadamard seed when p is a power of two.
+    No search runs, and no random rotation is drawn, when a structured seed
+    is within 1e-12 relative of ``rotation_bound_ceiling``, which no
+    rotation can exceed; the value is then the certified optimum
+    (``search_from_starts``).  Fixed atoms meet the ceiling p at the
+    identity, free atoms the ceiling p^2 at the Walsh-Hadamard seed when p
+    is a power of two.
     """
     p = gens.p
     if p < 2:
@@ -732,8 +730,7 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
     tol = spread_tolerance(gens)
     nvars = p * (p - 1) // 2
     bases = structured_seeds(p)
-    starts = [np.zeros(nvars)] * len(bases) + [
-        0.5 * np.random.default_rng(seed).standard_normal(nvars) for seed in SEARCH_SEEDS]
+    seeds = [np.zeros(nvars)] * len(bases)
     bases += [np.eye(p)] * len(SEARCH_SEEDS)
 
     def bound(indices, points):
@@ -743,9 +740,11 @@ def optimize_orthogonal_bound(gens: GeneratorSet):
         return [v if v > -math.inf else -1e300 for v in values]
 
     start, x, best_val = search_from_starts(
-        logger, "optimize_orthogonal_bound", bound, starts,
+        logger, "optimize_orthogonal_bound", bound, seeds,
         {"xatol": 1e-9, "fatol": 1e-11, "maxiter": 400 * max(nvars, 1)},
-        certified=rotation_bound_ceiling(gens), maximize=True)
+        certified=rotation_bound_ceiling(gens), maximize=True,
+        later=[lambda: [0.5 * np.random.default_rng(seed).standard_normal(nvars)
+                        for seed in SEARCH_SEEDS]])
     if best_val == -1e300:
         raise InvalidArgumentError("every rotation candidate had a degenerate spread")
     return ReparamMatrix(bases[start] @ _skew_to_orthogonal(x, p)), best_val

@@ -19,7 +19,9 @@ are bit-identical to scipy's from the same start.
 
 ``search_from_starts`` is the multi-start policy of the sphere, rotation
 and SEP+ searches, on ``minimize_lockstep`` or on a caller's own local
-search (the SEP+ coordinate sweeps).
+search (the SEP+ coordinate sweeps).  Later groups of starts (the random
+starts, the SEP+ difference seed) are built and scored only when no
+earlier seed meets the certificate.
 """
 
 from __future__ import annotations
@@ -94,46 +96,58 @@ def minimize_lockstep(fun_many, x0s, options) -> tuple[list[MinimizeResult], int
 
 
 def search_from_starts(logger, name, score, x0s, options=None, certified=None, maximize=False,
-                       local=None):
-    """The multi-start search ``name``: the best of the starts ``x0s`` and of
-    the Nelder-Mead searches (``options``) from them, as ``(start, x,
-    value)``, ``x`` from start index ``start``.  ``local(x0s) -> (results,
-    summary)``, when given, runs in place of Nelder-Mead (minimizing only):
-    one result per start, each with ``x``, ``fun`` and a ``record`` string,
-    and a summary for the log.
+                       local=None, later=()):
+    """The multi-start search ``name``: the best of the starts and of the
+    Nelder-Mead searches (``options``) from them, as ``(start, x, value)``,
+    ``x`` from start index ``start``.  The starts are ``x0s`` and then the
+    groups that the callables of ``later`` build in turn.  ``local(starts)
+    -> (results, summary)``, when given, runs in place of Nelder-Mead
+    (minimizing only): one result per start, each with ``x``, ``fun`` and a
+    ``record`` string, and a summary for the log.
 
     ``score(starts, points) -> values`` scores points of the given starts,
-    to be minimized, or maximized when ``maximize`` is set.  Every start is
-    scored in one call as a seed; the search stops there when the best is
-    within 1e-12 relative of ``certified``, a floor no value goes below (a
-    ceiling none exceeds when maximizing).  Otherwise every start runs, in
-    lockstep (``minimize_lockstep``) or through ``local``, and the results
-    are taken in start order up to the first that reaches the certificate.
-    A value replaces the best only when better by more than 1e-12 relative
-    (``_beats``).  ``logger`` gets DEBUG records of the search (rounds,
-    evaluations and unconverged starts, or ``local``'s summary), of each
-    start taken (its ``record``) and of the stop, with the winning seed or
-    search.
+    to be minimized, or maximized when ``maximize`` is set.  Each group of
+    starts is scored in one call as seeds; the search stops at the best
+    seed once it is within 1e-12 relative of ``certified``, a floor no
+    value goes below (a ceiling none exceeds when maximizing), and a later
+    group is built and scored only while no seed so far meets it.
+    Otherwise every start runs, in lockstep (``minimize_lockstep``) or
+    through ``local``, and the results are taken in start order up to the
+    first that reaches the certificate.  A value replaces the best only
+    when better by more than 1e-12 relative (``_beats``).  ``logger`` gets
+    DEBUG records of the search (rounds, evaluations and unconverged
+    starts, or ``local``'s summary), of each start taken (its ``record``)
+    and of the stop, with the winning seed or search.
     """
     sign = -1 if maximize else 1
-    starts = list(range(len(x0s)))
-    seed, best_cost, target = best_seed(score(starts, x0s), certified, sign)
-    best, origin = (None, None) if seed is None else ((seed, x0s[seed]), f"seed {seed}")
+    target = -math.inf if certified is None else sign * certified * (1 + sign * 1e-12)
+    starts, seed, best_cost = [], None, math.inf
+    for build in [lambda: x0s, *later]:
+        if best_cost <= target:
+            break
+        group = list(build())
+        if group:
+            indices = list(range(len(starts), len(starts) + len(group)))
+            for i, value in zip(indices, score(indices, group)):
+                if _beats(sign * value, best_cost):
+                    seed, best_cost = i, sign * value
+            starts += group
+    best, origin = (None, None) if seed is None else ((seed, starts[seed]), f"seed {seed}")
     if best_cost > target:
         if local is None:
             fun_many = (lambda s, points: [-v for v in score(s, points)]) if maximize else score
-            runs, rounds = minimize_lockstep(fun_many, x0s, [options] * len(x0s))
+            runs, rounds = minimize_lockstep(fun_many, starts, [options] * len(starts))
             summary = (f"searched {len(runs)} starts in {rounds} batched rounds: "
                        f"nfev={sum(res.nfev for res in runs)}, "
                        f"{sum(not res.success for res in runs)} unconverged")
         else:
-            runs, summary = local(x0s)
+            runs, summary = local(starts)
         logger.debug("%s %s", name, summary)
-    for start in starts:
+    for start in range(len(starts)):
         if best_cost <= target:
             logger.debug("%s certified by %s: value=%r %s=%r; starts %d-%d skipped",
                          name, origin, float(sign * best_cost),
-                         "ceiling" if maximize else "floor", certified, start, len(x0s) - 1)
+                         "ceiling" if maximize else "floor", certified, start, len(starts) - 1)
             break
         res = runs[start]
         logger.debug("%s start %d: %s fun=%r", name, start, res.record, float(res.fun))
@@ -141,18 +155,6 @@ def search_from_starts(logger, name, score, x0s, options=None, certified=None, m
             best_cost, best = float(res.fun), (start, res.x)
             origin = f"the search from start {start}"
     return (*best, sign * best_cost)
-
-
-def best_seed(values, certified, sign: int = 1):
-    """``(seed, cost, target)`` of the seed stage of ``search_from_starts``:
-    the index and value sign * value of the best of ``values`` by ``_beats``
-    (None and +inf when none beats +inf), and the largest cost within 1e-12
-    relative of ``certified``; the search stops there when cost <= target."""
-    seed, cost = None, math.inf
-    for i, value in enumerate(values):
-        if _beats(sign * value, cost):
-            seed, cost = i, sign * value
-    return seed, cost, -math.inf if certified is None else sign * certified * (1 + sign * 1e-12)
 
 
 def _beats(cost, best: float) -> bool:

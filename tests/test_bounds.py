@@ -32,9 +32,6 @@ from hlbounds import (
 import hlbounds.bounds as bounds_module
 from hlbounds.bounds import sep_plus_value
 from hlbounds.operators import (
-    difference_body,
-    distinct_patterns,
-    exact_max_spread,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
     rotation_bound_ceiling,
@@ -279,7 +276,7 @@ def test_c_optimal_variance_rejects_a_nonfinite_direction(p, bad):
     # size gates at p = 8; both read the box and refuse the direction before
     # any arithmetic
     gens = build_fixed_atom_generators(p)
-    assert (difference_body(gens)[0] is None) == (p == 8)
+    assert (gens.geometry.body[0] is None) == (p == 8)
     c = np.ones(p)
     c[1] = bad
     with pytest.raises(InvalidArgumentError, match="finite"):
@@ -454,7 +451,7 @@ def test_batched_gauges_equal_single_row_queries(build):
 def _gauges(gens, rows) -> np.ndarray:
     """The gauge of each row of ``rows``: its largest facet value on the
     ``difference_body``."""
-    facets = difference_body(gens)[1]
+    facets = gens.geometry.body[1]
     return np.array([float(np.max(facets @ r)) for r in rows])
 
 
@@ -465,7 +462,7 @@ def _lp_gauge(gens, c) -> float:
     solved by HiGHS."""
     from scipy.optimize import linprog
 
-    pts = distinct_patterns(gens)
+    pts = gens.geometry.patterns
     a_eq = np.vstack([pts.T, np.ones(len(pts))])
     res = linprog(np.full(2 * a_eq.shape[1], 0.5), A_eq=np.hstack([a_eq, -a_eq]),
                   b_eq=np.append(c, 0.0), bounds=(0, None), method="highs")
@@ -493,7 +490,7 @@ def test_lp_gauges_match_the_closed_form(build, gauge):
     # patterns +-e_k / 2 have the unit cross-polytope, gauge sum_k |c_k|.
     # Both are past the hull's size gates, and both have facets
     gens = build()
-    assert difference_body(gens)[0] is None
+    assert gens.geometry.body[0] is None
     rows = np.random.default_rng(10).standard_normal((20, gens.p))
     expected = [gauge(r) for r in rows]
     np.testing.assert_allclose([_lp_gauge(gens, r) for r in rows], expected, rtol=1e-12, atol=0)
@@ -569,7 +566,7 @@ def test_search_stops_at_a_seed_on_the_floor(caplog, monkeypatch, minimize_runs,
     # fixed atoms meet p^2 pi^2 at the Walsh-Hadamard seed (1), free atoms
     # p^3 pi^2 at the identity (0); two-sector meets the CR design floor, its
     # joint constant, at the difference seed (2), which is built only when
-    # no structured seed meets the floor
+    # no structured seed meets the floor; the random starts are never drawn
     floor = bounds_module._certified_search_floor(gens, paradigm)
     assert floor >= sep_plus_lower_bound(gens, paradigm).constant
     built, difference_seed = [], bounds_module._difference_seed
@@ -581,9 +578,9 @@ def test_search_stops_at_a_seed_on_the_floor(caplog, monkeypatch, minimize_runs,
     assert len(built) == (winner == 2)
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     assert len(messages) == 1
-    assert messages[0].startswith(
+    assert messages[0] == (
         f"sep_plus_optimize certified by seed {winner}: "
-        f"value={float(est.constant)!r} floor={floor!r}; starts 0-"
+        f"value={float(est.constant)!r} floor={floor!r}; starts 0-{max(winner, 1)} skipped"
     )
     assert est.constant == pytest.approx(closed_form, rel=1e-12, abs=0)
     assert est.status == "upper_bound"
@@ -595,7 +592,7 @@ def test_cr_design_floor_of_the_atom_models(p):
     # M = I/p, floor 2p^2 - p^2
     for build, expected in ((build_fixed_atom_generators, p),
                             (build_free_atom_generators, p * p)):
-        vectors = 2.0 * distinct_patterns(build(p))
+        vectors = 2.0 * build(p).geometry.patterns
         assert bounds_module._design_floor(vectors) == pytest.approx(expected, rel=1e-12)
 
 
@@ -604,7 +601,7 @@ def test_fixed_atoms_p8_search_uses_the_box(monkeypatch):
     # needs none: its facets are +-e_k, and the CR search meets its floor 8
     # at the Walsh-Hadamard seed without a linear program
     gens = build_fixed_atom_generators(8)
-    diffs, facets = difference_body(gens)
+    diffs, facets = gens.geometry.body
     assert diffs is None
     np.testing.assert_array_equal(facets, np.vstack([np.eye(8), -np.eye(8)]))
     monkeypatch.setattr(bounds_module, "linprog", None)
@@ -737,7 +734,7 @@ def test_fixed_atom_sweeps_converge_to_the_best_known_values(caplog, minimize_ru
 def _fixed_atom_lines(p, paradigm):
     gens = build_fixed_atom_generators(p)
     alpha, factor = paradigm_constants(paradigm)
-    diffs, facets = difference_body(gens)
+    diffs, facets = gens.geometry.body
     return (elfving_variance_oracle(gens, paradigm), alpha, factor, facets,
             np.maximum.reduce(abs(diffs)))
 
@@ -809,7 +806,7 @@ def test_asymmetric_pattern_set_has_a_certificate():
     # support function, so the spread floor 1 bounds both oracles; the design
     # floor on the centred vectors +-1 is 1 as well
     gens = GeneratorSet((np.diag([1.0, 2.0]),))
-    assert exact_max_spread(gens) is not None
+    assert gens.geometry.max_spread is not None
     assert bounds_module._certified_search_floor(gens, "cr") == 1.0
     assert bounds_module._certified_search_floor(gens, "mm") == PI2
     for paradigm, alpha in (("cr", 1), ("mm", 2)):
@@ -851,7 +848,7 @@ def diagonal_models(draw):
 def test_certified_floor_bounds_both_oracles(model, entries, paradigm):
     gens, symmetric = model
     p, alpha = gens.p, 1 if paradigm == "cr" else 2
-    exact = exact_max_spread(gens)
+    exact = gens.geometry.max_spread
     assume(exact is not None)
     a = np.reshape(entries[:p * p], (p, p))
     # a well-conditioned A keeps the rotated generators linearly independent
@@ -862,7 +859,7 @@ def test_certified_floor_bounds_both_oracles(model, entries, paradigm):
     assert value >= floor * (1 - 1e-12)
     # symmetric or not: the spread floor, and in CR the design floor on the
     # patterns centred at their midrange (0 for a symmetric set)
-    pts = distinct_patterns(gens)
+    pts = gens.geometry.patterns
     centre = (pts.max(axis=0) + pts.min(axis=0)) / 2
     if symmetric:
         assert np.all(centre == 0)

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -340,6 +341,63 @@ def test_every_bounds_search_passes_its_own_local_search():
     assert calls and all(any(k.arg == "local" for k in call.keywords) for call in calls)
 
 
+def test_only_the_pattern_geometry_derives_patterns_and_bodies():
+    # the box / l1 / general decision is made once per commuting set, in
+    # operators.PatternGeometry; no other code derives the patterns, their
+    # distinct rows or a closed-form body
+    guarded = {"eigenvalue_patterns", "_distinct_rows", "_closed_form_facets"}
+    outside, inside = [], set()
+    for path in sorted((Path(hlbounds.__file__).resolve().parent).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for builder in ast.walk(tree)
+                  if isinstance(builder, ast.ClassDef) and builder.name == "PatternGeometry"
+                  and path.stem == "operators" for node in ast.walk(builder)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in guarded and id(node) in exempt:
+                    inside.add(name)
+                elif name in guarded:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [] and inside == guarded
+
+
+def test_each_search_command_derives_its_geometry_once(monkeypatch):
+    # the patterns, the difference body and the largest spread of a command's
+    # set are each derived once, however many bounds read them; the atom
+    # builders are taken past their cache, so each command builds a new set
+    import hlbounds.catalog as catalog
+    import hlbounds.operators as operators
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    geometry = operators.PatternGeometry
+    for builder in ("build_fixed_atom_generators", "build_free_atom_generators"):
+        monkeypatch.setattr(catalog, builder, getattr(operators, builder).__wrapped__)
+    monkeypatch.setattr(operators, "eigenvalue_patterns",
+                        counted("patterns", operators.eigenvalue_patterns))
+    for name in ("body", "max_spread"):
+        derived = functools.cached_property(counted(name, vars(geometry)[name].func))
+        derived.__set_name__(geometry, name)
+        monkeypatch.setattr(geometry, name, derived)
+    for argv in (["bounds", "--model", "fixed-atoms", "--p", "4", "--paradigm", "mm"],
+                 ["bounds", "--model", "free-atoms", "--p", "4", "--paradigm", "mm"],
+                 ["bounds", "--model", "fixed-atoms", "--p", "3", "--paradigm", "cr"],
+                 ["bounds", "--model", "two-sector", "--paradigm", "cr",
+                  "--alpha", "1.0", "--beta", "0.5"]):
+        counts.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert counts == {"patterns": 1, "body": 1, "max_spread": 1}, argv
+
+
 def test_only_the_singularity_test_and_the_design_floor_take_a_determinant():
     # one singularity rule for every A (operators.nonsingular_scaled); the
     # design floor's test is on a Gram matrix, not on a reparametrization
@@ -471,6 +529,26 @@ def test_free_atom_bounds_past_the_l1_cap_fail_in_one_line():
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out.getvalue() == ""
     assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("p", [1025, 2048])
+def test_free_atom_bounds_past_the_pairwise_diameter_fail_in_one_line(p):
+    # 2p patterns are past the pairwise diameter's 2048; the l1 ball gives the
+    # largest spread, and its facet cap refuses the body, in a child whose
+    # address space is capped at 1 GB
+    code = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+from hlbounds.cli import main
+sys.exit(main(["bounds", "--model", "free-atoms", "--p", "{p}", "--paradigm", "mm"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: the l1 difference body at p={p} has 2^{p} facet rows, "
+                           "past the cap 2^16\n")
 
 
 # inputs that crashed, printed a wrong number or passed a negative seed, and

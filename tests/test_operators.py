@@ -156,7 +156,7 @@ def test_free_atoms_cap_fails_before_any_allocation():
 def test_fixed_atoms_p10_patterns_take_under_10_mb():
     # a fresh build (past the cache) and its distinct patterns
     build = build_fixed_atom_generators.__wrapped__
-    assert _peak_bytes(lambda: operators_module.distinct_patterns(build(10))) < 10 * 2 ** 20
+    assert _peak_bytes(lambda: build(10).geometry.patterns) < 10 * 2 ** 20
 
 
 def test_diagonal_sets_hold_only_their_patterns():
@@ -540,13 +540,14 @@ def test_orthogonal_bound_value_is_the_bound_sum_of_its_rotation(build):
 def test_rotation_search_stops_at_a_seed_on_the_ceiling(caplog, minimize_runs, gens,
                                                          winner, closed_form):
     # fixed atoms meet the ceiling p at the identity (seed 0), free atoms p^2
-    # at the Walsh-Hadamard seed (1)
+    # at the Walsh-Hadamard seed (1); the random rotations are never drawn,
+    # so only the structured seeds are skipped
     ceiling = rotation_bound_ceiling(gens)
     with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
         _, value = optimize_orthogonal_bound(gens)
     assert minimize_runs == []
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.operators"]
-    last = 4 if 2 ** round(math.log2(gens.p)) == gens.p else 3
+    last = 1 if 2 ** round(math.log2(gens.p)) == gens.p else 0
     assert messages == [
         f"optimize_orthogonal_bound certified by seed {winner}: "
         f"value={value!r} ceiling={ceiling!r}; starts 0-{last} skipped"
@@ -587,7 +588,8 @@ def test_free_atom_rotation_search_below_the_ceiling(p, earlier):
 @pytest.mark.parametrize("components", ["xy", "xyz"], ids=["pauli2", "pauli3"])
 def test_sphere_search_stops_at_the_first_axis_on_the_ceiling(caplog, minimize_runs,
                                                                components):
-    # every a . sigma/2 has eigenvalues +-1/2, and G = I/2 gives the ceiling 1
+    # every a . sigma/2 has eigenvalues +-1/2, and G = I/2 gives the ceiling 1;
+    # the p axes and the uniform vector are skipped, no random vector drawn
     gens = build_pauli_generators(components)
     with caplog.at_level(logging.DEBUG, logger="hlbounds.operators"):
         _, value = max_spread_over_sphere(gens)
@@ -595,7 +597,7 @@ def test_sphere_search_stops_at_the_first_axis_on_the_ceiling(caplog, minimize_r
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.operators"]
     assert messages == [
         "max_spread_over_sphere certified by seed 0: value=1.0 ceiling=1.0; "
-        f"starts 0-{gens.p + 3} skipped"
+        f"starts 0-{gens.p} skipped"
     ]
     assert value == 1.0
 
@@ -624,7 +626,7 @@ def test_diagonal_spread_objective_equals_the_dense_eigensolve(gens):
     objective = operators_module._sphere_objective(gens)
     rng = np.random.default_rng(11)
     directions = [rng.standard_normal(gens.p) for _ in range(5)]
-    directions.append(operators_module.exact_max_spread(gens)[0])
+    directions.append(gens.geometry.max_spread[0])
     for x in directions:
         w = np.linalg.eigvalsh(np.tensordot(x / np.linalg.norm(x), gens.matrices(), axes=(0, 0)))
         assert objective(x) == float(w[-1] - w[0])
@@ -729,7 +731,8 @@ def test_size_gates_give_no_ceiling(monkeypatch, p, at_least, distinct):
 def test_box_and_l1_bodies_past_the_gates_form_no_differences(monkeypatch):
     # fixed atoms at p = 7..12 have the box, rotation ceiling p; free atoms at
     # p = 9..16 the l1 ball, ceiling p^2.  No pattern difference is formed:
-    # ``_distinct_rows`` sees the patterns alone, never their pairs
+    # ``_distinct_rows`` sees the patterns alone, never their pairs.  Each
+    # set is fresh, so its geometry is derived under the patch
     distinct_rows = operators_module._distinct_rows
 
     def patterns_only(x, scale):
@@ -738,23 +741,30 @@ def test_box_and_l1_bodies_past_the_gates_form_no_differences(monkeypatch):
 
     monkeypatch.setattr(operators_module, "_distinct_rows", patterns_only)
     for p in range(7, 13):
-        gens = build_fixed_atom_generators(p)
-        diffs, facets = operators_module.difference_body(gens)
+        gens = _fresh(build_fixed_atom_generators, p)
+        diffs, facets = gens.geometry.body
         assert diffs is None
         np.testing.assert_array_equal(facets, np.vstack([np.eye(p), -np.eye(p)]))
         assert rotation_bound_ceiling(gens) == p
     for p in range(9, 17):
-        gens = build_free_atom_generators(p)
-        diffs, facets = operators_module.difference_body(gens)
+        gens = _fresh(build_free_atom_generators, p)
+        diffs, facets = gens.geometry.body
         assert diffs is None and facets.shape == (2 ** p, p)
         assert np.all(abs(facets) == 1.0)
         assert len(operators_module.unique(facets)[0]) == 2 ** p
         assert rotation_bound_ceiling(gens) == p * p
-    # past 2^16 rows the l1 body is refused
-    gens = build_free_atom_generators(17)
-    with pytest.raises(ResourceLimitError, match=r"2\^16"):
-        operators_module.difference_body(gens)
+    # past 2^16 rows the l1 body is refused, on every access
+    gens = _fresh(build_free_atom_generators, 17)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match=r"2\^16"):
+            gens.geometry.body
     assert rotation_bound_ceiling(gens) is None
+
+
+def _fresh(build, arg):
+    """A new set with the patterns of ``build(arg)``, past the builders' cache,
+    so that its geometry is derived anew."""
+    return GeneratorSet.from_patterns(build(arg).patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -794,14 +804,14 @@ PLANAR_SETS = {
 @pytest.mark.parametrize("name", list(BOX_AND_CROSS_SETS))
 def test_box_and_cross_facets_equal_qhull_bit_for_bit(name):
     build, arg = BOX_AND_CROSS_SETS[name]
-    diffs, facets = operators_module.difference_body(build(arg))
+    diffs, facets = build(arg).geometry.body
     assert np.array_equal(_sorted_rows(facets), _sorted_rows(_qhull_facets(diffs)))
 
 
 @pytest.mark.parametrize("name", list(PLANAR_SETS))
 def test_planar_facets_equal_qhull(name):
     build, arg = PLANAR_SETS[name]
-    diffs, facets = operators_module.difference_body(build(arg))
+    diffs, facets = build(arg).geometry.body
     ours, ref = _sorted_rows(facets), _sorted_rows(_qhull_facets(diffs))
     assert ours.shape == ref.shape
     assert np.max(np.abs(ours - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -813,14 +823,14 @@ def test_closed_forms_run_no_qhull(monkeypatch):
 
     monkeypatch.setattr(operators_module, "ConvexHull", no_qhull)
     for build, arg in list(BOX_AND_CROSS_SETS.values()) + list(PLANAR_SETS.values()):
-        assert operators_module.difference_body(build(arg)) is not None
+        assert _fresh(build, arg).geometry.body is not None
     # p = 1 is a box too: D = [-1, 1]
     for build in (build_fixed_atom_generators, build_free_atom_generators):
-        np.testing.assert_array_equal(operators_module.difference_body(build(1))[1],
-                                      [[1.0], [-1.0]])
+        np.testing.assert_array_equal(_fresh(build, 1).geometry.body[1], [[1.0], [-1.0]])
     flat = GeneratorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    with pytest.raises(InvalidArgumentError, match="flat"):
-        operators_module.difference_body(flat)
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError, match="flat"):
+            flat.geometry.body
 
 
 def test_other_sets_fall_back_to_qhull(monkeypatch):
@@ -831,7 +841,7 @@ def test_other_sets_fall_back_to_qhull(monkeypatch):
                         lambda points: calls.append(len(points)) or qhull(points))
     rng = np.random.default_rng(4)
     gens = GeneratorSet(tuple(np.diag(rng.standard_normal(5)) for _ in range(3)))
-    diffs, facets = operators_module.difference_body(gens)
+    diffs, facets = gens.geometry.body
     assert calls == [len(diffs)] == [21]
     np.testing.assert_array_equal(facets, _qhull_facets(diffs))
 
