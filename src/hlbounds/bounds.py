@@ -454,14 +454,15 @@ class SweepResult(NamedTuple):
 
 class _Lines:
     """The coordinate lines through one B = A^{-1} on the difference body
-    {y : facets @ y <= 1}, for ``values``."""
+    {y : facets @ y <= 1}, for ``values``, which runs inside the sweeps'
+    ``np.errstate``: a line through a singular B divides by zero."""
 
     def __init__(self, a, b, facets, factor: float, alpha: int):
         self.a, self.b, self.facets, self.factor, self.alpha = a, b, facets, factor, alpha
         self.gram = a.T @ a
-        self.norms = np.diag(self.gram)
+        self.norms = np.diag(self.gram)[:, None]
         self.fb = facets @ b.T
-        self.g2 = np.maximum.reduce(self.fb) ** 2
+        self.g2 = (np.maximum.reduce(self.fb) ** 2)[:, None]
 
     def values(self, j: int, k: int, xs):
         """``(values, s, gauge)``: the SEP+ values of B with entry (j, k) set
@@ -469,21 +470,33 @@ class _Lines:
         candidate's Sherman-Morrison step s and the gauge of its row j.
 
         Setting B_jk = B_jk + d gives A' = A - s (A e_j)(e_k^T A), s = d /
-        (1 + d A_kj), so column i of A' has squared norm G_ii - 2 s A_ki G_ij
-        + s^2 A_ki^2 G_jj with G = A^T A, and only row j's gauge changes, to
+        (1 + d A_kj), so column i of A' has squared norm G_ii + s (s A_ki^2
+        G_jj - 2 A_ki G_ij) with G = A^T A, and only row j's gauge changes, to
         max(facets @ b_j + d facets[:, k]): O(p) per candidate.  These values
-        only rank the candidates; ``_sep_plus_values`` scores the one kept."""
+        only rank the candidates; ``_sep_plus_values`` scores the one kept.
+
+        The candidates run along the last axis of every (p, L) and (facets,
+        L) array, so each numpy call loops over all of them at once; the sum
+        of the p terms runs on an (L, p) copy, since for p >= 8 numpy adds
+        that axis pairwise and each value keeps its bits only in that order."""
         a, gram = self.a, self.gram
         d = xs - self.b[j, k]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s = d / (1.0 + d * a[k, j])
-            col = s[:, None]
-            norms = self.norms + col * (col * (a[k] * a[k] * gram[j, j]) - 2.0 * a[k] * gram[j])
-            gauge = np.maximum.reduce(self.fb[:, j] + d[:, None] * self.facets[:, k], 1)
-            terms = norms * self.g2
-            terms[:, j] = norms[:, j] * gauge * gauge
-            values = self.factor * np.add.reduce(terms ** (1.0 / (self.alpha + 1)), 1) ** (
-                self.alpha + 1)
+        s = d / (1.0 + d * a[k, j])
+        terms = (a[k] * a[k] * gram[j, j])[:, None] * s
+        terms -= (2.0 * a[k] * gram[j])[:, None]
+        terms *= s
+        terms += self.norms
+        gauge = self.facets[:, k, None] * d
+        gauge += self.fb[:, j, None]
+        gauge = np.maximum.reduce(gauge)
+        row = terms[j] * gauge
+        row *= gauge
+        terms *= self.g2
+        terms[j] = row
+        terms **= 1.0 / (self.alpha + 1)
+        values = np.add.reduce(terms.T.copy(), 1)
+        values **= self.alpha + 1
+        values *= self.factor
         return np.where(values >= 0, values, math.inf), s, gauge
 
 
@@ -523,17 +536,25 @@ def _sweep(a, facets, extent, score, factor: float, alpha: int) -> SweepResult:
 
 
 def _coordinate_sweeps(facets, extent, variance_oracle, paradigm: str):
-    """``local`` of ``search_from_starts``: ``_sweep`` from each start."""
+    """``local`` of ``search_from_starts``: ``_sweep`` from each start, all
+    under one ``np.errstate`` for the lines (``_Lines.values``), with each
+    ``score`` under the caller's error state."""
     alpha, factor = paradigm_constants(paradigm)
 
-    def score(a):
-        return _sep_plus_values(a[None], variance_oracle, alpha)[0]
-
     def local(x0s):
-        runs = [_sweep(np.reshape(x, extent.shape * 2), facets, extent, score, factor, alpha)
-                for x in x0s]
-        return runs, (f"swept {len(runs)} starts: {sum(r.sweeps for r in runs)} sweeps, "
-                      f"{sum(r.moves for r in runs)} moves, "
+        caller = np.geterr()
+
+        def score(a):
+            with np.errstate(**caller):
+                return _sep_plus_values(a[None], variance_oracle, alpha)[0]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            runs = [_sweep(np.reshape(x, extent.shape * 2), facets, extent, score, factor,
+                           alpha) for x in x0s]
+        sweeps = sum(r.sweeps for r in runs)
+        # every sweep values all p^2 lines
+        return runs, (f"swept {len(runs)} starts: {sweeps} sweeps, "
+                      f"{sum(r.moves for r in runs)} moves, {sweeps * extent.size ** 2} lines, "
                       f"{sum(not r.converged for r in runs)} unconverged")
 
     return local

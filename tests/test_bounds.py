@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from hlbounds import (
 import hlbounds.bounds as bounds_module
 from hlbounds.bounds import sep_plus_value
 from hlbounds.operators import (
+    SEARCH_SEEDS,
+    generator_spreads,
     max_spread_over_sphere,
     optimize_orthogonal_bound,
     rotation_bound_ceiling,
@@ -701,7 +705,7 @@ def test_search_certified_by_its_first_start(caplog, monkeypatch, minimize_runs)
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     assert minimize_runs == []
     assert messages == [
-        "sep_plus_optimize swept 3 starts: 19 sweeps, 53 moves, 0 unconverged",
+        "sep_plus_optimize swept 3 starts: 19 sweeps, 53 moves, 171 lines, 0 unconverged",
         f"sep_plus_optimize start 0: sweeps=5 moves=15 converged=True fun={reached!r}",
         "sep_plus_optimize certified by the search from start 0: "
         f"value={reached!r} floor={reached!r}; starts 1-2 skipped",
@@ -721,8 +725,11 @@ def test_fixed_atom_sweeps_converge_to_the_best_known_values(caplog, minimize_ru
     messages = [r.getMessage() for r in caplog.records if r.name == "hlbounds.bounds"]
     starts = 5 if p == 3 else 4
     assert minimize_runs == []
-    assert messages[0].startswith(f"sep_plus_optimize swept {starts} starts: ")
-    assert messages[0].endswith(" moves, 0 unconverged")
+    head, sweeps, moves, lines = re.fullmatch(
+        r"(.*): (\d+) sweeps, (\d+) moves, (\d+) lines, 0 unconverged", messages[0]).groups()
+    assert head == f"sep_plus_optimize swept {starts} starts"
+    # every sweep values all p^2 lines
+    assert int(lines) == int(sweeps) * p * p and int(moves) > 0
     assert [m.split(": ")[0] for m in messages[1:]] == [
         f"sep_plus_optimize start {i}" for i in range(starts)]
     assert all(" converged=True fun=" in m for m in messages[1:])
@@ -734,31 +741,114 @@ def test_fixed_atom_sweeps_converge_to_the_best_known_values(caplog, minimize_ru
 def _fixed_atom_lines(p, paradigm):
     gens = build_fixed_atom_generators(p)
     alpha, factor = paradigm_constants(paradigm)
-    diffs, facets = gens.geometry.body
-    return (elfving_variance_oracle(gens, paradigm), alpha, factor, facets,
-            np.maximum.reduce(abs(diffs)))
+    return (elfving_variance_oracle(gens, paradigm), alpha, factor, gens.geometry.body[1],
+            generator_spreads(gens))
+
+
+# the error state the sweeps run their lines under
+_LINE_ERRSTATE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 @pytest.mark.parametrize("paradigm", ["cr", "mm"])
-@pytest.mark.parametrize("p", range(3, 7))
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 12])
 def test_rank_one_line_equals_the_scorer(p, paradigm):
     # a random B whose rows lie in the cube D of fixed atoms: each candidate
     # of a line, valued by the rank-one form and by _sep_plus_values on the
-    # inverse of the same B
+    # inverse of the same B.  From p = 8 numpy sums the p terms pairwise
     oracle, alpha, factor, facets, extent = _fixed_atom_lines(p, paradigm)
     b = np.random.default_rng(p).uniform(-1.0, 1.0, (p, p))
     lines = bounds_module._Lines(np.linalg.inv(b), b, facets, factor, alpha)
     for j, k in ((0, 0), (p - 1, 0), (1, p - 1), (2, 1)):
         xs = extent[k] * np.linspace(-1.0, 1.0, bounds_module._LINE_POINTS)
-        values, _, _ = lines.values(j, k, xs)
+        with np.errstate(**_LINE_ERRSTATE):
+            values, _, _ = lines.values(j, k, xs)
         stack = np.repeat(b[None], len(xs), 0)
         stack[:, j, k] = xs
         want = np.array(bounds_module._sep_plus_values(np.linalg.inv(stack), oracle, alpha))
         # the few candidates next to a singular B have an A that
-        # ``nonsingular`` refuses; the line ranks them far above the rest
+        # ``nonsingular`` refuses (3 on a line at p <= 6, 7 on one at p = 7);
+        # the line ranks them far above the rest
         finite = np.isfinite(want)
-        assert finite.sum() >= len(xs) - 3 and np.all(values[~finite] > 1e3 * values.min())
+        assert finite.sum() >= len(xs) - 8 and np.all(values[~finite] > 1e3 * values.min())
         np.testing.assert_allclose(values[finite], want[finite], rtol=1e-10, atol=0)
+
+
+def _line_values_reference(a, b, facets, factor, alpha, j, k, xs):
+    """``_Lines.values`` as first written, on the (L, p) and (L, facets)
+    layouts with the facet max over the trailing axis: the reference that
+    the kernel must match bit for bit."""
+    gram = a.T @ a
+    fb = facets @ b.T
+    g2 = np.maximum.reduce(fb) ** 2
+    d = xs - b[j, k]
+    s = d / (1.0 + d * a[k, j])
+    col = s[:, None]
+    norms = np.diag(gram) + col * (col * (a[k] * a[k] * gram[j, j]) - 2.0 * a[k] * gram[j])
+    gauge = np.maximum.reduce(fb[:, j] + d[:, None] * facets[:, k], 1)
+    terms = norms * g2
+    terms[:, j] = norms[:, j] * gauge * gauge
+    values = factor * np.add.reduce(terms ** (1.0 / (alpha + 1)), 1) ** (alpha + 1)
+    return np.where(values >= 0, values, math.inf), s, gauge
+
+
+@pytest.mark.parametrize("paradigm", ["cr", "mm"])
+@pytest.mark.parametrize("model,p", [("fixed-atoms", p) for p in range(2, 13)]
+                         + [("free-atoms", p) for p in range(2, 7)])
+def test_rank_one_line_is_the_reference_bit_for_bit(model, p, paradigm):
+    # every line through a random B, and through a diagonal B of powers of
+    # two, whose line (j, j) meets the singular B with row j zero at the
+    # grid's middle point: the same values, steps and gauges as the
+    # reference formula
+    build = {"fixed-atoms": build_fixed_atom_generators,
+             "free-atoms": build_free_atom_generators}[model]
+    gens = build(p)
+    alpha, factor = paradigm_constants(paradigm)
+    facets, extent = gens.geometry.body[1], generator_spreads(gens)
+    rng = np.random.default_rng(100 + p)
+    bs = [rng.uniform(-1.0, 1.0, (p, p)) * extent, np.diag(2.0 ** -rng.integers(0, 3, p))]
+    for b in bs:
+        a = np.linalg.inv(b)
+        lines = bounds_module._Lines(a, b, facets, factor, alpha)
+        for j, k in np.ndindex(p, p):
+            xs = extent[k] * np.linspace(-1.0, 1.0, bounds_module._LINE_POINTS)
+            with np.errstate(**_LINE_ERRSTATE):
+                got = lines.values(j, k, xs)
+                want = _line_values_reference(a, b, facets, factor, alpha, j, k, xs)
+            for name, g, w in zip(("values", "s", "gauge"), got, want):
+                assert np.array_equal(g, w, equal_nan=True), (name, b, j, k)
+    # the last B, the diagonal one: its line (0, 0) divides by zero there, to s = -inf
+    middle = bounds_module._LINE_POINTS // 2
+    with np.errstate(**_LINE_ERRSTATE):
+        values, s, _ = lines.values(
+            0, 0, extent[0] * np.linspace(-1.0, 1.0, bounds_module._LINE_POINTS))
+    assert s[middle] == -math.inf and values[middle] == math.inf
+
+
+@pytest.mark.parametrize("p,paradigm", [(6, "cr"), (7, "mm")])
+def test_sweeps_leak_no_warning_and_score_under_the_callers_error_state(monkeypatch, p,
+                                                                         paradigm):
+    # the lines divide by zero where a start's line crosses a singular B (the
+    # identity's line (j, j) does at its middle point) under the sweeps' own
+    # np.errstate; nothing escapes it, and the scorer runs under the caller's
+    # error state, which is the same after the sweeps
+    oracle, _, _, facets, extent = _fixed_atom_lines(p, paradigm)
+    states, real = [], bounds_module._sep_plus_values
+
+    def recording(*args):
+        states.append(np.geterr())
+        return real(*args)
+
+    monkeypatch.setattr(bounds_module, "_sep_plus_values", recording)
+    starts = [np.eye(p)] + [np.eye(p) + 0.3 * np.random.default_rng(seed).standard_normal((p, p))
+                            for seed in SEARCH_SEEDS]
+    caller = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs, _ = bounds_module._coordinate_sweeps(facets, extent, oracle, paradigm)(
+            [x.ravel() for x in starts])
+    assert len(runs) == len(starts) and all(r.converged for r in runs)
+    assert states and all(state == caller for state in states)
+    assert np.geterr() == caller
 
 
 def test_sweep_keeps_no_move_the_scorer_does_not_lower(monkeypatch):
@@ -787,7 +877,7 @@ def test_sweep_keeps_no_move_the_scorer_does_not_lower(monkeypatch):
     assert (run.sweeps, run.moves, run.converged) == (1, 0, True)
     assert np.array_equal(run.x, np.eye(3).ravel()) and run.fun == 9.0
     assert len(scored) == 1 + 9
-    assert summary == "swept 1 starts: 1 sweeps, 0 moves, 0 unconverged"
+    assert summary == "swept 1 starts: 1 sweeps, 0 moves, 9 lines, 0 unconverged"
 
 
 @pytest.mark.parametrize("paradigm,value", [("cr", 2 + math.sqrt(3)), ("mm", 110.32808106595)])

@@ -193,6 +193,19 @@ def _run_python(code, cwd=None, **env_vars):
                           env=env, cwd=cwd, check=True).stdout
 
 
+def test_fixed_atoms_p7_mm_writes_nothing_to_stderr():
+    # its SEP+ sweeps run lines through singular B, which divide by zero
+    # under the search's own np.errstate: no RuntimeWarning reaches stderr
+    argv = ["bounds", "--model", "fixed-atoms", "--p", "7", "--paradigm", "mm"]
+    env = dict(os.environ, PYTHONPATH=str(Path(hlbounds.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-W", "default", "-c",
+                           f"from hlbounds.cli import main; raise SystemExit(main({argv!r}))"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # the Airy bound is a closed form: no command needs quadrature at import
     code = "import sys, hlbounds.cli; print('scipy.integrate' in sys.modules)"
