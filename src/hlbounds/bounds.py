@@ -507,7 +507,12 @@ def _sweep(a, facets, extent, score, factor: float, alpha: int) -> SweepResult:
     and entry k in [-extent_k, extent_k]; each entry (j, k) in turn tries
     ``_LINE_POINTS`` values over that range (``_Lines.values``), and the
     best is kept when ``score`` (one A to its SEP+ value) puts it lower by
-    more than 1e-13 relative.  A start ends after a sweep with no move."""
+    more than 1e-13 relative.  A start ends after a sweep with no move.
+
+    The lines run under one ``np.errstate`` that ignores division by zero,
+    overflow and invalid values, entered once per start; the rescaling, the
+    moves and ``score`` run under the caller's error state."""
+    caller = np.geterr()
     b = np.linalg.inv(a)
     gauges = np.maximum.reduce(facets @ b.T)
     a, b = a * gauges, b / gauges[:, None]
@@ -515,42 +520,38 @@ def _sweep(a, facets, extent, score, factor: float, alpha: int) -> SweepResult:
     lines = _Lines(a, b, facets, factor, alpha)
     sweeps = moves = 0
     moved = True
-    while moved and sweeps < _MAX_SWEEPS:
-        moved, sweeps = False, sweeps + 1
-        for j, k in np.ndindex(a.shape):
-            xs = grids[k]
-            values, s, gauge = lines.values(j, k, xs)
-            i = int(np.argmin(values))
-            if not values[i] < value - 1e-13 * value:
-                continue
-            # A' column j and B' row j rescaled to gauge 1, which leaves the value
-            a_new = a - np.outer(a[:, j], s[i] * a[k])
-            a_new[:, j] *= gauge[i]
-            new = score(a_new)
-            if new < value - 1e-13 * value:
-                b[j, k] = xs[i]
-                b[j] /= gauge[i]
-                a, value, moves, moved = a_new, new, moves + 1, True
-                lines = _Lines(a, b, facets, factor, alpha)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while moved and sweeps < _MAX_SWEEPS:
+            moved, sweeps = False, sweeps + 1
+            for j, k in np.ndindex(a.shape):
+                xs = grids[k]
+                values, s, gauge = lines.values(j, k, xs)
+                i = int(np.argmin(values))
+                if not values[i] < value - 1e-13 * value:
+                    continue
+                with np.errstate(**caller):
+                    # A' column j and B' row j rescaled to gauge 1, which leaves the value
+                    a_new = a - np.outer(a[:, j], s[i] * a[k])
+                    a_new[:, j] *= gauge[i]
+                    new = score(a_new)
+                    if new < value - 1e-13 * value:
+                        b[j, k] = xs[i]
+                        b[j] /= gauge[i]
+                        a, value, moves, moved = a_new, new, moves + 1, True
+                        lines = _Lines(a, b, facets, factor, alpha)
     return SweepResult(np.ravel(a), value, sweeps, moves, not moved)
 
 
 def _coordinate_sweeps(facets, extent, variance_oracle, paradigm: str):
-    """``local`` of ``search_from_starts``: ``_sweep`` from each start, all
-    under one ``np.errstate`` for the lines (``_Lines.values``), with each
-    ``score`` under the caller's error state."""
+    """``local`` of ``search_from_starts``: ``_sweep`` from each start."""
     alpha, factor = paradigm_constants(paradigm)
 
     def local(x0s):
-        caller = np.geterr()
-
         def score(a):
-            with np.errstate(**caller):
-                return _sep_plus_values(a[None], variance_oracle, alpha)[0]
+            return _sep_plus_values(a[None], variance_oracle, alpha)[0]
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            runs = [_sweep(np.reshape(x, extent.shape * 2), facets, extent, score, factor,
-                           alpha) for x in x0s]
+        runs = [_sweep(np.reshape(x, extent.shape * 2), facets, extent, score, factor, alpha)
+                for x in x0s]
         sweeps = sum(r.sweeps for r in runs)
         # every sweep values all p^2 lines
         return runs, (f"swept {len(runs)} starts: {sweeps} sweeps, "
